@@ -21,6 +21,8 @@ from .circuits import (
     ControlledGate,
     SingleQubitGate,
     SwapGate,
+    apply_circuit,
+    circuit_isometry,
     compile_circuit,
     format_circuit,
     gate_unitary,
@@ -30,6 +32,7 @@ from .circuits import (
     synthesize_circuit,
 )
 from .dilation import (
+    MAX_QUBITS,
     DilatedMeasurement,
     dihedral_coupling,
     generic_completion,
@@ -78,6 +81,7 @@ from .families import (
     validate_povm,
 )
 from .linalg import (
+    apply_gates,
     direct_sum,
     distance_up_to_global_phase,
     embed_on_qubits,

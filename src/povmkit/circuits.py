@@ -5,6 +5,11 @@ the order of application, so the compiled matrix is the product of the
 gate unitaries taken right to left.  Qubit 0 is the most significant bit
 of a basis index throughout.
 
+Each gate exposes its small local matrix and the qubits it acts on;
+``apply_circuit`` contracts those local matrices into the columns of a
+register array one gate at a time, so no gate is ever embedded as a dense
+register-sized matrix.
+
 ``synthesize_circuit`` turns each structured dilation into a short fixed
 factorization that compiles exactly to the adjoint of the dilation, so
 running the circuit and then reading the register in the computational
@@ -24,8 +29,8 @@ from .linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
     SWAP_MATRIX,
+    apply_gates,
     direct_sum,
-    embed_on_qubits,
     fourier_matrix,
     matrix_to_pairs,
     unitarity_residual,
@@ -36,7 +41,7 @@ def _checked_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (dim, dim):
         raise InvalidGateError(f"gate matrix must be {dim}x{dim}")
-    if unitarity_residual(matrix) > DEFAULT_TOL:
+    if not unitarity_residual(matrix) <= DEFAULT_TOL:
         raise InvalidGateError("gate matrix must be unitary")
     return matrix
 
@@ -54,6 +59,9 @@ class SingleQubitGate:
 
     def qubits(self) -> tuple[int, ...]:
         return (self.target,)
+
+    def local_matrix(self) -> np.ndarray:
+        return self.matrix
 
     def adjoint(self) -> "SingleQubitGate":
         return SingleQubitGate(self.target, self.matrix.conj().T)
@@ -88,6 +96,11 @@ class ControlledGate:
 
     def qubits(self) -> tuple[int, ...]:
         return (self.control, self.target)
+
+    def local_matrix(self) -> np.ndarray:
+        if self.control_value == 1:
+            return direct_sum(np.eye(2), self.matrix)
+        return direct_sum(self.matrix, np.eye(2))
 
     def adjoint(self) -> "ControlledGate":
         return ControlledGate(
@@ -125,6 +138,9 @@ class CnotGate:
     def qubits(self) -> tuple[int, ...]:
         return (self.control, self.target)
 
+    def local_matrix(self) -> np.ndarray:
+        return CNOT_MATRIX
+
     def adjoint(self) -> "CnotGate":
         return CnotGate(self.control, self.target)
 
@@ -149,6 +165,9 @@ class SwapGate:
 
     def qubits(self) -> tuple[int, ...]:
         return (self.a, self.b)
+
+    def local_matrix(self) -> np.ndarray:
+        return SWAP_MATRIX
 
     def adjoint(self) -> "SwapGate":
         return SwapGate(self.a, self.b)
@@ -176,6 +195,9 @@ class BlockGate:
 
     def qubits(self) -> tuple[int, ...]:
         return tuple(self.targets)
+
+    def local_matrix(self) -> np.ndarray:
+        return self.matrix
 
     def adjoint(self) -> "BlockGate":
         return BlockGate(list(self.targets), self.matrix.conj().T)
@@ -220,31 +242,30 @@ class Circuit:
         }
 
 
+def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Apply the gates, in list order, to every column of an (r, c) array."""
+    return apply_gates(((g.local_matrix(), g.qubits()) for g in circuit.gates), state)
+
+
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """Full register unitary of one gate."""
-    if isinstance(gate, SingleQubitGate):
-        return embed_on_qubits(gate.matrix, [gate.target], n_qubits)
-    if isinstance(gate, ControlledGate):
-        if gate.control_value == 1:
-            local = direct_sum(np.eye(2), gate.matrix)
-        else:
-            local = direct_sum(gate.matrix, np.eye(2))
-        return embed_on_qubits(local, [gate.control, gate.target], n_qubits)
-    if isinstance(gate, CnotGate):
-        return embed_on_qubits(CNOT_MATRIX, [gate.control, gate.target], n_qubits)
-    if isinstance(gate, SwapGate):
-        return embed_on_qubits(SWAP_MATRIX, [gate.a, gate.b], n_qubits)
-    if isinstance(gate, BlockGate):
-        return embed_on_qubits(gate.matrix, gate.targets, n_qubits)
-    raise InvalidGateError(f"unknown gate object {gate!r}")
+    return apply_gates(
+        [(gate.local_matrix(), gate.qubits())], np.eye(2**n_qubits, dtype=complex)
+    )
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
-    """Multiply the gate unitaries in application order."""
-    total = np.eye(2**circuit.n_qubits, dtype=complex)
-    for gate in circuit.gates:
-        total = gate_unitary(gate, circuit.n_qubits) @ total
-    return total
+    """The circuit's full register unitary: the gates applied to the identity."""
+    return apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
+
+
+def circuit_isometry(circuit: Circuit) -> np.ndarray:
+    """First two columns of the compiled circuit.
+
+    A qubit state enters the register on basis states 0 and 1, so these
+    columns are all a simulation needs; they cost O(r) per gate.
+    """
+    return apply_circuit(circuit, np.eye(2**circuit.n_qubits, 2, dtype=complex))
 
 
 def inverse_circuit(circuit: Circuit) -> Circuit:

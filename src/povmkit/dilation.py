@@ -9,8 +9,8 @@ measurement statistics, with the zero-started columns never firing.
 
 ``structured_dilation`` builds U as a short product of permutations,
 couplings and Fourier blocks specific to each family; ``generic_completion``
-fills in the rows below the vector rows by orthonormalizing standard basis
-vectors against them, which works for any complete set of vectors.
+fills in the rows below the vector rows with an orthonormal basis of their
+complement, which works for any complete set of vectors.
 """
 
 from __future__ import annotations
@@ -48,11 +48,24 @@ from .linalg import (
 # Rows the isometry must reproduce; anything below is completion freedom.
 _SEED_ROWS = 2
 
+# Largest dilated register.  Verification builds several dense r x r
+# complex matrices (the dilation, the compiled circuit, their residuals);
+# at 12 qubits each one takes 256 MB, and every further qubit quadruples it.
+MAX_QUBITS = 12
+
 
 def register_size(n_outcomes: int) -> int:
-    """Smallest power of two that can hold ``n_outcomes`` basis states."""
+    """Smallest power of two that can hold ``n_outcomes`` basis states.
+
+    Raises InvalidParameterError above ``2**MAX_QUBITS`` outcomes, before
+    anything register-sized is allocated.
+    """
     if n_outcomes < 2:
         raise InvalidParameterError("a measurement needs at least two outcomes")
+    if n_outcomes > 1 << MAX_QUBITS:
+        raise InvalidParameterError(
+            f"{n_outcomes} outcomes need more than the {MAX_QUBITS}-qubit register cap"
+        )
     return 1 << (n_outcomes - 1).bit_length()
 
 
@@ -117,13 +130,9 @@ class DilatedMeasurement:
 
     def embedding_residual(self) -> float:
         """Largest deviation of the vector rows from the measurement."""
-        worst = 0.0
-        for b in range(self.dim):
-            head = self.matrix[:_SEED_ROWS, b]
-            if b in self.outcome_map:
-                head = head - self.povm.vectors[self.outcome_map[b]]
-            worst = max(worst, float(np.abs(head).max()))
-        return worst
+        head = self.matrix[:_SEED_ROWS].copy()
+        head[:, self.outcome_positions] -= self.povm.vectors.T
+        return float(np.abs(head).max())
 
     def to_dict(self) -> dict:
         return {
@@ -241,38 +250,25 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:
-    """Dilation for arbitrary complete vectors, via Gram-Schmidt.
+    """Dilation for arbitrary complete vectors, via a QR completion.
 
     The two vector rows are orthonormal exactly when the vectors resolve
-    the identity; the remaining rows come from orthonormalizing standard
-    basis vectors against everything accepted so far, skipping candidates
-    that the span already absorbs.
+    the identity; the remaining rows are the last r - 2 columns of the
+    complete QR factor of their adjoint, an orthonormal basis of the
+    complement.  The vector rows themselves are kept as given.
     """
-    r = register_size(povm.n)
     top = padded_measurement_matrix(povm)
     gram = top @ top.conj().T
-    if np.abs(gram - np.eye(2)).max() > 1e-8:
+    if not np.abs(gram - np.eye(2)).max() <= 1e-8:
         raise NotIsometryError("vectors do not resolve the identity")
 
-    rows = [top[0], top[1]]
-    for k in range(r):
-        if len(rows) == r:
-            break
-        candidate = np.zeros(r, dtype=complex)
-        candidate[k] = 1.0
-        for _ in range(2):  # second pass keeps the basis orthonormal
-            for row in rows:
-                candidate = candidate - np.vdot(row, candidate) * row
-        norm = np.linalg.norm(candidate)
-        if norm < 1e-6:
-            continue
-        rows.append(candidate / norm)
-    if len(rows) != r:
-        raise NotIsometryError("failed to complete the isometry to a unitary")
+    q, _ = np.linalg.qr(top.conj().T, mode="complete")
+    matrix = q.conj().T
+    matrix[:_SEED_ROWS] = top
 
     return DilatedMeasurement(
         povm=povm,
-        matrix=np.array(rows),
+        matrix=matrix,
         outcome_map={j: j for j in range(povm.n)},
         method="generic",
     )

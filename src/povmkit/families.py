@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import povm_element_to_bloch
 from .errors import (
     DegenerateOrbitError,
     InvalidParameterError,
     InvalidRotationError,
+    ZeroOperatorError,
 )
 from .linalg import DEFAULT_TOL, unitarity_residual
 
@@ -41,6 +41,8 @@ FAMILY_KINDS = (CYCLIC, DIHEDRAL) + PLATONIC_KINDS
 
 # Bloch points closer than this are treated as the same vertex.
 DISTINCT_POINT_TOL = 1e-8
+# Rows compared at once in the distinct-point scan; bounds its temporaries.
+_SCAN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class PovmFamily:
     @classmethod
     def dihedral_from_angle(cls, m: int, theta: float) -> "PovmFamily":
         """Dihedral family whose upper ring sits at polar angle ``theta``."""
+        if not np.isfinite(theta):
+            raise InvalidParameterError(f"polar angle must be finite, got {theta}")
         return cls.dihedral(m, np.cos(theta / 2), np.sin(theta / 2))
 
     @classmethod
@@ -153,8 +157,19 @@ class Povm:
         return [np.outer(v, v.conj()) for v in self.vectors]
 
     def bloch_points(self) -> np.ndarray:
-        """(n, 3) array of the outcome directions on the Bloch sphere."""
-        return np.array([povm_element_to_bloch(v) for v in self.vectors])
+        """(n, 3) array of the outcome directions on the Bloch sphere.
+
+        Row j is ``povm_element_to_bloch(vectors[j])``, in closed form:
+        (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) / (|a|^2 + |b|^2).
+        """
+        a, b = self.vectors[:, 0], self.vectors[:, 1]
+        top = a.real**2 + a.imag**2
+        bottom = b.real**2 + b.imag**2
+        norm_sq = top + bottom
+        if (norm_sq < 1e-24).any():
+            raise ZeroOperatorError("measurement vector is numerically zero")
+        cross = 2 * a.conj() * b
+        return np.stack([cross.real, cross.imag, top - bottom], axis=1) / norm_sq[:, None]
 
     def to_dict(self) -> dict:
         return {
@@ -182,11 +197,32 @@ def cyclic_povm(m: int) -> Povm:
 
 
 def _distinct_points(points: np.ndarray, tol: float = DISTINCT_POINT_TOL) -> int:
-    reps: list[np.ndarray] = []
-    for p in points:
-        if not any(np.abs(p - q).max() < tol for q in reps):
-            reps.append(p)
-    return len(reps)
+    """Number of representatives a greedy scan keeps.
+
+    Scanning in order, a point is a new representative unless an earlier
+    representative lies within ``tol`` of it in max-norm.  The close pairs
+    are found in row blocks, so temporaries stay O(n * block); the greedy
+    order only runs over those pairs.  A NaN coordinate is never close.
+    """
+    points = np.asarray(points, dtype=float)
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for start in range(0, len(points), _SCAN_BLOCK):
+        rows = points[start : start + _SCAN_BLOCK]
+        # each row against every point up to it: the lower triangle only
+        gap = np.abs(rows[:, None, :] - points[None, : start + len(rows), :]).max(axis=2)
+        i, j = np.nonzero(gap < tol)
+        keep = j < i + start
+        pairs.append(np.stack([i[keep] + start, j[keep]], axis=1))
+    pairs = np.concatenate(pairs)
+    if not len(pairs):
+        return len(points)
+    is_rep = np.ones(len(points), dtype=bool)
+    # np.nonzero lists pairs row by row, so they come in ascending order of
+    # the later point and each earlier point's status is final when read
+    for i, j in pairs.tolist():
+        if is_rep[j]:
+            is_rep[i] = False
+    return int(is_rep.sum())
 
 
 def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
@@ -201,6 +237,8 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
         raise InvalidParameterError("dihedral family needs m >= 2")
     alpha = float(alpha)
     beta = complex(beta)
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise InvalidParameterError("seed amplitudes must be finite")
     if alpha < 0:
         raise InvalidParameterError("seed amplitude alpha must be nonnegative")
     if abs(alpha**2 + abs(beta) ** 2 - 1) > 1e-10:

@@ -5,6 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from povmkit import cli
 
 
 def run_cli(*args):
@@ -238,3 +241,25 @@ def test_output_to_file(tmp_path):
     assert r.stdout == ""
     data = json.loads(target.read_text())
     assert data["povm"]["n"] == 2
+
+
+# ---------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "dihedral", "-m", "3", "--theta", "nan"],
+        ["verify", "dihedral", "-m", "3", "--alpha", "nan", "--beta", "0.8"],
+        ["verify", "cyclic", "-m", "4", "--states", "-5"],
+        ["verify", "cyclic", "-m", "4", "--states", "0"],
+        ["sample", "tetrahedron", "--shots", "10", "--seed", "-1"],
+        ["build", "cyclic", "-m", "100000"],
+    ],
+    ids=["theta-nan", "alpha-nan", "states-negative", "states-zero", "seed-negative", "register-cap"],
+)
+def test_invalid_input_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("error: ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povmkit.dilation import (
+    MAX_QUBITS,
     DilatedMeasurement,
     dihedral_coupling,
     generic_completion,
@@ -56,6 +57,20 @@ def test_register_size(n, r):
 def test_register_size_needs_two_outcomes():
     with pytest.raises(InvalidParameterError):
         register_size(1)
+
+
+def test_register_size_cap():
+    assert register_size(2**MAX_QUBITS) == 2**MAX_QUBITS
+    with pytest.raises(InvalidParameterError):
+        register_size(2**MAX_QUBITS + 1)
+    with pytest.raises(InvalidParameterError):
+        structured_dilation(cyclic_povm(100_000))
+
+
+def test_embedding_residual_keeps_nan():
+    d = structured_dilation(cyclic_povm(5))
+    d.matrix[1, 6] = np.nan  # a padding column
+    assert np.isnan(d.embedding_residual())
 
 
 def test_padded_measurement_matrix():

@@ -138,6 +138,21 @@ def test_dihedral_seed_validation():
         dihedral_povm(1, 0.6, 0.8)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(np.nan, 0.8), (0.6, np.nan), (0.6, complex(0.8, np.nan)), (np.inf, 0.8)],
+)
+def test_dihedral_rejects_non_finite_seed(alpha, beta):
+    with pytest.raises(InvalidParameterError):
+        dihedral_povm(3, alpha, beta)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_dihedral_from_angle_rejects_non_finite_angle(theta):
+    with pytest.raises(InvalidParameterError):
+        PovmFamily.dihedral_from_angle(3, theta)
+
+
 def test_dihedral_from_angle():
     fam = PovmFamily.dihedral_from_angle(3, np.pi / 3)
     assert abs(fam.alpha - np.cos(np.pi / 6)) < 1e-15

@@ -1,0 +1,201 @@
+"""Equivalence tests: the local gate kernel, the vectorised point scan and
+the closed-form Bloch map against the straightforward reference versions."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import povmkit.circuits
+import povmkit.dilation
+import povmkit.linalg
+from povmkit.bloch import povm_element_to_bloch
+from povmkit.circuits import (
+    BlockGate,
+    Circuit,
+    CnotGate,
+    ControlledGate,
+    SingleQubitGate,
+    SwapGate,
+    circuit_isometry,
+    compile_circuit,
+    synthesize_circuit,
+)
+from povmkit.dilation import structured_dilation
+from povmkit.errors import ZeroOperatorError
+from povmkit.families import (
+    DISTINCT_POINT_TOL,
+    PLATONIC_KINDS,
+    Povm,
+    PovmFamily,
+    _distinct_points,
+    build_povm,
+)
+from povmkit.linalg import apply_gates, embed_on_qubits
+from povmkit.simulate import verify_family
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_circuit(rng, n_qubits, n_gates):
+    gates = []
+    for _ in range(n_gates):
+        kinds = ["u", "block"] + (["cu", "cnot", "swap"] if n_qubits > 1 else [])
+        kind = kinds[rng.integers(len(kinds))]
+        order = [int(q) for q in rng.permutation(n_qubits)]
+        if kind == "u":
+            gates.append(SingleQubitGate(order[0], random_unitary(rng, 2)))
+        elif kind == "cu":
+            value = int(rng.integers(2))
+            gates.append(ControlledGate(order[0], value, order[1], random_unitary(rng, 2)))
+        elif kind == "cnot":
+            gates.append(CnotGate(order[0], order[1]))
+        elif kind == "swap":
+            gates.append(SwapGate(order[0], order[1]))
+        else:
+            k = int(rng.integers(1, min(n_qubits, 3) + 1))
+            gates.append(BlockGate(order[:k], random_unitary(rng, 2**k)))
+    return Circuit(n_qubits, gates)
+
+
+def embedded_product(circuit):
+    """Reference compile: the dense embedded gate matrices multiplied."""
+    total = np.eye(2**circuit.n_qubits, dtype=complex)
+    for gate in circuit.gates:
+        total = embed_on_qubits(gate.local_matrix(), gate.qubits(), circuit.n_qubits) @ total
+    return total
+
+
+def greedy_distinct_points(points, tol=DISTINCT_POINT_TOL):
+    """Reference scan: keep a point unless an earlier kept point is close."""
+    reps = []
+    for p in points:
+        if not any(np.abs(p - q).max() < tol for q in reps):
+            reps.append(p)
+    return len(reps)
+
+
+# ---------------------------------------------------------------- gate kernel
+
+
+@given(SEEDS)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_compile_matches_embedded_product(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    circuit = random_circuit(rng, n, int(rng.integers(0, 9)))
+    expected = embedded_product(circuit)
+    assert np.abs(compile_circuit(circuit) - expected).max() < 1e-13
+    assert np.abs(circuit_isometry(circuit) - expected[:, :2]).max() < 1e-13
+
+
+@given(SEEDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_apply_gates_matches_embedded_product_on_columns(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    circuit = random_circuit(rng, n, int(rng.integers(1, 6)))
+    c = int(rng.integers(1, 5))
+    state = rng.standard_normal((2**n, c)) + 1j * rng.standard_normal((2**n, c))
+    before = state.copy()
+    out = apply_gates([(g.local_matrix(), g.qubits()) for g in circuit.gates], state)
+    assert np.abs(out - embedded_product(circuit) @ state).max() < 1e-12
+    assert np.array_equal(state, before)  # the input is left alone
+
+
+def test_compile_never_embeds(monkeypatch):
+    calls = []
+    original = povmkit.linalg.embed_on_qubits
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (povmkit.linalg, povmkit.circuits, povmkit.dilation):
+        if hasattr(module, "embed_on_qubits"):
+            monkeypatch.setattr(module, "embed_on_qubits", counting)
+    families = [PovmFamily.cyclic(m) for m in (3, 16, 64)]
+    families += [PovmFamily.dihedral(5, 0.6, 0.8)]
+    families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+    circuits = [synthesize_circuit(structured_dilation(build_povm(f))) for f in families]
+    calls.clear()  # structured dilations may embed; compiling may not
+    for circuit in circuits:
+        compile_circuit(circuit)
+        circuit_isometry(circuit)
+    assert calls == []
+
+
+def test_verify_cyclic_1024():
+    report = verify_family(PovmFamily.cyclic(1024), n_states=4)
+    assert report.passed, report.failures
+    assert report.n_qubits == 10
+
+
+# ---------------------------------------------------------------- point scan
+
+
+@given(SEEDS)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_distinct_points_matches_greedy_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 200))
+    points = rng.uniform(-1, 1, (n, 3))
+    if n:
+        # near-duplicates just inside and just outside the tolerance, chains
+        # of them, exact repeats and NaN rows
+        for _ in range(int(rng.integers(0, n // 2 + 1))):
+            i, j = rng.integers(n, size=2)
+            scale = rng.choice([0.0, 0.3, 0.9, 1.1, 2.5]) * DISTINCT_POINT_TOL
+            points[i] = points[j] + scale * rng.choice([-1.0, 1.0], 3)
+        for i in rng.integers(n, size=int(rng.integers(0, 4))):
+            points[i, rng.integers(3)] = np.nan
+    assert _distinct_points(points) == greedy_distinct_points(points)
+
+
+def test_distinct_points_greedy_order_on_a_chain():
+    # b is close to a and c, but a and c are apart: the greedy scan keeps a
+    # and c, a transitive grouping would keep one
+    step = 0.6 * DISTINCT_POINT_TOL
+    points = np.array([[0.0, 0, 0], [step, 0, 0], [2 * step, 0, 0]])
+    assert _distinct_points(points) == greedy_distinct_points(points) == 2
+    # a gap of exactly the tolerance is not close
+    points = np.array([[0.0, 0, 0], [DISTINCT_POINT_TOL, 0, 0]])
+    assert _distinct_points(points) == greedy_distinct_points(points) == 2
+
+
+# ---------------------------------------------------------------- Bloch points
+
+
+@given(SEEDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_bloch_points_match_per_vector_map(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    vectors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    vectors *= rng.uniform(1e-3, 3.0, (n, 1))
+    povm = Povm(vectors, PovmFamily.cyclic(n))
+    expected = np.array([povm_element_to_bloch(v) for v in vectors])
+    assert np.abs(povm.bloch_points() - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(7), PovmFamily.dihedral(6, 0.6, 0.8j)]
+    + [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS],
+    ids=lambda f: f.label(),
+)
+def test_family_bloch_points_match_per_vector_map(family):
+    povm = build_povm(family)
+    expected = np.array([povm_element_to_bloch(v) for v in povm.vectors])
+    assert np.abs(povm.bloch_points() - expected).max() < 1e-15
+
+
+def test_bloch_points_reject_zero_vector():
+    povm = Povm(np.array([[1.0, 0.0], [0.0, 0.0]]), PovmFamily.cyclic(2))
+    with pytest.raises(ZeroOperatorError):
+        povm.bloch_points()

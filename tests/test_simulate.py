@@ -146,6 +146,8 @@ def test_fold_reports_padding_leak():
     d = structured_dilation(cyclic_povm(3))
     with pytest.raises(PaddingLeakError):
         fold_probabilities(d, np.array([0.5, 0.25, 0.15, 0.10]))
+    with pytest.raises(PaddingLeakError):
+        fold_probabilities(d, np.array([0.5, 0.25, 0.25, np.nan]))
     folded = fold_probabilities(d, np.array([0.5, 0.25, 0.25, 0.0]))
     assert np.abs(folded - np.array([0.5, 0.25, 0.25])).max() == 0
 
@@ -190,6 +192,12 @@ def test_sample_validation():
         sample([1.5, -0.5], 10)
     with pytest.raises(InvalidParameterError):
         sample([0.5, 0.5], 0)
+
+
+def test_sample_rejects_negative_seed():
+    with pytest.raises(InvalidParameterError):
+        sample([0.5, 0.5], 10, seed=-1)
+    assert sample([0.5, 0.5], 10, seed=0).counts.sum() == 10
 
 
 def test_sample_counts_export():
@@ -265,3 +273,36 @@ def test_verify_report_is_json_serializable():
     data = json.loads(blob)
     assert data["passed"] is True
     assert data["label"] == "cyclic(m=2)"
+
+
+@pytest.mark.parametrize("n_states", [0, -5])
+def test_verify_rejects_state_count_below_one(n_states):
+    with pytest.raises(InvalidParameterError):
+        verify_family(PovmFamily.cyclic(3), n_states=n_states)
+
+
+@pytest.mark.parametrize("method", ["structured", "generic"])
+def test_verify_nan_probabilities_fail(monkeypatch, method):
+    import povmkit.simulate
+
+    def nan_probabilities(povm, rho):
+        return np.full(povm.n, np.nan)
+
+    monkeypatch.setattr(povmkit.simulate, "analytic_probabilities", nan_probabilities)
+    report = verify_family(PovmFamily.cyclic(3), n_states=3, method=method)
+    assert not report.passed
+    assert "probabilities" in report.failures
+    assert np.isnan(report.max_probability_error)
+
+
+def test_verify_nan_residuals_fail(monkeypatch):
+    import povmkit.simulate
+    from povmkit.dilation import DilatedMeasurement
+
+    monkeypatch.setattr(DilatedMeasurement, "unitarity_residual", lambda self: np.nan)
+    monkeypatch.setattr(DilatedMeasurement, "embedding_residual", lambda self: np.nan)
+    monkeypatch.setattr(
+        povmkit.simulate, "distance_up_to_global_phase", lambda a, b: np.nan
+    )
+    report = verify_family(PovmFamily.cyclic(4), n_states=3)
+    assert {"unitarity", "embedding", "circuit"} <= set(report.failures)
