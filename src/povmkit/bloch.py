@@ -19,12 +19,14 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Check that rho is a qubit density matrix; returns it as complex128.
 
-    Requires a 2x2 Hermitian matrix with unit trace and eigenvalues no
-    lower than -tol.
+    Requires a finite 2x2 Hermitian matrix with unit trace and eigenvalues
+    no lower than -tol.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise InvalidStateError(f"density matrix must be 2x2, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("density matrix has a non-finite entry")
     if np.abs(rho - rho.conj().T).max() > tol:
         raise InvalidStateError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > tol:
@@ -51,6 +53,8 @@ def bloch_to_state(point) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     if p.shape != (3,):
         raise InvalidStateError(f"Bloch point must have 3 coordinates, got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidStateError(f"Bloch point {tuple(p)} has a non-finite coordinate")
     if np.linalg.norm(p) > 1.0 + 1e-12:
         raise OutsideBallError(f"|{tuple(p)}| = {np.linalg.norm(p):.6f} > 1")
     x, y, z = p

@@ -7,20 +7,22 @@ counts, ``circuit`` prints the gate factorization and ``bloch`` the
 outcome directions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter
-errors, 3 degenerate dihedral seed.
+errors, 3 degenerate dihedral seed, 4 an operating-system error such as an
+``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bloch import bloch_to_state
 from .circuits import format_circuit, synthesize_circuit
-from .dilation import generic_completion, structured_dilation
+from .dilation import generic_completion, register_size, structured_dilation
 from .errors import DegenerateOrbitError, InvalidParameterError, PovmKitError
 from .families import FAMILY_KINDS, PLATONIC_KINDS, PovmFamily, build_povm
 from .simulate import (
@@ -36,6 +38,11 @@ from .simulate import (
 def _fmt(x) -> str:
     """Round-trip decimal rendering for CSV cells."""
     return repr(float(x))
+
+
+def _json(payload) -> str:
+    """Strict JSON: a NaN or infinity raises instead of printing ``NaN``."""
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _emit(args, text: str) -> None:
@@ -71,6 +78,17 @@ def family_from_args(args) -> PovmFamily:
     return PovmFamily.platonic(kind)
 
 
+def dilated_family_from_args(args) -> PovmFamily:
+    """``family_from_args`` for commands that dilate the family.
+
+    Checks the register cap on the outcome count first, so an oversized
+    ring fails at once instead of after its O(m^2) distinct-point scan.
+    """
+    family = family_from_args(args)
+    register_size(family.n_outcomes)
+    return family
+
+
 def parse_state(text: str) -> np.ndarray:
     """Density matrix from 'mixed', Bloch coordinates, or amplitudes.
 
@@ -84,6 +102,8 @@ def parse_state(text: str) -> np.ndarray:
         parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"cannot parse state {text!r}") from exc
+    if not all(math.isfinite(p) for p in parts):
+        raise InvalidParameterError(f"state {text!r} has a non-finite entry")
     if len(parts) == 3:
         return bloch_to_state(np.array(parts))
     if len(parts) == 4:
@@ -110,14 +130,15 @@ def default_verify_matrix() -> list[PovmFamily]:
 
 
 def cmd_build(args) -> int:
-    povm = build_povm(family_from_args(args))
+    povm = build_povm(dilated_family_from_args(args))
     dilate = structured_dilation if args.method == "structured" else generic_completion
     payload = {"povm": povm.to_dict(), "dilation": dilate(povm).to_dict()}
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _json(payload))
     return 0
 
 
 def cmd_verify(args) -> int:
+    # verify_family checks the register cap before building anything
     families = default_verify_matrix() if args.all else [family_from_args(args)]
     reports = [
         verify_family(
@@ -130,7 +151,7 @@ def cmd_verify(args) -> int:
         for family in families
     ]
     if args.format == "json":
-        _emit(args, json.dumps([r.to_dict() for r in reports], indent=2))
+        _emit(args, _json([r.to_dict() for r in reports]))
     else:
         lines = []
         for r in reports:
@@ -160,7 +181,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    family = family_from_args(args)
+    family = dilated_family_from_args(args)
     povm = build_povm(family)
     rho = parse_state(args.state)
     analytic = analytic_probabilities(povm, rho)
@@ -186,12 +207,12 @@ def cmd_simulate(args) -> int:
             "circuit": [float(p) for p in register],
             "max_abs_error": float(errors.max()),
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _json(payload))
     return 0
 
 
 def cmd_sample(args) -> int:
-    family = family_from_args(args)
+    family = dilated_family_from_args(args)
     povm = build_povm(family)
     rho = parse_state(args.state)
     analytic = analytic_probabilities(povm, rho)
@@ -218,17 +239,17 @@ def cmd_sample(args) -> int:
             "frequencies": [float(f) for f in freqs],
             "analytic": [float(p) for p in analytic],
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _json(payload))
     return 0
 
 
 def cmd_circuit(args) -> int:
-    povm = build_povm(family_from_args(args))
+    povm = build_povm(dilated_family_from_args(args))
     circuit = synthesize_circuit(
         structured_dilation(povm), merge=not args.no_merge
     )
     if args.format == "json":
-        _emit(args, json.dumps(circuit.to_dict(), indent=2))
+        _emit(args, _json(circuit.to_dict()))
     else:
         _emit(args, format_circuit(circuit))
     return 0
@@ -247,7 +268,7 @@ def cmd_bloch(args) -> int:
             "family": povm.family.to_dict(),
             "points": [[float(c) for c in p] for p in points],
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _json(payload))
     return 0
 
 
@@ -349,6 +370,9 @@ def main(argv=None) -> int:
     except PovmKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -37,6 +37,14 @@ DODECAHEDRON = "dodecahedron"
 ICOSAHEDRON = "icosahedron"
 
 PLATONIC_KINDS = (TETRAHEDRON, CUBE, OCTAHEDRON, DODECAHEDRON, ICOSAHEDRON)
+# Vertex count of each solid: its number of outcomes.
+PLATONIC_OUTCOMES = {
+    TETRAHEDRON: 4,
+    CUBE: 8,
+    OCTAHEDRON: 6,
+    DODECAHEDRON: 20,
+    ICOSAHEDRON: 12,
+}
 FAMILY_KINDS = (CYCLIC, DIHEDRAL) + PLATONIC_KINDS
 
 # Bloch points closer than this are treated as the same vertex.
@@ -74,6 +82,17 @@ class PovmFamily:
         if kind not in PLATONIC_KINDS:
             raise InvalidParameterError(f"unknown platonic solid {kind!r}")
         return cls(kind=kind)
+
+    @property
+    def n_outcomes(self) -> int:
+        """Number of outcomes, known without building any vector."""
+        if self.kind == CYCLIC:
+            return self.m
+        if self.kind == DIHEDRAL:
+            return 2 * self.m
+        if self.kind in PLATONIC_OUTCOMES:
+            return PLATONIC_OUTCOMES[self.kind]
+        raise InvalidParameterError(f"unknown family kind {self.kind!r}")
 
     def label(self) -> str:
         if self.kind == CYCLIC:

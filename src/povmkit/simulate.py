@@ -19,7 +19,12 @@ import numpy as np
 
 from .bloch import validate_density_matrix
 from .circuits import Circuit, circuit_isometry, compile_circuit, synthesize_circuit
-from .dilation import DilatedMeasurement, generic_completion, structured_dilation
+from .dilation import (
+    DilatedMeasurement,
+    generic_completion,
+    register_size,
+    structured_dilation,
+)
 from .errors import (
     CircuitMismatchError,
     DegenerateOrbitError,
@@ -41,6 +46,9 @@ PADDING_TOL = 1e-12
 
 # a compiled circuit further than this from the dilation adjoint is wrong
 MISMATCH_TOL = 1e-8
+
+# Uniforms drawn at once by ``sample``; bounds its memory at a few MB.
+SAMPLE_CHUNK = 1 << 16
 
 
 def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
@@ -169,28 +177,90 @@ class SampleCounts:
         }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; InvalidParameterError unless integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _guide_size(n_outcomes: int, shots: int) -> int:
+    """Buckets in the guide table: a power of two near 16 per outcome.
+
+    At most one bucket per 8 shots, so a small call builds a small table
+    (one bucket is plain inverse-CDF search), and at most SAMPLE_CHUNK, so
+    the per-chunk bucket histogram never outgrows the chunk.
+    """
+    wanted = (16 * n_outcomes - 1).bit_length()
+    cap = max(min(SAMPLE_CHUNK, shots // 8), 1).bit_length() - 1
+    return 1 << min(wanted, cap)
+
+
 def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     """Draw outcome counts by inverse-CDF sampling.
 
-    Deterministic for a given seed: uniforms come from a fresh PCG64
-    generator in one batch and land in outcome bins via a searchsorted
-    over the cumulative distribution.
+    Deterministic for a given seed: the counts are those of one batch of
+    ``shots`` uniforms from a fresh PCG64 generator, each placed by a
+    searchsorted over the cumulative distribution.  The uniforms are drawn
+    in chunks of SAMPLE_CHUNK (PCG64 yields the same stream either way),
+    so memory does not grow with ``shots``.
+
+    A guide table splits [0, 1) into K equal buckets, K a power of two, so
+    u -> floor(u K) is exact.  A bucket that no cumulative edge enters maps
+    every uniform in it to one outcome, so only its tally is kept; only
+    the uniforms in the other, dirty buckets are searched.  A bucket is
+    dirty when fewer edges lie at or below its lower end than at or below
+    its upper end, which errs only towards dirty.  All counting is integer.
     """
     probs = np.asarray(probabilities, dtype=float)
+    shots = _integer(shots, "shots")
+    seed = _integer(seed, "seed")
     if shots < 1:
         raise InvalidParameterError("shots must be positive")
     if seed < 0:
         raise InvalidParameterError("seed must be nonnegative")
-    if probs.min() < -1e-12:
-        raise InvalidParameterError("probabilities must be nonnegative")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise InvalidParameterError("probabilities must sum to one")
+    if probs.ndim != 1 or probs.size == 0:
+        raise InvalidParameterError(
+            f"probabilities must be a nonempty 1-D array, got shape {probs.shape}"
+        )
+    # written so that NaN fails the first test and an infinity one of the two
+    if not probs.min() >= -1e-12:
+        raise InvalidParameterError("probabilities must be finite and nonnegative")
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidParameterError(f"probabilities sum to {total}, not one")
+
+    n = probs.size
+    edges = probs.cumsum()
+    k = _guide_size(n, shots)
+    below = edges.searchsorted(np.arange(k + 1) / k, side="right")
+    dirty = below[1:] != below[:-1]
+    outcome = np.minimum(below[:-1], n - 1)  # guard the u ~ 1 edge
+
+    bucket_tally = np.zeros(k, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(shots)
-    edges = np.cumsum(probs)
-    idx = np.searchsorted(edges, u, side="right")
-    idx = np.minimum(idx, len(probs) - 1)  # guard the u ~ 1 edge
-    counts = np.bincount(idx, minlength=len(probs))
+    # n per chunk at least, so the outcome histogram never outgrows a chunk;
+    # both buffers are reused, the last chunk taking a prefix of each
+    step = min(max(SAMPLE_CHUNK, n), shots)
+    u_buffer = np.empty(step)
+    bucket_buffer = np.empty(step, dtype=np.intp)
+    for start in range(0, shots, step):
+        u = u_buffer[: shots - start]
+        bucket = bucket_buffer[: shots - start]
+        rng.random(out=u)
+        np.multiply(u, k, out=bucket, casting="unsafe")  # floor, as u >= 0
+        bucket_tally += np.bincount(bucket, minlength=k)
+        idx = edges.searchsorted(u.compress(dirty[bucket]), side="right")
+        counts += np.bincount(np.minimum(idx, n - 1), minlength=n)
+
+    # Clean buckets, in order, map to nondecreasing outcomes: each outcome
+    # takes one run of buckets, summed exactly from an integer prefix sum.
+    bucket_tally[dirty] = 0
+    prefix = np.zeros(k + 1, dtype=np.int64)
+    bucket_tally.cumsum(out=prefix[1:])
+    at = prefix[outcome.searchsorted(np.arange(n + 1))]
+    counts += at[1:] - at[:-1]
     return SampleCounts(counts=counts, shots=shots, seed=seed)
 
 
@@ -261,6 +331,7 @@ def verify_family(
         raise InvalidParameterError("method must be 'structured' or 'generic'")
     if n_states < 1:
         raise InvalidParameterError("verification needs at least one state")
+    register_size(family.n_outcomes)  # the cap, before any vector is built
     report = VerificationReport(
         label=family.label(), family=family.to_dict(), method=method, seed=seed
     )

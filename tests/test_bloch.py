@@ -93,6 +93,20 @@ def test_validate_rejects_wrong_shape():
         validate_density_matrix(np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_validate_rejects_non_finite_entries(bad):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 0] = bad
+    with pytest.raises(InvalidStateError):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+def test_bloch_to_state_rejects_non_finite_point(point):
+    with pytest.raises(InvalidStateError):
+        bloch_to_state(point)
+
+
 def test_povm_element_to_bloch_is_scale_invariant():
     psi = np.array([1.0, 1.0j])
     p1 = povm_element_to_bloch(psi)

@@ -255,11 +255,60 @@ def test_output_to_file(tmp_path):
         ["verify", "cyclic", "-m", "4", "--states", "0"],
         ["sample", "tetrahedron", "--shots", "10", "--seed", "-1"],
         ["build", "cyclic", "-m", "100000"],
+        ["simulate", "tetrahedron", "--state", "nan,0,0"],
+        ["simulate", "tetrahedron", "--state", "1,0,inf,0"],
+        ["sample", "tetrahedron", "--state", "0,nan,0", "--shots", "10"],
     ],
-    ids=["theta-nan", "alpha-nan", "states-negative", "states-zero", "seed-negative", "register-cap"],
+    ids=[
+        "theta-nan",
+        "alpha-nan",
+        "states-negative",
+        "states-zero",
+        "seed-negative",
+        "register-cap",
+        "bloch-state-nan",
+        "amplitude-state-inf",
+        "sample-state-nan",
+    ],
 )
 def test_invalid_input_exits_2(argv, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "simulate", "sample", "circuit"])
+def test_register_cap_comes_before_point_scan(command, monkeypatch, capsys):
+    import povmkit.families
+
+    def no_scan(points, tol=None):
+        raise AssertionError("the distinct-point scan ran")
+
+    monkeypatch.setattr(povmkit.families, "_distinct_points", no_scan)
+    argv = [command, "dihedral", "-m", "5000", "--theta", "1"]
+    if command == "sample":
+        argv += ["--shots", "10"]
+    assert cli.main(argv) == 2
+    assert "register cap" in capsys.readouterr().err
+
+
+def test_bloch_is_not_capped(capsys):
+    assert cli.main(["bloch", "cyclic", "-m", "5000", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5001
+
+
+def test_unwritable_output_exits_4(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(["build", "cyclic", "-m", "2", "--output", str(target)]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_json_output_refuses_nan():
+    assert json.loads(cli._json({"p": [0.5, 1e300]})) == {"p": [0.5, 1e300]}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._json({"p": [bad]})

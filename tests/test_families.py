@@ -207,6 +207,22 @@ def test_unknown_platonic_kind():
         platonic_povm("cuboctahedron")
 
 
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(m) for m in (2, 5, 16)]
+    + [PovmFamily.dihedral(m, 0.6, 0.8) for m in (2, 7)]
+    + [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS],
+    ids=lambda f: f.label(),
+)
+def test_outcome_count_matches_built_povm(family):
+    assert family.n_outcomes == build_povm(family).n
+
+
+def test_outcome_count_of_unknown_kind():
+    with pytest.raises(InvalidParameterError):
+        PovmFamily(kind="cuboctahedron").n_outcomes
+
+
 # ---------------------------------------------------------------- platonic vectors
 
 

@@ -1,5 +1,8 @@
-"""Equivalence tests: the local gate kernel, the vectorised point scan and
-the closed-form Bloch map against the straightforward reference versions."""
+"""Equivalence tests: the local gate kernel, the vectorised point scan, the
+closed-form Bloch map and the guide-table sampler against the
+straightforward reference versions."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from povmkit.families import (
     build_povm,
 )
 from povmkit.linalg import apply_gates, embed_on_qubits
-from povmkit.simulate import verify_family
+from povmkit.simulate import SAMPLE_CHUNK, _guide_size, sample, verify_family
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -199,3 +202,108 @@ def test_bloch_points_reject_zero_vector():
     povm = Povm(np.array([[1.0, 0.0], [0.0, 0.0]]), PovmFamily.cyclic(2))
     with pytest.raises(ZeroOperatorError):
         povm.bloch_points()
+
+
+# ---------------------------------------------------------------- sampling
+
+
+def one_batch_counts(probs, shots, seed):
+    """Reference sampler: every uniform drawn at once and searched."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    edges = np.cumsum(probs)
+    idx = np.minimum(np.searchsorted(edges, u, side="right"), len(probs) - 1)
+    return np.bincount(idx, minlength=len(probs))
+
+
+def random_distribution(rng, n, shape):
+    if shape == "dense":
+        return rng.dirichlet(np.ones(n))
+    if shape == "sparse":
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.3)
+        p[rng.integers(n)] += 1.0 - p.sum()
+        return p
+    if shape == "spiky":
+        # one large outcome and many tiny ones: several edges per bucket
+        p = rng.uniform(0, 1e-6, n)
+        p[rng.integers(n)] += 1.0 - p.sum()
+        return p
+    # dyadic: edges that land exactly on bucket boundaries
+    q = 2 ** int(rng.integers(0, 13))
+    return rng.multinomial(q, np.ones(n) / n) / q
+
+
+SHOTS = st.sampled_from(
+    [1, 2, 9, 100, 4097]
+    + [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 17]
+)
+
+
+@given(
+    st.sampled_from(["dense", "sparse", "spiky", "dyadic"]),
+    st.sampled_from([0.0, 5e-10, -5e-10]),
+    SHOTS,
+    SEEDS,
+    SEEDS,
+)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_sample_matches_one_batch_reference(shape, drift, shots, seed, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    n = int(2 ** rng.uniform(0, 12.01))  # log-uniform over 1 ... 4096
+    probs = random_distribution(rng, n, shape) * (1 + drift)
+    counts = sample(probs, shots, seed)
+    assert np.array_equal(counts.counts, one_batch_counts(probs, shots, seed))
+    assert counts.counts.sum() == shots
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.25] * 4,
+        [0, 0.5, 0, 0.5, 0],
+        [1.0],
+        [0.0, 1.0],
+        [1.0, 0.0],
+        [0.5, 0.5 + 5e-10],
+        np.full(3, 1 / 3),
+        np.full(4096, 1 / 4096),
+    ],
+    ids=[
+        "quarters",
+        "zero-halves",
+        "one",
+        "zero-one",
+        "one-zero",
+        "sum-above-one",
+        "thirds",
+        "uniform-4096",
+    ],
+)
+@pytest.mark.parametrize("shots", [1, 10, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 1])
+def test_sample_matches_one_batch_reference_on_pinned_cases(probs, shots):
+    for seed in (0, 0x5EED, 2**32 - 1):
+        expected = one_batch_counts(probs, shots, seed)
+        assert np.array_equal(sample(probs, shots, seed).counts, expected)
+
+
+@pytest.mark.parametrize("n", [1, 3, 128, 4096, 10**5])
+@pytest.mark.parametrize("shots", [1, 10, 1000, 10**7])
+def test_guide_size_is_the_largest_power_of_two_within_its_caps(n, shots):
+    k = _guide_size(n, shots)
+    cap = min(max(1, shots // 8), SAMPLE_CHUNK)
+    assert k & (k - 1) == 0
+    assert k <= cap and k < 32 * n
+    assert k >= 16 * n or 2 * k > cap
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    probs = np.full(128, 1 / 128)
+    peaks = []
+    for shots in (10**5, 10**7):
+        tracemalloc.start()
+        try:
+            sample(probs, shots)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one batch of 10**7 uniforms alone would take 80 MB
+    assert max(peaks) < 4 * 2**20, peaks

@@ -200,6 +200,38 @@ def test_sample_rejects_negative_seed():
     assert sample([0.5, 0.5], 10, seed=0).counts.sum() == 10
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0], [np.inf, -np.inf, 1.0]],
+    ids=["nan-first", "nan-middle", "inf", "inf-minus-inf"],
+)
+def test_sample_rejects_non_finite_probabilities(probs):
+    with pytest.raises(InvalidParameterError):
+        sample(probs, 10, 1)
+
+
+@pytest.mark.parametrize(
+    "probs", [[], np.zeros((0, 2)), [[0.5, 0.5]], [[0.25, 0.25], [0.25, 0.25]], 1.0],
+    ids=["empty", "empty-2d", "row", "matrix", "scalar"],
+)
+def test_sample_rejects_empty_or_non_vector_probabilities(probs):
+    with pytest.raises(InvalidParameterError):
+        sample(probs, 10, 1)
+
+
+@pytest.mark.parametrize("shots", [2.5, 10.0, True, "10", None])
+def test_sample_rejects_non_integral_shots(shots):
+    with pytest.raises(InvalidParameterError):
+        sample([0.5, 0.5], shots, 1)
+    assert sample([0.5, 0.5], np.int64(10), 1).counts.sum() == 10
+
+
+@pytest.mark.parametrize("seed", [2.5, True, None])
+def test_sample_rejects_non_integral_seed(seed):
+    with pytest.raises(InvalidParameterError):
+        sample([0.5, 0.5], 10, seed)
+
+
 def test_sample_counts_export():
     counts = sample([0.5, 0.5], 100, seed=1)
     data = counts.to_dict()
@@ -279,6 +311,17 @@ def test_verify_report_is_json_serializable():
 def test_verify_rejects_state_count_below_one(n_states):
     with pytest.raises(InvalidParameterError):
         verify_family(PovmFamily.cyclic(3), n_states=n_states)
+
+
+def test_verify_checks_register_cap_before_building(monkeypatch):
+    import povmkit.families
+
+    def no_scan(points, tol=None):
+        raise AssertionError("the distinct-point scan ran")
+
+    monkeypatch.setattr(povmkit.families, "_distinct_points", no_scan)
+    with pytest.raises(InvalidParameterError):
+        verify_family(PovmFamily.dihedral_from_angle(5000, 1.0), n_states=1)
 
 
 @pytest.mark.parametrize("method", ["structured", "generic"])
