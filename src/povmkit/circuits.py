@@ -10,21 +10,24 @@ Each gate exposes its small local matrix and the qubits it acts on;
 register array one gate at a time, so no gate is ever embedded as a dense
 register-sized matrix.
 
-``synthesize_circuit`` turns each structured dilation into a short fixed
-factorization that compiles exactly to the adjoint of the dilation, so
-running the circuit and then reading the register in the computational
-basis realizes the measurement.
+``synthesize_circuit`` joins the gate lists of a structured dilation's
+factors, last factor first, into a circuit that compiles exactly to the
+dilation's adjoint, so running it and then reading the register in the
+computational basis realizes the measurement.  The inverse QFT, the
+four-orbit mixer circuit and the dihedral rotations are derived apart from
+the matrices they compile to, so the circuit-to-dilation distance checks
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dilation import DilatedMeasurement, orbit_mixer
 from .errors import InvalidGateError, InvalidParameterError
-from .families import CUBE, CYCLIC, DIHEDRAL, DODECAHEDRON, ICOSAHEDRON, OCTAHEDRON, TETRAHEDRON
+from .families import DODECAHEDRON, ICOSAHEDRON
 from .linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
@@ -35,6 +38,9 @@ from .linalg import (
     matrix_to_pairs,
     unitarity_residual,
 )
+
+if TYPE_CHECKING:
+    from .dilation import DilatedMeasurement
 
 
 def _checked_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -333,73 +339,32 @@ def orbit_mixer_adjoint_circuit(kind: str) -> Circuit:
     return Circuit(2, gates, label=f"{kind} mixer adjoint")
 
 
-def _padded_fourier_adjoint(m: int, size: int) -> np.ndarray:
-    return direct_sum(fourier_matrix(m), np.eye(size - m)).conj().T
-
-
 def synthesize_circuit(dilated: DilatedMeasurement, merge: bool = True) -> Circuit:
-    """Fixed gate factorization of a structured dilation's adjoint.
+    """Gate factorization of a structured dilation's adjoint.
 
-    With ``merge`` the dihedral families fold the basis flip into the
-    adjacent controlled rotation, saving one gate; other families are
-    unaffected by the flag.
+    The gate lists of the dilation's factors, last factor first.  With
+    ``merge`` a cnot followed by a rotation on the same wires, controlled on
+    1, becomes that rotation with its two columns swapped; this saves one
+    gate in the dihedral circuits and changes no other.
     """
-    if dilated.method != "structured":
+    if dilated.factors is None:
         raise InvalidParameterError(
             "gate factorizations exist only for structured dilations"
         )
-    family = dilated.povm.family
-    kind = family.kind
-    l = dilated.n_qubits
-    r = dilated.dim
-
-    if kind == CYCLIC:
-        m = family.m
-        if m == r:
-            gates = inverse_circuit(qft_circuit(l)).gates
-        else:
-            gates = [BlockGate(list(range(l)), _padded_fourier_adjoint(m, r))]
-    elif kind == DIHEDRAL:
-        alpha, beta = family.alpha, family.beta
-        u0 = np.array([[alpha, beta], [np.conj(beta), -alpha]])
-        u1 = np.array([[alpha, np.conj(beta)], [-beta, alpha]])
-        block = BlockGate(list(range(1, l)), _padded_fourier_adjoint(family.m, r // 2))
-        if merge:
-            w = np.array([[np.conj(beta), alpha], [alpha, -beta]])
-            gates = [
-                ControlledGate(l - 1, 1, 0, w),
-                ControlledGate(l - 1, 0, 0, u0),
-                block,
-            ]
-        else:
-            gates = [
-                CnotGate(l - 1, 0),
-                ControlledGate(l - 1, 1, 0, u1),
-                ControlledGate(l - 1, 0, 0, u0),
-                block,
-            ]
-    elif kind == TETRAHEDRON:
-        gates = [
-            CnotGate(1, 0),
-            SingleQubitGate(0, orbit_mixer(kind)),
-            ControlledGate(0, 1, 1, np.diag([1.0, 1.0j])),
-            SingleQubitGate(1, fourier_matrix(2)),
-        ]
-    elif kind in (CUBE, OCTAHEDRON):
-        if kind == CUBE:
-            block = BlockGate([1, 2], fourier_matrix(4))
-        else:
-            block = BlockGate([1, 2], _padded_fourier_adjoint(3, 4))
-        gates = [CnotGate(2, 0), SingleQubitGate(0, orbit_mixer(kind)), block]
-    elif kind in (DODECAHEDRON, ICOSAHEDRON):
-        m = 5 if kind == DODECAHEDRON else 3
-        gates = [CnotGate(l - 1, 1)]
-        gates += orbit_mixer_adjoint_circuit(kind).gates
-        gates.append(BlockGate(list(range(2, l)), _padded_fourier_adjoint(m, r // 4)))
-    else:
-        raise InvalidParameterError(f"no circuit synthesis for kind {kind!r}")
-
-    return Circuit(l, gates, label=family.label())
+    gates: list = []
+    for _, _, adjoint_gates in reversed(dilated.factors):
+        for gate in adjoint_gates():
+            flip = gates[-1] if merge and gates else None
+            if (
+                isinstance(flip, CnotGate)
+                and isinstance(gate, ControlledGate)
+                and gate.control_value == 1
+                and gate.qubits() == flip.qubits()
+            ):
+                gate = ControlledGate(gate.control, 1, gate.target, gate.matrix[:, ::-1])
+                gates.pop()
+            gates.append(gate)
+    return Circuit(dilated.n_qubits, gates, label=dilated.povm.family.label())
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -7,18 +7,33 @@ Measuring the computational basis after applying the adjoint of U to the
 state (padded with zeros into the larger register) then reproduces the
 measurement statistics, with the zero-started columns never firing.
 
-``structured_dilation`` builds U as a short product of permutations,
-couplings and Fourier blocks specific to each family; ``generic_completion``
-fills in the rows below the vector rows with an orthonormal basis of their
-complement, which works for any complete set of vectors.
+``structured_dilation`` follows one recipe for every family: the outcomes
+form 2^t rings of m, and U applies the Fourier transform F_m, padded with
+an identity, on the low l - t qubits of its l, then the family's orbit
+mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
+holds what differs between families.  Both U and the gate circuit of
+``circuits.synthesize_circuit`` are read from the same list of factors.
+``generic_completion`` fills in the rows below the vector rows with an
+orthonormal basis of their complement, which works for any complete set
+of vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .circuits import (
+    BlockGate,
+    CnotGate,
+    ControlledGate,
+    SingleQubitGate,
+    inverse_circuit,
+    orbit_mixer_adjoint_circuit,
+    qft_circuit,
+)
 from .errors import (
     InvalidParameterError,
     NotIsometryError,
@@ -38,8 +53,8 @@ from .families import (
 )
 from .linalg import (
     CNOT_MATRIX,
+    apply_gates,
     direct_sum,
-    embed_on_qubits,
     fourier_matrix,
     matrix_to_pairs,
     unitarity_residual as _unitarity_residual,
@@ -92,13 +107,16 @@ class DilatedMeasurement:
 
     ``outcome_map`` sends a computational basis index of the dilated
     register to the measurement outcome it realizes; basis indices absent
-    from the map are padding and carry no probability.
+    from the map are padding and carry no probability.  ``factors`` lists a
+    structured dilation's factors in the order they apply, each as (local
+    matrix, qubits, a thunk building gates that compile to its adjoint).
     """
 
     povm: Povm
     matrix: np.ndarray
     outcome_map: dict[int, int]
     method: str
+    factors: Optional[list] = None
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -156,7 +174,7 @@ def orbit_mixer(kind: str) -> np.ndarray:
     2x2 for the two-orbit solids, 4x4 for the four-orbit ones.
     """
     c: PlatonicConstants = platonic_constants(kind)
-    if kind in (TETRAHEDRON, CUBE, OCTAHEDRON):
+    if c.gamma is None:
         return reflection(c.alpha, c.beta)
     a, b, g, d = c.alpha, c.beta, c.gamma, c.delta
     return np.array(
@@ -170,83 +188,87 @@ def orbit_mixer(kind: str) -> np.ndarray:
     ) / np.sqrt(2)
 
 
+def _dihedral_factor(alpha: float, beta: complex, l: int) -> tuple:
+    """The dihedral coupling, one 4x4 on qubits (l - 1, 0).
+
+    Qubit 0 pairs basis state j with j + r/2, and the parity of j (qubit
+    l - 1) picks the 2x2 block.  The gates are the two controlled
+    rotations, written out as adjoints.
+    """
+    beta = complex(beta)
+    bc = beta.conjugate()
+    even = np.array([[alpha, beta], [bc, -alpha]])
+    odd = np.array([[alpha, -bc], [beta, alpha]])
+    return direct_sum(even, odd), (l - 1, 0), lambda: [
+        ControlledGate(l - 1, 1, 0, np.array([[alpha, bc], [-beta, alpha]])),
+        ControlledGate(l - 1, 0, 0, np.array([[alpha, beta], [bc, -alpha]])),
+    ]
+
+
 def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
     """Unitary coupling the two halves of the dihedral register.
 
     Pairs basis state j with j + r/2; the sign pattern alternates with the
     parity of j so that each pair carries a valid 2x2 unitary block.
     """
-    half = r // 2
-    t = np.zeros((r, r), dtype=complex)
-    beta = complex(beta)
-    for j in range(half):
-        t[j, j] = alpha
-        if j % 2 == 0:
-            t[j, half + j] = beta
-            t[half + j, j] = beta.conjugate()
-            t[half + j, half + j] = -alpha
-        else:
-            t[j, half + j] = -beta.conjugate()
-            t[half + j, j] = beta
-            t[half + j, half + j] = alpha
-    return t
+    matrix, qubits, _ = _dihedral_factor(alpha, beta, r.bit_length() - 1)
+    return apply_gates([(matrix, qubits)], np.eye(r, dtype=complex))
 
 
-def _half_swap(control: int, target: int, n_qubits: int) -> np.ndarray:
-    """Permutation flipping the target qubit when the control is set."""
-    return embed_on_qubits(CNOT_MATRIX, [control, target], n_qubits)
+def _orbit_mixer_factors(family, l: int) -> list:
+    """The platonic orbit mixer on the top qubits; a 4x4 one has its own circuit."""
+    mixer = orbit_mixer(family.kind)
+    if len(mixer) == 2:
+        return [(mixer, (0,), lambda: [SingleQubitGate(0, mixer.conj().T)])]
+    return [(mixer, (0, 1), lambda: orbit_mixer_adjoint_circuit(family.kind).gates)]
+
+
+_TETRAHEDRON_PHASE = (
+    np.diag([1, 1, 1, -1j]), (0, 1), lambda: [ControlledGate(0, 1, 1, np.diag([1.0, 1.0j]))]
+)
+
+# kind -> (orbit qubits t, conjugated Fourier factor, mixer factors of (family, l))
+_FACTOR_TABLE = {
+    CYCLIC: (0, False, lambda f, l: []),
+    DIHEDRAL: (1, False, lambda f, l: [_dihedral_factor(f.alpha, f.beta, l)]),
+    TETRAHEDRON: (1, False, lambda f, l: [_TETRAHEDRON_PHASE, *_orbit_mixer_factors(f, l)]),
+    CUBE: (1, True, _orbit_mixer_factors),
+    OCTAHEDRON: (1, False, _orbit_mixer_factors),
+    DODECAHEDRON: (2, False, _orbit_mixer_factors),
+    ICOSAHEDRON: (2, False, _orbit_mixer_factors),
+}
 
 
 def structured_dilation(povm: Povm) -> DilatedMeasurement:
-    """Dilation built from the closed-form factorization of the family."""
+    """Dilation built from the family's row of the factor table.
+
+    The n outcomes form 2^t orbits of m; outcome m u + j sits on basis
+    state (r / 2^t) u + j.
+    """
     kind = povm.family.kind
-    n = povm.n
-    r = register_size(n)
-    l = qubit_count(n)
-
-    if kind == CYCLIC:
-        matrix = direct_sum(fourier_matrix(n), np.eye(r - n))
-        outcome_map = {j: j for j in range(n)}
-    elif kind == DIHEDRAL:
-        m = povm.family.m
-        half = r // 2
-        fourier = direct_sum(fourier_matrix(m), np.eye(half - m))
-        coupling = dihedral_coupling(povm.family.alpha, povm.family.beta, r)
-        matrix = _half_swap(l - 1, 0, l) @ coupling @ np.kron(np.eye(2), fourier)
-        outcome_map = {j: j for j in range(m)}
-        outcome_map.update({half + j: m + j for j in range(m)})
-    elif kind == TETRAHEDRON:
-        phase = np.diag([1, 1, 1, -1j])
-        matrix = (
-            _half_swap(1, 0, 2)
-            @ np.kron(orbit_mixer(kind), np.eye(2))
-            @ phase
-            @ np.kron(np.eye(2), fourier_matrix(2))
-        )
-        outcome_map = {j: j for j in range(4)}
-    elif kind == CUBE:
-        matrix = _half_swap(2, 0, 3) @ np.kron(
-            orbit_mixer(kind), fourier_matrix(4).conj()
-        )
-        outcome_map = {j: j for j in range(8)}
-    elif kind == OCTAHEDRON:
-        fourier = direct_sum(fourier_matrix(3), np.eye(1))
-        matrix = _half_swap(2, 0, 3) @ np.kron(orbit_mixer(kind), fourier)
-        outcome_map = {j: j for j in range(3)}
-        outcome_map.update({4 + j: 3 + j for j in range(3)})
-    elif kind in (DODECAHEDRON, ICOSAHEDRON):
-        m = 5 if kind == DODECAHEDRON else 3
-        block = direct_sum(fourier_matrix(m), np.eye(r // 4 - m))
-        matrix = _half_swap(l - 1, 1, l) @ np.kron(orbit_mixer(kind), block)
-        outcome_map = {}
-        for u in range(4):
-            outcome_map.update({(r // 4) * u + j: m * u + j for j in range(m)})
-    else:
+    if kind not in _FACTOR_TABLE:
         raise InvalidParameterError(f"no structured dilation for kind {kind!r}")
-
-    return DilatedMeasurement(
-        povm=povm, matrix=matrix, outcome_map=outcome_map, method="structured"
+    t, conjugate, mixer = _FACTOR_TABLE[kind]
+    r = register_size(povm.n)
+    l = r.bit_length() - 1
+    m = povm.n >> t
+    fourier = direct_sum(fourier_matrix(m), np.eye((r >> t) - m))
+    if conjugate:
+        fourier = fourier.conj()
+    low = tuple(range(t, l))
+    if m == r:  # unpadded on the whole register: the inverse QFT circuit
+        factors = [(fourier, low, lambda: inverse_circuit(qft_circuit(l)).gates)]
+    else:
+        factors = [(fourier, low, lambda: [BlockGate(list(low), fourier.conj().T)])]
+    factors += mixer(povm.family, l)
+    if t:
+        factors.append((CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)]))
+    # the Fourier factor on the low qubits is I (x) F; the rest are local
+    matrix = apply_gates(
+        [(u, qubits) for u, qubits, _ in factors[1:]], np.kron(np.eye(1 << t), fourier)
     )
+    outcome_map = {(r >> t) * u + j: m * u + j for u in range(1 << t) for j in range(m)}
+    return DilatedMeasurement(povm, matrix, outcome_map, "structured", factors)
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

@@ -316,7 +316,7 @@ def build_povm(family: PovmFamily) -> Povm:
 def rotate_povm(povm: Povm, u: np.ndarray) -> Povm:
     """Conjugate every element by the single-qubit unitary ``u``."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or unitarity_residual(u) > DEFAULT_TOL:
+    if u.shape != (2, 2) or not unitarity_residual(u) <= DEFAULT_TOL:
         raise InvalidRotationError("rotation must be a 2x2 unitary")
     return Povm(povm.vectors @ u.T, povm.family)
 

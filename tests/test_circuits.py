@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from povmkit.circuits import (
     BlockGate,
@@ -19,7 +20,7 @@ from povmkit.circuits import (
     synthesize_circuit,
 )
 from povmkit.dilation import generic_completion, orbit_mixer, structured_dilation
-from povmkit.errors import InvalidGateError, InvalidParameterError
+from povmkit.errors import DegenerateOrbitError, InvalidGateError, InvalidParameterError
 from povmkit.families import (
     DODECAHEDRON,
     ICOSAHEDRON,
@@ -31,6 +32,7 @@ from povmkit.families import (
     platonic_povm,
 )
 from povmkit.linalg import CNOT_MATRIX, SWAP_MATRIX, fourier_matrix, unitarity_residual
+from povmkit.simulate import analytic_probabilities, circuit_probabilities
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 S = np.diag([1.0, 1.0j])
@@ -221,6 +223,39 @@ def test_complex_seed_synthesis():
     d = structured_dilation(dihedral_povm(3, 0.6, 0.8j))
     c = synthesize_circuit(d)
     assert np.abs(compile_circuit(c) - d.matrix.conj().T).max() < 1e-12
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@given(
+    theta=st.floats(0.15, np.pi - 0.15, exclude_min=True, exclude_max=True),
+    phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    m=st.integers(2, 64),
+    merge=st.booleans(),
+    amplitudes=st.tuples(UNIT, UNIT, UNIT, UNIT),
+    weight=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_dihedral_seeds_synthesize_exactly(theta, phi, m, merge, amplitudes, weight):
+    beta = np.sin(theta / 2) * np.exp(1j * phi)
+    try:
+        povm = dihedral_povm(m, np.cos(theta / 2), beta)
+    except DegenerateOrbitError:
+        assume(False)
+    psi = np.array([amplitudes[0] + 1j * amplitudes[1], amplitudes[2] + 1j * amplitudes[3]])
+    assume(np.linalg.norm(psi) > 0.1)
+    psi /= np.linalg.norm(psi)
+    rho = weight * np.outer(psi, psi.conj()) + (1 - weight) * np.eye(2) / 2
+
+    d = structured_dilation(povm)
+    c = synthesize_circuit(d, merge=merge)
+    # no global phase alignment: the circuit is the adjoint itself
+    assert np.abs(compile_circuit(c) - d.matrix.conj().T).max() <= 1e-12
+    assert d.unitarity_residual() <= 1e-10
+    assert d.embedding_residual() <= 1e-10
+    expected = analytic_probabilities(povm, rho)
+    assert np.abs(circuit_probabilities(d, c, rho) - expected).max() <= 1e-9
 
 
 # ---------------------------------------------------------------- export

@@ -133,6 +133,17 @@ def test_statevector_requires_normalized_input():
         statevector_probabilities(d, c, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("psi", [[np.nan, 0], [0, np.inf], [np.nan, np.nan]])
+def test_statevector_rejects_non_finite_input(m, psi):
+    # the norm check is written so that a NaN norm fails it: cyclic(4) used to
+    # return NaN probabilities, cyclic(3) to report a padding leak
+    d = structured_dilation(cyclic_povm(m))
+    c = synthesize_circuit(d)
+    with pytest.raises(InvalidStateError):
+        statevector_probabilities(d, c, np.array(psi, dtype=complex))
+
+
 def test_circuit_mismatch_detection():
     d = structured_dilation(cyclic_povm(4))
     wrong = qft_circuit(2)  # forward transform instead of the adjoint
