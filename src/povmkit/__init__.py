@@ -98,6 +98,7 @@ from .simulate import (
     circuit_probabilities,
     dilation_probabilities,
     fold_probabilities,
+    random_density_matrices,
     random_density_matrix,
     random_pure_state,
     sample,

@@ -20,31 +20,31 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Check that rho is a qubit density matrix; returns it as complex128.
 
     Requires a finite 2x2 Hermitian matrix with unit trace and eigenvalues
-    no lower than -tol.
+    no lower than -tol.  A (..., 2, 2) stack is checked as a whole: every
+    matrix in it must pass, and the first that fails names the error.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise InvalidStateError(f"density matrix must be 2x2, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("density matrix has a non-finite entry")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > tol:
         raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise InvalidStateError(f"trace is {np.trace(rho).real}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    trace = np.trace(rho, axis1=-2, axis2=-1).ravel()
+    off = np.abs(trace - 1.0) > tol
+    if off.any():
+        raise InvalidStateError(f"trace is {trace[off][0].real}, expected 1")
+    if np.linalg.eigvalsh(rho).min(initial=0.0) < -tol:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
 
 
 def state_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a density matrix."""
+    """Bloch coordinates (x, y, z) of a density matrix, or (..., 3) of a stack."""
     rho = validate_density_matrix(rho)
-    return np.array(
-        [
-            np.trace(PAULI_X @ rho).real,
-            np.trace(PAULI_Y @ rho).real,
-            np.trace(PAULI_Z @ rho).real,
-        ]
+    return np.stack(
+        [np.trace(p @ rho, axis1=-2, axis2=-1).real for p in (PAULI_X, PAULI_Y, PAULI_Z)],
+        axis=-1,
     )
 
 

@@ -330,10 +330,15 @@ class PovmValidation:
     distinct_bloch_points: int
 
 
+def completeness_residual(povm: Povm) -> float:
+    """Largest entry of |sum_j A_j - I|."""
+    total = povm.vectors.conj().T @ povm.vectors
+    return float(np.abs(total - np.eye(2)).max())
+
+
 def validate_povm(povm: Povm) -> PovmValidation:
     """Measure how far a Povm is from a clean symmetric resolution."""
-    total = povm.vectors.conj().T @ povm.vectors
-    residual = float(np.abs(total - np.eye(2)).max())
+    residual = completeness_residual(povm)
     norms = np.linalg.norm(povm.vectors, axis=1) ** 2
     spread = float(norms.max() - norms.min())
     return PovmValidation(residual, spread, _distinct_points(povm.bloch_points()))

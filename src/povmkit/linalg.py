@@ -55,10 +55,16 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unitarity_residual(a: np.ndarray) -> float:
-    """Worst entry-wise deviation of adjoint(a) @ a from the identity."""
+    """Worst entry-wise deviation of adjoint(a) @ a from the identity.
+
+    NaN when ``a`` has a non-finite entry, so that every ``<= tol`` check
+    fails; the product is not formed, as inf * 0 in it would warn.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidDimensionError(f"unitarity check needs a square matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        return float("nan")
     return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
 
 

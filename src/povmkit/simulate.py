@@ -32,7 +32,7 @@ from .errors import (
     InvalidStateError,
     PaddingLeakError,
 )
-from .families import Povm, PovmFamily, build_povm, validate_povm
+from .families import Povm, PovmFamily, build_povm, completeness_residual
 from .linalg import distance_up_to_global_phase
 
 DEFAULT_SEED = 0x5EED
@@ -56,10 +56,13 @@ SAMPLE_CHUNK = 1 << 16
 
 
 def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <psi_j| rho |psi_j| for a density matrix."""
+    """Outcome probabilities <psi_j| rho |psi_j> for a density matrix.
+
+    A (..., 2, 2) stack of density matrices gives (..., n) probabilities.
+    """
     rho = validate_density_matrix(rho)
     v = povm.vectors
-    return np.einsum("ni,ij,nj->n", v.conj(), rho, v).real
+    return np.einsum("ni,...ij,nj->...n", v.conj(), rho, v).real
 
 
 def _register_diagonal(isometry: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> 
     """
     basis_probs = np.asarray(basis_probs, dtype=float)
     probs, leak = _fold(dilated, basis_probs)
-    leak = float(leak)
+    leak = float(np.max(leak))
     if not leak <= LEAK_TOL:
         raise PaddingLeakError(
             f"padding basis states carry probability {leak:.3e}"
@@ -261,11 +264,24 @@ def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2, 2) random mixtures of a pure state with the maximally mixed state.
+
+    Each state draws its pure state, then its weight, so state k is the
+    same, bit for bit, as the k-th of n calls to ``random_density_matrix``.
+    """
+    psi = np.empty((n, 2), dtype=complex)
+    weight = np.empty((n, 1, 1))
+    for k in range(n):
+        psi[k] = random_pure_state(rng)
+        weight[k] = rng.random()
+    pure = psi[:, :, None] * psi[:, None, :].conj()
+    return weight * pure + (1 - weight) * np.eye(2) / 2
+
+
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Random mixture of a pure state with the maximally mixed state."""
-    psi = random_pure_state(rng)
-    weight = rng.random()
-    return weight * np.outer(psi, psi.conj()) + (1 - weight) * np.eye(2) / 2
+    return random_density_matrices(rng, 1)[0]
 
 
 # ---------------------------------------------------------------- verification
@@ -333,9 +349,9 @@ def verify_family(
         return report
 
     report.n_outcomes = povm.n
-    check = validate_povm(povm)
-    report.completeness_residual = check.completeness_residual
-    if not check.completeness_residual <= COMPLETENESS_TOL:
+    # build_povm already rejected a degenerate dihedral seed
+    report.completeness_residual = completeness_residual(povm)
+    if not report.completeness_residual <= COMPLETENESS_TOL:
         report.failures.append("completeness")
 
     build = structured_dilation if method == "structured" else generic_completion
@@ -362,9 +378,8 @@ def verify_family(
     else:
         isometry = dilated.matrix[:2].conj().T
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rhos = np.array([random_density_matrix(rng) for _ in range(n_states)])
-    expected = np.array([analytic_probabilities(povm, rho) for rho in rhos])
+    rhos = random_density_matrices(np.random.Generator(np.random.PCG64(seed)), n_states)
+    expected = analytic_probabilities(povm, rhos)
     folded, leak = _fold(dilated, _register_diagonal(isometry, rhos))
     # np.max keeps a NaN where Python's max would drop it
     worst_prob = float(np.abs(folded - expected).max())

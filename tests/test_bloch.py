@@ -65,6 +65,15 @@ def test_round_trip_inside_ball(x, y, z):
     assert np.abs(state_to_bloch(rho) - p).max() < 1e-12
 
 
+def test_state_to_bloch_takes_a_stack():
+    points = np.array([[0, 0, 1], [0.6, 0, 0.8], [0.1, -0.2, 0.3]])
+    rhos = np.array([bloch_to_state(p) for p in points])
+    stacked = state_to_bloch(rhos)
+    assert stacked.shape == (3, 3)
+    assert np.array_equal(stacked, [state_to_bloch(rho) for rho in rhos])
+    assert np.abs(stacked - points).max() < 1e-15
+
+
 def test_outside_ball_rejected():
     with pytest.raises(OutsideBallError):
         bloch_to_state([0, 0, 1.1])

@@ -79,9 +79,12 @@ def test_block_gate_embedding():
 # ---------------------------------------------------------------- validation
 
 
+@pytest.mark.filterwarnings("error")
 def test_gate_validation():
     with pytest.raises(InvalidGateError):
         SingleQubitGate(0, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidGateError):
+        SingleQubitGate(0, np.array([[1.0, 0.0], [0.0, np.inf]]))
     with pytest.raises(InvalidGateError):
         ControlledGate(0, 1, 0, S)  # control equals target
     with pytest.raises(InvalidGateError):

@@ -377,11 +377,12 @@ def test_rotate_povm_rejects_non_unitary():
         rotate_povm(cyclic_povm(3), np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rotate_povm_rejects_non_finite_rotation(bad):
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidRotationError):
+    with pytest.raises(InvalidRotationError):
         rotate_povm(cyclic_povm(3), np.full((2, 2), bad))
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidRotationError):
+    with pytest.raises(InvalidRotationError):
         rotate_povm(cyclic_povm(3), np.array([[1.0, 0.0], [0.0, bad]]))
 
 

@@ -28,18 +28,34 @@ per-family ladders, by::
 
 Gates are compared by qubits and local matrix, not by kind, so a ``u`` and
 a one-target ``block`` with the same matrix count as equal.
+
+``data/verify_all_reports.json`` holds the ``verify --all`` reports at
+``DEFAULT_SEED``, written while ``verify_family`` still built, validated and
+predicted its random states one at a time, by::
+
+    PYTHONPATH=src python -c '
+    import json
+    from povmkit.cli import default_verify_matrix
+    from povmkit.simulate import verify_family
+    reports = [verify_family(f).to_dict() for f in default_verify_matrix()]
+    print(json.dumps(reports, indent=1, allow_nan=False))
+    ' > tests/data/verify_all_reports.json
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from povmkit.circuits import synthesize_circuit
+from povmkit.cli import default_verify_matrix
 from povmkit.dilation import structured_dilation
 from povmkit.families import PLATONIC_KINDS, PovmFamily, build_povm
+from povmkit.simulate import verify_family
 
 GOLDEN = Path(__file__).parent / "data" / "structured_golden.npz"
+REPORTS = Path(__file__).parent / "data" / "verify_all_reports.json"
 
 
 def golden_families():
@@ -77,3 +93,19 @@ def test_structured_dilation_and_circuit_match_golden(golden, k):
             want = golden[f"{k}_{tag}_{i}_matrix"]
             assert g.local_matrix().shape == want.shape
             assert np.abs(g.local_matrix() - want).max() <= 1e-15
+
+
+def test_verify_all_reports_match_golden():
+    """The seeded states are the same stream, so every report field holds.
+
+    The probability error alone may move in the last place, as a stack of
+    states is contracted in one einsum.
+    """
+    golden = json.loads(REPORTS.read_text())
+    families = default_verify_matrix()
+    assert len(golden) == len(families) == 17
+    for family, want in zip(families, golden):
+        got = json.loads(json.dumps(verify_family(family).to_dict()))
+        error, want_error = got.pop("max_probability_error"), want.pop("max_probability_error")
+        assert got == want
+        assert abs(error - want_error) <= 1e-15

@@ -119,6 +119,15 @@ def test_unitarity_residual_value():
     assert is_unitary(fourier_matrix(5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_unitarity_residual_of_non_finite_matrix_is_nan(bad):
+    a = np.eye(2, dtype=complex)
+    a[1, 1] = bad
+    assert np.isnan(unitarity_residual(a))
+    assert not is_unitary(a)
+
+
 def test_unitarity_requires_square():
     with pytest.raises(InvalidDimensionError):
         unitarity_residual(np.ones((2, 3)))

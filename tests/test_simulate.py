@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from povmkit.bloch import validate_density_matrix
 from povmkit.circuits import qft_circuit, synthesize_circuit
 from povmkit.dilation import generic_completion, structured_dilation
 from povmkit.errors import (
@@ -27,6 +29,7 @@ from povmkit.simulate import (
     circuit_probabilities,
     dilation_probabilities,
     fold_probabilities,
+    random_density_matrices,
     random_density_matrix,
     random_pure_state,
     sample,
@@ -69,6 +72,54 @@ def test_tetrahedron_on_ground_state():
 def test_analytic_validates_state():
     with pytest.raises(InvalidStateError):
         analytic_probabilities(cyclic_povm(3), np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
+def test_stacked_analytic_matches_per_state(family):
+    povm = build_povm(family)
+    rhos = random_density_matrices(np.random.default_rng(11), 20)
+    loop = np.array([analytic_probabilities(povm, rho) for rho in rhos])
+    stacked = analytic_probabilities(povm, rhos)
+    assert stacked.shape == (20, povm.n)
+    assert np.abs(stacked - loop).max() <= 1e-15
+    grid = analytic_probabilities(povm, rhos.reshape(4, 5, 2, 2))
+    assert np.array_equal(grid.reshape(20, povm.n), stacked)
+
+
+BAD_STATES = {
+    "non-finite": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+    "non-Hermitian": np.array([[0.5, 0.1], [0.3, 0.5]]),
+    "trace": np.diag([0.6, 0.6]),
+    "negative": 0.5 * np.diag([2.2, -0.2]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_STATES))
+@pytest.mark.parametrize("index", range(5))
+def test_one_bad_state_fails_the_stack(kind, index):
+    bad = BAD_STATES[kind]
+    with pytest.raises(InvalidStateError) as alone:
+        validate_density_matrix(bad)
+    rhos = random_density_matrices(np.random.default_rng(index), 5)
+    rhos[index] = bad
+    with pytest.raises(type(alone.value)) as stacked:
+        validate_density_matrix(rhos)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(type(alone.value)):
+        analytic_probabilities(cyclic_povm(3), rhos)
+
+
+def test_register_paths_take_a_stack():
+    povm = build_povm(PovmFamily.dihedral(3, 0.6, 0.8))
+    dilated = structured_dilation(povm)
+    circuit = synthesize_circuit(dilated)
+    rhos = random_density_matrices(np.random.default_rng(5), 6)
+    for path in (
+        lambda rho: dilation_probabilities(dilated, rho),
+        lambda rho: circuit_probabilities(dilated, circuit, rho),
+    ):
+        loop = np.array([path(rho) for rho in rhos])
+        assert np.abs(path(rhos) - loop).max() <= 1e-15
 
 
 @pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
@@ -262,6 +313,26 @@ def test_random_density_matrix_is_valid():
         validate_density_matrix(random_density_matrix(rng))
 
 
+def _reference_density_matrix(rng):
+    """The per-state formula the stacked builder must reproduce bit for bit."""
+    psi = random_pure_state(rng)
+    weight = rng.random()
+    return weight * np.outer(psi, psi.conj()) + (1 - weight) * np.eye(2) / 2
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_stacked_states_equal_the_per_state_stream(n, seed):
+    stacked = random_density_matrices(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    single = np.array([random_density_matrix(rng) for _ in range(n)])
+    rng = np.random.default_rng(seed)
+    reference = np.array([_reference_density_matrix(rng) for _ in range(n)])
+    assert stacked.shape == (n, 2, 2)
+    assert np.array_equal(stacked, single)
+    assert np.array_equal(stacked, reference)
+
+
 def test_random_pure_state_is_normalized():
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(10):
@@ -333,6 +404,35 @@ def test_verify_checks_register_cap_before_building(monkeypatch):
     monkeypatch.setattr(povmkit.families, "_distinct_points", no_scan)
     with pytest.raises(InvalidParameterError):
         verify_family(PovmFamily.dihedral_from_angle(5000, 1.0), n_states=1)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(5), PovmFamily.dihedral(3, 0.6, 0.8), PovmFamily.platonic("cube")],
+    ids=lambda f: f.kind,
+)
+def test_verify_runs_no_point_scan_after_building(monkeypatch, family):
+    import povmkit.families
+    import povmkit.simulate
+
+    events = []
+    scan = povmkit.families._distinct_points
+
+    def logged_scan(points, tol=povmkit.families.DISTINCT_POINT_TOL):
+        events.append("scan")
+        return scan(points, tol)
+
+    def logged_build(f):
+        povm = build_povm(f)
+        events.append("built")
+        return povm
+
+    monkeypatch.setattr(povmkit.families, "_distinct_points", logged_scan)
+    monkeypatch.setattr(povmkit.simulate, "build_povm", logged_build)
+    assert verify_family(family, n_states=3).passed
+    # the dihedral ring is still checked for degeneracy while it is built
+    expected = ["scan"] * (family.kind == "dihedral") + ["built"]
+    assert events == expected
 
 
 @pytest.mark.parametrize("method", ["structured", "generic"])
