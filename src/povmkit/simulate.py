@@ -51,8 +51,12 @@ LEAK_TOL = 1e-9
 # a compiled circuit further than this from the dilation adjoint is wrong
 MISMATCH_TOL = 1e-8
 
-# Uniforms drawn at once by ``sample``; bounds its memory at a few MB.
+# Raw PCG64 words drawn at once by ``sample``; bounds its memory at a few MB.
 SAMPLE_CHUNK = 1 << 16
+
+# Guide-table buckets per outcome in ``sample``: 64 to 1024 measured alike,
+# 16 a third slower, as more words fall in buckets that need a search.
+GUIDE_DENSITY = 256
 
 
 def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
@@ -179,13 +183,13 @@ def _integer(value, name: str) -> int:
 
 
 def _guide_size(n_outcomes: int, shots: int) -> int:
-    """Buckets in the guide table: a power of two near 16 per outcome.
+    """Buckets in the guide table: a power of two near GUIDE_DENSITY per outcome.
 
     At most one bucket per 8 shots, so a small call builds a small table
     (one bucket is plain inverse-CDF search), and at most SAMPLE_CHUNK, so
     the per-chunk bucket histogram never outgrows the chunk.
     """
-    wanted = (16 * n_outcomes - 1).bit_length()
+    wanted = (GUIDE_DENSITY * n_outcomes - 1).bit_length()
     cap = max(min(SAMPLE_CHUNK, shots // 8), 1).bit_length() - 1
     return 1 << min(wanted, cap)
 
@@ -194,17 +198,16 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     """Draw outcome counts by inverse-CDF sampling.
 
     Deterministic for a given seed: the counts are those of one batch of
-    ``shots`` uniforms from a fresh PCG64 generator, each placed by a
-    searchsorted over the cumulative distribution.  The uniforms are drawn
-    in chunks of SAMPLE_CHUNK (PCG64 yields the same stream either way),
-    so memory does not grow with ``shots``.
-
-    A guide table splits [0, 1) into K equal buckets, K a power of two, so
-    u -> floor(u K) is exact.  A bucket that no cumulative edge enters maps
-    every uniform in it to one outcome, so only its tally is kept; only
-    the uniforms in the other, dirty buckets are searched.  A bucket is
-    dirty when fewer edges lie at or below its lower end than at or below
-    its upper end, which errs only towards dirty.  All counting is integer.
+    ``shots`` uniforms u from ``Generator(PCG64(seed)).random``, each placed
+    by a searchsorted over the cumulative distribution (probabilities in
+    [-1e-12, 0) taken as 0, so its edges never dip).  Such a u is
+    (w >> 11) 2^-53 for PCG64's raw word w, so edge <= u exactly when
+    ceil(edge 2^53) <= w >> 11: the search runs on integer thresholds and
+    raw words, drawn in chunks of SAMPLE_CHUNK so memory does not grow with
+    ``shots``.  A guide table splits the words into K = 2^b buckets by their
+    top b bits; a bucket no threshold enters maps all its words to one
+    outcome, so only its tally is kept, and only the words in the other,
+    dirty buckets are searched.  All counting is integer.
     """
     probs = np.asarray(probabilities, dtype=float)
     shots = _integer(shots, "shots")
@@ -225,27 +228,28 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
         raise InvalidParameterError(f"probabilities sum to {total}, not one")
 
     n = probs.size
-    edges = probs.cumsum()
+    thresholds = np.ceil(np.ldexp(np.maximum(probs, 0.0).cumsum(), 53)).astype(np.uint64)
     k = _guide_size(n, shots)
-    below = edges.searchsorted(np.arange(k + 1) / k, side="right")
+    bits = k.bit_length() - 1
+    lower = np.arange(k + 1, dtype=np.uint64) << (53 - bits)
+    below = thresholds.searchsorted(lower, side="right")
     dirty = below[1:] != below[:-1]
     outcome = np.minimum(below[:-1], n - 1)  # guard the u ~ 1 edge
 
     bucket_tally = np.zeros(k, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    # n per chunk at least, so the outcome histogram never outgrows a chunk;
-    # both buffers are reused, the last chunk taking a prefix of each
+    bit_generator = np.random.PCG64(seed)
+    # n per chunk at least, so the outcome histogram never outgrows a chunk
     step = min(max(SAMPLE_CHUNK, n), shots)
-    u_buffer = np.empty(step)
     bucket_buffer = np.empty(step, dtype=np.intp)
     for start in range(0, shots, step):
-        u = u_buffer[: shots - start]
-        bucket = bucket_buffer[: shots - start]
-        rng.random(out=u)
-        np.multiply(u, k, out=bucket, casting="unsafe")  # floor, as u >= 0
+        words = bit_generator.random_raw(min(step, shots - start))
+        bucket = bucket_buffer[: words.size]
+        # a shift by 64 (one bucket) gives 0
+        np.right_shift(words, 64 - bits, out=bucket, casting="unsafe")
         bucket_tally += np.bincount(bucket, minlength=k)
-        idx = edges.searchsorted(u.compress(dirty[bucket]), side="right")
+        searched = words.compress(dirty[bucket]) >> 11
+        idx = thresholds.searchsorted(searched, side="right")
         counts += np.bincount(np.minimum(idx, n - 1), minlength=n)
 
     # Clean buckets, in order, map to nondecreasing outcomes: each outcome

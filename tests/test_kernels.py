@@ -34,7 +34,13 @@ from povmkit.families import (
     build_povm,
 )
 from povmkit.linalg import apply_gates, embed_on_qubits
-from povmkit.simulate import SAMPLE_CHUNK, _guide_size, sample, verify_family
+from povmkit.simulate import (
+    GUIDE_DENSITY,
+    SAMPLE_CHUNK,
+    _guide_size,
+    sample,
+    verify_family,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -285,14 +291,100 @@ def test_sample_matches_one_batch_reference_on_pinned_cases(probs, shots):
         assert np.array_equal(sample(probs, shots, seed).counts, expected)
 
 
+CHUNKED_SHOTS = 3 * SAMPLE_CHUNK + 17
+
+
+def drawn_uniforms(seed, shots):
+    return np.random.Generator(np.random.PCG64(seed)).random(shots)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**32 - 1, 2**64 + 3])
+def test_raw_pcg64_words_are_the_generator_uniforms(seed):
+    # sample relies on u = (w >> 11) 2^-53, drawn chunk by chunk
+    bit_generator = np.random.PCG64(seed)
+    sizes = np.diff(np.r_[0:CHUNKED_SHOTS:SAMPLE_CHUNK, CHUNKED_SHOTS])
+    words = np.concatenate([bit_generator.random_raw(size) for size in sizes])
+    u = (words >> 11) * 2.0**-53
+    expected = drawn_uniforms(seed, CHUNKED_SHOTS)
+    assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
+
+
+def sum_at_bound(n, sign):
+    """n equal probabilities whose sum is as far from 1 as sample accepts."""
+    p = np.full(n, 1 / n)
+    factor = 1 + sign * 1e-9
+    while not abs((p * factor).sum() - 1) <= 1e-9:
+        factor = np.nextafter(factor, 1.0)
+    return p * factor
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [5e-324, 1.0],
+        [0.5, 5e-324, 0.5],
+        [1.0 - 1e-9],
+        sum_at_bound(1, +1),
+        sum_at_bound(3, +1),
+        sum_at_bound(3, -1),
+        sum_at_bound(128, +1),
+        sum_at_bound(4096, -1),
+    ],
+    ids=[
+        "subnormal-first",
+        "subnormal-middle",
+        "one-low",
+        "one-high",
+        "thirds-high",
+        "thirds-low",
+        "uniform-128-high",
+        "uniform-4096-low",
+    ],
+)
+@pytest.mark.parametrize("shots", [1, CHUNKED_SHOTS])
+def test_sample_matches_one_batch_reference_on_boundary_cases(probs, shots):
+    for seed in (0, 0x5EED, 2**32 - 1):
+        expected = one_batch_counts(probs, shots, seed)
+        assert np.array_equal(sample(probs, shots, seed).counts, expected)
+
+
+@pytest.mark.parametrize("j", [0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, CHUNKED_SHOTS - 1])
+def test_sample_counts_an_edge_equal_to_a_drawn_uniform(j):
+    u = drawn_uniforms(0x5EED, CHUNKED_SHOTS)[j]
+    probs = [u, 1.0 - u]
+    counts = sample(probs, CHUNKED_SHOTS, 0x5EED).counts
+    assert np.array_equal(counts, one_batch_counts(probs, CHUNKED_SHOTS, 0x5EED))
+    # the reference places a uniform equal to an edge above it
+    assert np.count_nonzero(drawn_uniforms(0x5EED, CHUNKED_SHOTS) < u) == counts[0]
+
+
+def test_sample_clips_small_negative_probabilities():
+    # an edge below its predecessor by 1e-13 traps uniform j in the dip
+    j = SAMPLE_CHUNK + 5
+    u = drawn_uniforms(0x5EED, CHUNKED_SHOTS)[j]
+    probs = np.array([u + 5e-14, -1e-13, 1.0 - u + 5e-14])
+    clipped = np.maximum(probs, 0.0)
+    counts = sample(probs, CHUNKED_SHOTS, 0x5EED).counts
+    assert np.array_equal(counts, one_batch_counts(clipped, CHUNKED_SHOTS, 0x5EED))
+    assert not np.array_equal(counts, one_batch_counts(probs, CHUNKED_SHOTS, 0x5EED))
+
+
+@pytest.mark.parametrize("shape", ["dense", "spiky"])
+def test_sample_matches_one_batch_reference_over_many_chunks(shape):
+    probs = random_distribution(np.random.default_rng(7), 1000, shape)
+    for seed in (1, 0x5EED):
+        expected = one_batch_counts(probs, 4 * 10**6, seed)
+        assert np.array_equal(sample(probs, 4 * 10**6, seed).counts, expected)
+
+
 @pytest.mark.parametrize("n", [1, 3, 128, 4096, 10**5])
 @pytest.mark.parametrize("shots", [1, 10, 1000, 10**7])
 def test_guide_size_is_the_largest_power_of_two_within_its_caps(n, shots):
     k = _guide_size(n, shots)
     cap = min(max(1, shots // 8), SAMPLE_CHUNK)
     assert k & (k - 1) == 0
-    assert k <= cap and k < 32 * n
-    assert k >= 16 * n or 2 * k > cap
+    assert k <= cap and k < 2 * GUIDE_DENSITY * n
+    assert k >= GUIDE_DENSITY * n or 2 * k > cap
 
 
 def test_sample_memory_does_not_grow_with_shots():
