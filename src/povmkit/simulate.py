@@ -11,6 +11,8 @@ so the diagonal needs only the first two columns of the applied matrix.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -51,8 +53,14 @@ LEAK_TOL = 1e-9
 # a compiled circuit further than this from the dilation adjoint is wrong
 MISMATCH_TOL = 1e-8
 
-# Raw PCG64 words drawn at once by ``sample``; bounds its memory at a few MB.
+# Raw PCG64 words drawn at once by ``sample``, over all its threads; bounds
+# its memory at a few MB.
 SAMPLE_CHUNK = 1 << 16
+
+# Most threads one ``sample`` call draws on.  Measured only up to 2, where
+# two threads give 1.5x over one; 4 is not measured, and only bounds the
+# threads and buffers of one call on a larger host.
+SAMPLE_WORKERS = 4
 
 # Guide-table buckets per outcome in ``sample``: 64 to 1024 measured alike,
 # 16 a third slower, as more words fall in buckets that need a search.
@@ -187,11 +195,98 @@ def _guide_size(n_outcomes: int, shots: int) -> int:
 
     At most one bucket per 8 shots, so a small call builds a small table
     (one bucket is plain inverse-CDF search), and at most SAMPLE_CHUNK, so
-    the per-chunk bucket histogram never outgrows the chunk.
+    the label table takes no more memory than the words in flight.
     """
     wanted = (GUIDE_DENSITY * n_outcomes - 1).bit_length()
     cap = max(min(SAMPLE_CHUNK, shots // 8), 1).bit_length() - 1
     return 1 << min(wanted, cap)
+
+
+def _sample_workers() -> int:
+    """Threads for one ``sample`` call: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, SAMPLE_WORKERS)
+
+
+def _label_table(thresholds: np.ndarray, buckets: int) -> np.ndarray:
+    """Each guide bucket's outcome, or n for a bucket a threshold enters.
+
+    A word w lies in bucket w >> (64 - b) of K = 2^b; a bucket that no
+    threshold enters holds words of one outcome only.
+    """
+    n = thresholds.size
+    bits = buckets.bit_length() - 1
+    lower = np.arange(buckets + 1, dtype=np.uint64) << (53 - bits)
+    below = thresholds.searchsorted(lower, side="right")
+    label = np.minimum(below[:-1], n - 1)  # guard the u ~ 1 edge
+    label[below[1:] != below[:-1]] = n
+    return label
+
+
+def _chunk_counts(words, label, thresholds, buffers) -> np.ndarray:
+    """Outcome counts of one chunk of raw words, and a last bin to drop.
+
+    The words go through ``label`` into ``buffers``, and only those
+    labelled n are searched.  A shift by 64 gives 0 in numpy, so a
+    one-bucket table labels every word.
+    """
+    n = thresholds.size
+    bucket, labelled, searched = (buffer[: words.size] for buffer in buffers)
+    np.right_shift(words, 65 - label.size.bit_length(), out=bucket, casting="unsafe")
+    # every bucket is in range; "clip" lets take write into out unbuffered
+    label.take(bucket, out=labelled, mode="clip")
+    counts = np.bincount(labelled, minlength=n + 1)
+    if not counts[n]:
+        return counts
+    np.equal(labelled, n, out=searched)
+    idx = thresholds.searchsorted(words[searched] >> 11, side="right")
+    return counts + np.bincount(np.minimum(idx, n - 1), minlength=n + 1)
+
+
+def _span_counts(bit_generator, words: int, step: int, label, thresholds, buffers):
+    """``_chunk_counts`` summed over the next ``words`` raw words of
+    ``bit_generator``, drawn ``step`` at a time."""
+    counts = np.zeros(thresholds.size + 1, dtype=np.int64)
+    for start in range(0, words, step):
+        # unnamed, so a chunk's words are freed before the next are drawn
+        counts += _chunk_counts(
+            bit_generator.random_raw(min(step, words - start)),
+            label,
+            thresholds,
+            buffers,
+        )
+    return counts
+
+
+def _run_spans(function, spans: list) -> list:
+    """``function(*span)`` for each of ``spans``: the first on this thread,
+    each other on a thread of its own.  A helper's exception is raised
+    here, after every helper has finished."""
+    results = [None] * len(spans)
+
+    def run(i):
+        try:
+            results[i] = function(*spans[i])
+        except BaseException as exc:  # raised again by the calling thread
+            results[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, len(spans)):
+            helper = threading.Thread(target=run, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        results[0] = function(*spans[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
@@ -203,11 +298,23 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     [-1e-12, 0) taken as 0, so its edges never dip).  Such a u is
     (w >> 11) 2^-53 for PCG64's raw word w, so edge <= u exactly when
     ceil(edge 2^53) <= w >> 11: the search runs on integer thresholds and
-    raw words, drawn in chunks of SAMPLE_CHUNK so memory does not grow with
-    ``shots``.  A guide table splits the words into K = 2^b buckets by their
-    top b bits; a bucket no threshold enters maps all its words to one
-    outcome, so only its tally is kept, and only the words in the other,
-    dirty buckets are searched.  All counting is integer.
+    raw words.  A guide table splits the words into K = 2^b buckets by
+    their top b bits and labels each bucket with its outcome, or with n
+    when a threshold enters it.  Each chunk of words then takes one gather
+    of labels and one count over n + 1 bins, and only the words labelled n
+    are searched.
+
+    The stream of ``shots`` words is split into up to W contiguous spans,
+    W being the CPUs this process may run on, at most SAMPLE_WORKERS.  The
+    calling thread draws the first span from PCG64(seed); each other span
+    runs on its own thread, from its own PCG64(seed) moved to the span's
+    start with ``advance``.  A call of one chunk runs inline and starts no
+    thread.  Chunks hold SAMPLE_CHUNK // W words, and at least n so that
+    a chunk's histogram never outgrows it; W is cut to SAMPLE_CHUNK // n
+    where that is smaller.  So max(SAMPLE_CHUNK, n) words are in flight at
+    once, and memory does not grow with ``shots`` or W.  All counting is
+    integer and the spans' counts add, so the counts are the same on every
+    run and for any W.
     """
     probs = np.asarray(probabilities, dtype=float)
     shots = _integer(shots, "shots")
@@ -229,36 +336,24 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
 
     n = probs.size
     thresholds = np.ceil(np.ldexp(np.maximum(probs, 0.0).cumsum(), 53)).astype(np.uint64)
-    k = _guide_size(n, shots)
-    bits = k.bit_length() - 1
-    lower = np.arange(k + 1, dtype=np.uint64) << (53 - bits)
-    below = thresholds.searchsorted(lower, side="right")
-    dirty = below[1:] != below[:-1]
-    outcome = np.minimum(below[:-1], n - 1)  # guard the u ~ 1 edge
-
-    bucket_tally = np.zeros(k, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    bit_generator = np.random.PCG64(seed)
-    # n per chunk at least, so the outcome histogram never outgrows a chunk
-    step = min(max(SAMPLE_CHUNK, n), shots)
-    bucket_buffer = np.empty(step, dtype=np.intp)
-    for start in range(0, shots, step):
-        words = bit_generator.random_raw(min(step, shots - start))
-        bucket = bucket_buffer[: words.size]
-        # a shift by 64 (one bucket) gives 0
-        np.right_shift(words, 64 - bits, out=bucket, casting="unsafe")
-        bucket_tally += np.bincount(bucket, minlength=k)
-        searched = words.compress(dirty[bucket]) >> 11
-        idx = thresholds.searchsorted(searched, side="right")
-        counts += np.bincount(np.minimum(idx, n - 1), minlength=n)
-
-    # Clean buckets, in order, map to nondecreasing outcomes: each outcome
-    # takes one run of buckets, summed exactly from an integer prefix sum.
-    bucket_tally[dirty] = 0
-    prefix = np.zeros(k + 1, dtype=np.int64)
-    bucket_tally.cumsum(out=prefix[1:])
-    at = prefix[outcome.searchsorted(np.arange(n + 1))]
-    counts += at[1:] - at[:-1]
+    label = _label_table(thresholds, _guide_size(n, shots))
+    # n words per chunk at least, so the outcome histograms never outgrow a
+    # chunk, and at most max(SAMPLE_CHUNK, n) words in flight over all spans
+    workers = min(_sample_workers(), max(1, SAMPLE_CHUNK // n))
+    step = min(max(SAMPLE_CHUNK // workers, n), shots)
+    chunks = -(-shots // step)
+    n_spans = min(workers, chunks)
+    # span i holds chunks [i chunks / n_spans, (i + 1) chunks / n_spans)
+    starts = [step * (chunks * i // n_spans) for i in range(n_spans)] + [shots]
+    spans = []
+    for start, end in zip(starts, starts[1:]):
+        bit_generator = np.random.PCG64(seed).advance(start)
+        # allocated here, so a helper thread allocates little of its own
+        buffers = (
+            np.empty(step, np.intp), np.empty(step, np.intp), np.empty(step, bool)
+        )
+        spans.append((bit_generator, end - start, step, label, thresholds, buffers))
+    counts = sum(_run_spans(_span_counts, spans))[:n]
     return SampleCounts(counts=counts, shots=shots, seed=seed)
 
 

@@ -2,6 +2,8 @@
 closed-form Bloch map and the guide-table sampler against the
 straightforward reference versions."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import povmkit.circuits
 import povmkit.dilation
 import povmkit.linalg
+import povmkit.simulate
 from povmkit.bloch import povm_element_to_bloch
 from povmkit.circuits import (
     BlockGate,
@@ -37,6 +40,7 @@ from povmkit.linalg import apply_gates, embed_on_qubits
 from povmkit.simulate import (
     GUIDE_DENSITY,
     SAMPLE_CHUNK,
+    SAMPLE_WORKERS,
     _guide_size,
     sample,
     verify_family,
@@ -377,6 +381,80 @@ def test_sample_matches_one_batch_reference_over_many_chunks(shape):
         assert np.array_equal(sample(probs, 4 * 10**6, seed).counts, expected)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 + 3])
+def test_pcg64_advance_matches_skipped_words(seed):
+    # sample starts each helper span with advance; a numpy change that
+    # broke this would silently change seeded counts
+    for j in [1, SAMPLE_CHUNK // 3, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, CHUNKED_SHOTS]:
+        words = np.random.PCG64(seed).advance(j).random_raw(1000)
+        assert np.array_equal(words, np.random.PCG64(seed).random_raw(j + 1000)[j:])
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads often, so helper spans interleave at fine grain."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", ["dense", "spiky"])
+@pytest.mark.parametrize("shots", [CHUNKED_SHOTS, 4 * 10**6])
+def test_sample_counts_do_not_depend_on_the_worker_count(
+    monkeypatch, short_switch_interval, shape, shots
+):
+    # 3 workers split CHUNKED_SHOTS into spans of unequal chunk counts
+    probs = random_distribution(np.random.default_rng(11), 1000, shape)
+    expected = one_batch_counts(probs, shots, 0x5EED)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(povmkit.simulate, "_sample_workers", lambda: workers)
+        assert np.array_equal(sample(probs, shots, 0x5EED).counts, expected), workers
+
+
+@pytest.mark.parametrize("shots", [10, SAMPLE_CHUNK // SAMPLE_WORKERS])
+def test_single_chunk_sample_runs_inline(monkeypatch, shots):
+    probs = np.full(128, 1 / 128)
+    expected = one_batch_counts(probs, shots, 0x5EED)
+    built = []
+    pcg64 = np.random.PCG64
+
+    def counting_pcg64(*args):
+        built.append(args)
+        return pcg64(*args)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single-chunk call started a thread")
+
+    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    for workers in (1, 2, SAMPLE_WORKERS):
+        monkeypatch.setattr(povmkit.simulate, "_sample_workers", lambda: workers)
+        built.clear()
+        assert np.array_equal(sample(probs, shots, 0x5EED).counts, expected)
+        assert built == [(0x5EED,)]
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_sample_raises_a_failed_span_after_joining_its_helpers(monkeypatch, failing):
+    chunk_counts = povmkit.simulate._chunk_counts
+
+    def failing_chunk_counts(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise RuntimeError(f"{failing} span failed")
+        return chunk_counts(*args)
+
+    monkeypatch.setattr(povmkit.simulate, "_sample_workers", lambda: 3)
+    monkeypatch.setattr(povmkit.simulate, "_chunk_counts", failing_chunk_counts)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} span failed"):
+        sample(np.full(128, 1 / 128), CHUNKED_SHOTS)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("n", [1, 3, 128, 4096, 10**5])
 @pytest.mark.parametrize("shots", [1, 10, 1000, 10**7])
 def test_guide_size_is_the_largest_power_of_two_within_its_caps(n, shots):
@@ -399,3 +477,19 @@ def test_sample_memory_does_not_grow_with_shots():
             tracemalloc.stop()
     # one batch of 10**7 uniforms alone would take 80 MB
     assert max(peaks) < 4 * 2**20, peaks
+
+
+def test_sample_memory_with_many_outcomes_does_not_grow_with_workers(monkeypatch):
+    # n = 10**5 words per chunk: W spans of n words each would hold W chunks
+    probs = np.full(10**5, 1e-5)
+    peaks = []
+    for workers in (1, 4):
+        monkeypatch.setattr(povmkit.simulate, "_sample_workers", lambda: workers)
+        for shots in (5 * 10**5, 2 * 10**6):
+            tracemalloc.start()
+            try:
+                sample(probs, shots)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 1.25 * min(peaks), peaks
