@@ -19,13 +19,13 @@ from .circuits import (
     Circuit,
     CnotGate,
     ControlledGate,
+    Gate,
     SingleQubitGate,
     SwapGate,
     apply_circuit,
     circuit_isometry,
     compile_circuit,
     format_circuit,
-    gate_unitary,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -34,7 +34,6 @@ from .circuits import (
 from .dilation import (
     MAX_QUBITS,
     DilatedMeasurement,
-    dihedral_coupling,
     generic_completion,
     orbit_mixer,
     padded_measurement_matrix,

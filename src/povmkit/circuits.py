@@ -21,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,183 +44,130 @@ if TYPE_CHECKING:
     from .dilation import DilatedMeasurement
 
 
-def _checked_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (dim, dim):
-        raise InvalidGateError(f"gate matrix must be {dim}x{dim}")
-    if not unitarity_residual(matrix) <= DEFAULT_TOL:
-        raise InvalidGateError("gate matrix must be unitary")
-    return matrix
+# kind -> (qubits it acts on, 0 for any number; its ``describe`` line)
+_KINDS = {
+    "u": (1, "u target={target}"),
+    "cu": (2, "cu control={control} value={control_value} target={target}"),
+    "cnot": (2, "cnot control={control} target={target}"),
+    "swap": (2, "swap qubits=({qubits[0]}, {qubits[1]})"),
+    "block": (0, "block targets={targets} dim={dim}"),
+}
+_FIXED = {"cnot": CNOT_MATRIX, "swap": SWAP_MATRIX}
+_I2 = np.eye(2)
+
+
+def _controlled(value: int, u: np.ndarray) -> np.ndarray:
+    """The 4x4 applying ``u`` to the second qubit when the first reads ``value``."""
+    return direct_sum(_I2, u) if value else direct_sum(u, _I2)
 
 
 @dataclass(eq=False)
-class SingleQubitGate:
+class Gate:
+    """A unitary ``matrix`` on the ``wires`` qubits, the first most significant.
+
+    ``kind`` names the matrix's form: ``u`` any 2x2, ``cu`` a 2x2 on the
+    second qubit applied when the first reads ``control_value``, ``cnot``
+    and ``swap`` the fixed 4x4s, ``block`` any 2^k x 2^k on k qubits.  A
+    controlled identity reads as controlled on 1.
+    """
+
+    kind: str
+    wires: tuple
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
+        self.wires = tuple(map(int, self.wires))
+        n, arity = len(self.wires), _KINDS[self.kind][0]
+        if not n or len(set(self.wires)) != n or (arity and n != arity):
+            raise InvalidGateError(f"a {self.kind} gate cannot act on qubits {self.wires}")
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.shape != (2**n, 2**n):
+            raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
+        if self.kind in _FIXED:
+            if not np.array_equal(self.matrix, _FIXED[self.kind]):
+                raise InvalidGateError(f"a {self.kind} gate has a fixed matrix")
+        elif not unitarity_residual(self.matrix) <= DEFAULT_TOL:
+            raise InvalidGateError("gate matrix must be unitary")
+        if self.kind == "cu" and not (self.matrix == _controlled(*self._control())).all():
+            raise InvalidGateError("a cu matrix must be the identity on one control value")
+
+    def _control(self) -> tuple[int, np.ndarray]:
+        """A cu gate's control value and the 2x2 it applies."""
+        if (self.matrix[:2, :2] == _I2).all():
+            return 1, self.matrix[2:, 2:]
+        return 0, self.matrix[:2, :2]
+
+    @property
+    def control_value(self) -> int:
+        return self._control()[0]
+
+    def qubits(self) -> tuple[int, ...]:
+        return self.wires
+
+    def local_matrix(self) -> np.ndarray:
+        return self.matrix
+
+    def adjoint(self) -> "Gate":
+        """The same kind on the same qubits, with the adjoint matrix."""
+        # the adjoint keeps every kind's form, so it is not validated again
+        gate = copy.copy(self)
+        gate.matrix = self.matrix.conj().T
+        return gate
+
+    def _fields(self) -> dict:
+        """The printed fields after ``kind``, in order."""
+        q = list(self.wires)
+        if self.kind == "u":
+            return {"target": q[0], "matrix": self.matrix}
+        if self.kind == "cu":
+            value, u = self._control()
+            return {"control": q[0], "control_value": value, "target": q[1], "matrix": u}
+        if self.kind == "cnot":
+            return {"control": q[0], "target": q[1]}
+        if self.kind == "swap":
+            return {"qubits": q}
+        return {"targets": q, "matrix": self.matrix}
+
+    def describe(self) -> str:
+        return _KINDS[self.kind][1].format(**self._fields(), dim=len(self.matrix))
+
+    def to_dict(self) -> dict:
+        data = {"kind": self.kind, **self._fields()}
+        if "matrix" in data:
+            data["matrix"] = matrix_to_pairs(data["matrix"])
+        return data
+
+
+def SingleQubitGate(target: int, matrix) -> Gate:
     """An arbitrary 2x2 unitary on one qubit."""
-
-    target: int
-    matrix: np.ndarray
-    kind = "u"
-
-    def __post_init__(self) -> None:
-        self.matrix = _checked_unitary(self.matrix, 2)
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target,)
-
-    def local_matrix(self) -> np.ndarray:
-        return self.matrix
-
-    def adjoint(self) -> "SingleQubitGate":
-        return SingleQubitGate(self.target, self.matrix.conj().T)
-
-    def describe(self) -> str:
-        return f"u target={self.target}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "matrix": matrix_to_pairs(self.matrix),
-        }
+    return Gate("u", (target,), matrix)
 
 
-@dataclass(eq=False)
-class ControlledGate:
+def ControlledGate(control: int, control_value: int, target: int, matrix) -> Gate:
     """A 2x2 unitary applied to the target when the control reads a bit."""
-
-    control: int
-    control_value: int
-    target: int
-    matrix: np.ndarray
-    kind = "cu"
-
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise InvalidGateError("control and target must differ")
-        if self.control_value not in (0, 1):
-            raise InvalidGateError("control value must be 0 or 1")
-        self.matrix = _checked_unitary(self.matrix, 2)
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.control, self.target)
-
-    def local_matrix(self) -> np.ndarray:
-        if self.control_value == 1:
-            return direct_sum(np.eye(2), self.matrix)
-        return direct_sum(self.matrix, np.eye(2))
-
-    def adjoint(self) -> "ControlledGate":
-        return ControlledGate(
-            self.control, self.control_value, self.target, self.matrix.conj().T
-        )
-
-    def describe(self) -> str:
-        return (
-            f"cu control={self.control} value={self.control_value} "
-            f"target={self.target}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "control": self.control,
-            "control_value": self.control_value,
-            "target": self.target,
-            "matrix": matrix_to_pairs(self.matrix),
-        }
+    if control_value not in (0, 1):
+        raise InvalidGateError("control value must be 0 or 1")
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (2, 2):  # Gate checks that it is unitary
+        raise InvalidGateError("gate matrix must be 2x2")
+    return Gate("cu", (control, target), _controlled(control_value, matrix))
 
 
-@dataclass(eq=False)
-class CnotGate:
+def CnotGate(control: int, target: int) -> Gate:
     """Flip the target when the control is set."""
-
-    control: int
-    target: int
-    kind = "cnot"
-
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise InvalidGateError("control and target must differ")
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.control, self.target)
-
-    def local_matrix(self) -> np.ndarray:
-        return CNOT_MATRIX
-
-    def adjoint(self) -> "CnotGate":
-        return CnotGate(self.control, self.target)
-
-    def describe(self) -> str:
-        return f"cnot control={self.control} target={self.target}"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "control": self.control, "target": self.target}
+    return Gate("cnot", (control, target), CNOT_MATRIX)
 
 
-@dataclass(eq=False)
-class SwapGate:
+def SwapGate(a: int, b: int) -> Gate:
     """Exchange two qubits."""
-
-    a: int
-    b: int
-    kind = "swap"
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise InvalidGateError("swap needs two distinct qubits")
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.a, self.b)
-
-    def local_matrix(self) -> np.ndarray:
-        return SWAP_MATRIX
-
-    def adjoint(self) -> "SwapGate":
-        return SwapGate(self.a, self.b)
-
-    def describe(self) -> str:
-        return f"swap qubits=({self.a}, {self.b})"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "qubits": [self.a, self.b]}
+    return Gate("swap", (a, b), SWAP_MATRIX)
 
 
-@dataclass(eq=False)
-class BlockGate:
+def BlockGate(targets, matrix) -> Gate:
     """A dense unitary on a small group of adjacent-or-not qubits."""
-
-    targets: list[int]
-    matrix: np.ndarray
-    kind = "block"
-
-    def __post_init__(self) -> None:
-        self.targets = [int(t) for t in self.targets]
-        if len(set(self.targets)) != len(self.targets) or not self.targets:
-            raise InvalidGateError("block targets must be distinct and nonempty")
-        self.matrix = _checked_unitary(self.matrix, 2 ** len(self.targets))
-
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(self.targets)
-
-    def local_matrix(self) -> np.ndarray:
-        return self.matrix
-
-    def adjoint(self) -> "BlockGate":
-        return BlockGate(list(self.targets), self.matrix.conj().T)
-
-    def describe(self) -> str:
-        return f"block targets={self.targets} dim={self.matrix.shape[0]}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "targets": list(self.targets),
-            "matrix": matrix_to_pairs(self.matrix),
-        }
-
-
-Gate = SingleQubitGate | ControlledGate | CnotGate | SwapGate | BlockGate
+    return Gate("block", targets, matrix)
 
 
 @dataclass(eq=False)
@@ -251,13 +199,6 @@ class Circuit:
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the gates, in list order, to every column of an (r, c) array."""
     return apply_gates(((g.local_matrix(), g.qubits()) for g in circuit.gates), state)
-
-
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Full register unitary of one gate."""
-    return apply_gates(
-        [(gate.local_matrix(), gate.qubits())], np.eye(2**n_qubits, dtype=complex)
-    )
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
@@ -356,12 +297,14 @@ def synthesize_circuit(dilated: DilatedMeasurement, merge: bool = True) -> Circu
         for gate in adjoint_gates():
             flip = gates[-1] if merge and gates else None
             if (
-                isinstance(flip, CnotGate)
-                and isinstance(gate, ControlledGate)
+                flip is not None
+                and flip.kind == "cnot"
+                and gate.kind == "cu"
                 and gate.control_value == 1
-                and gate.qubits() == flip.qubits()
+                and gate.wires == flip.wires
             ):
-                gate = ControlledGate(gate.control, 1, gate.target, gate.matrix[:, ::-1])
+                # the cnot swaps the last two columns of the rotation's 4x4
+                gate = Gate("cu", gate.wires, gate.matrix[:, [0, 1, 3, 2]])
                 gates.pop()
             gates.append(gate)
     return Circuit(dilated.n_qubits, gates, label=dilated.povm.family.label())

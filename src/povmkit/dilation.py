@@ -107,7 +107,9 @@ class DilatedMeasurement:
 
     ``outcome_map`` sends a computational basis index of the dilated
     register to the measurement outcome it realizes; basis indices absent
-    from the map are padding and carry no probability.  ``factors`` lists a
+    from the map are padding and carry no probability; ``outcome_positions``
+    (each outcome's basis index) and ``padding_positions`` hold the same map
+    as int arrays.  ``factors`` lists a
     structured dilation's factors in the order they apply, each as (local
     matrix, qubits, a thunk building gates that compile to its adjoint).
     """
@@ -124,6 +126,10 @@ class DilatedMeasurement:
         if matrix.shape != (r, r) or r & (r - 1):
             raise InvalidParameterError("dilation must be square with power-of-two size")
         self.matrix = matrix
+        inverse = {outcome: b for b, outcome in self.outcome_map.items()}
+        self.outcome_positions = np.array([inverse[j] for j in range(self.povm.n)], np.intp)
+        padding = [b for b in range(r) if b not in self.outcome_map]
+        self.padding_positions = np.array(padding, np.intp)
 
     @property
     def dim(self) -> int:
@@ -135,13 +141,7 @@ class DilatedMeasurement:
 
     @property
     def padding_indices(self) -> tuple[int, ...]:
-        return tuple(b for b in range(self.dim) if b not in self.outcome_map)
-
-    @property
-    def outcome_positions(self) -> list[int]:
-        """Basis index realizing each outcome, in outcome order."""
-        inverse = {outcome: b for b, outcome in self.outcome_map.items()}
-        return [inverse[j] for j in range(self.povm.n)]
+        return tuple(self.padding_positions.tolist())
 
     def unitarity_residual(self) -> float:
         return _unitarity_residual(self.matrix)
@@ -203,16 +203,6 @@ def _dihedral_factor(alpha: float, beta: complex, l: int) -> tuple:
         ControlledGate(l - 1, 1, 0, np.array([[alpha, bc], [-beta, alpha]])),
         ControlledGate(l - 1, 0, 0, np.array([[alpha, beta], [bc, -alpha]])),
     ]
-
-
-def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
-    """Unitary coupling the two halves of the dihedral register.
-
-    Pairs basis state j with j + r/2; the sign pattern alternates with the
-    parity of j so that each pair carries a valid 2x2 unitary block.
-    """
-    matrix, qubits, _ = _dihedral_factor(alpha, beta, r.bit_length() - 1)
-    return apply_gates([(matrix, qubits)], np.eye(r, dtype=complex))
 
 
 def _orbit_mixer_factors(family, l: int) -> list:

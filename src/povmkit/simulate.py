@@ -77,14 +77,6 @@ def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ni,...ij,nj->...n", v.conj(), rho, v).real
 
 
-def _register_diagonal(isometry: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Diagonal of U (rho + 0) U^dag from U's first two columns.
-
-    ``rho`` may carry leading batch axes; the diagonal gets the same ones.
-    """
-    return np.einsum("ia,...ab,ib->...i", isometry, rho, isometry.conj()).real
-
-
 def _fold(dilated: DilatedMeasurement, basis_probs: np.ndarray):
     """Outcome probabilities and the largest padding probability.
 
@@ -92,8 +84,34 @@ def _fold(dilated: DilatedMeasurement, basis_probs: np.ndarray):
     leak is never below 0, and a NaN anywhere in the padding shows in it.
     """
     probs = basis_probs[..., dilated.outcome_positions]
-    leak = basis_probs[..., list(dilated.padding_indices)].max(axis=-1, initial=0.0)
+    leak = basis_probs[..., dilated.padding_positions].max(axis=-1, initial=0.0)
     return probs, leak
+
+
+def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
+    """``_fold`` of the diagonal of U (rho + 0) U^dag, from U's first two columns.
+
+    ``rho`` may carry leading batch axes; the results get the same ones.
+    """
+    diagonal = np.einsum("ia,...ab,ib->...i", isometry, rho, isometry.conj()).real
+    return _fold(dilated, diagonal)
+
+
+def _leak_checked(probs: np.ndarray, leak) -> np.ndarray:
+    """``probs``, or PaddingLeakError if ``leak`` exceeds LEAK_TOL anywhere."""
+    leak = float(np.max(leak))
+    if not leak <= LEAK_TOL:
+        raise PaddingLeakError(
+            f"padding basis states carry probability {leak:.3e}"
+        )
+    return probs
+
+
+def _compiled_isometry(dilated: DilatedMeasurement, circuit: Circuit):
+    """The compiled circuit's first two columns, and its phase-aligned
+    distance from the dilation adjoint."""
+    u = compile_circuit(circuit)
+    return u[:, :2], distance_up_to_global_phase(u, dilated.matrix.conj().T)
 
 
 def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> np.ndarray:
@@ -103,21 +121,14 @@ def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> 
     LEAK_TOL probability, since a correct dilation never populates those
     states.
     """
-    basis_probs = np.asarray(basis_probs, dtype=float)
-    probs, leak = _fold(dilated, basis_probs)
-    leak = float(np.max(leak))
-    if not leak <= LEAK_TOL:
-        raise PaddingLeakError(
-            f"padding basis states carry probability {leak:.3e}"
-        )
-    return probs
+    return _leak_checked(*_fold(dilated, np.asarray(basis_probs, dtype=float)))
 
 
 def dilation_probabilities(dilated: DilatedMeasurement, rho: np.ndarray) -> np.ndarray:
     """Outcome probabilities via the dilation matrix itself."""
     rho = validate_density_matrix(rho)
     isometry = dilated.matrix[:2].conj().T
-    return fold_probabilities(dilated, _register_diagonal(isometry, rho))
+    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
 
 
 def circuit_probabilities(
@@ -130,31 +141,29 @@ def circuit_probabilities(
     """
     rho = validate_density_matrix(rho)
     if check:
-        u = compile_circuit(circuit)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            distance = distance_up_to_global_phase(u, dilated.matrix.conj().T)
+            isometry, distance = _compiled_isometry(dilated, circuit)
         if not distance <= MISMATCH_TOL:
             raise CircuitMismatchError(
                 f"circuit is {distance:.3e} from the dilation adjoint"
             )
-        isometry = u[:, :2]
     else:
         isometry = circuit_isometry(circuit)
-    return fold_probabilities(dilated, _register_diagonal(isometry, rho))
+    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
 
 
 def statevector_probabilities(
     dilated: DilatedMeasurement, circuit: Circuit, psi: np.ndarray
 ) -> np.ndarray:
-    """Outcome probabilities for a pure state, via amplitudes."""
+    """Outcome probabilities for a pure state, as those of psi psi^dag."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise InvalidStateError("pure state must be a 2-vector")
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise InvalidStateError("pure state must be normalized")
-    amps = circuit_isometry(circuit) @ psi
-    return fold_probabilities(dilated, np.abs(amps) ** 2)
+    rho = np.outer(psi, psi.conj())
+    return _leak_checked(*_register_probabilities(dilated, circuit_isometry(circuit), rho))
 
 
 # ---------------------------------------------------------------- sampling
@@ -467,19 +476,15 @@ def verify_family(
     if method == "structured":
         circuit = synthesize_circuit(dilated, merge=merge)
         report.gate_count = len(circuit.gates)
-        compiled = compile_circuit(circuit)
-        report.circuit_distance = distance_up_to_global_phase(
-            compiled, dilated.matrix.conj().T
-        )
+        isometry, report.circuit_distance = _compiled_isometry(dilated, circuit)
         if not report.circuit_distance <= CIRCUIT_DISTANCE_TOL:
             report.failures.append("circuit")
-        isometry = compiled[:, :2]
     else:
         isometry = dilated.matrix[:2].conj().T
 
     rhos = random_density_matrices(np.random.Generator(np.random.PCG64(seed)), n_states)
     expected = analytic_probabilities(povm, rhos)
-    folded, leak = _fold(dilated, _register_diagonal(isometry, rhos))
+    folded, leak = _register_probabilities(dilated, isometry, rhos)
     # np.max keeps a NaN where Python's max would drop it
     worst_prob = float(np.abs(folded - expected).max())
     worst_leak = float(leak.max())

@@ -9,11 +9,11 @@ from povmkit.circuits import (
     Circuit,
     CnotGate,
     ControlledGate,
+    Gate,
     SingleQubitGate,
     SwapGate,
     compile_circuit,
     format_circuit,
-    gate_unitary,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -33,6 +33,8 @@ from povmkit.families import (
 )
 from povmkit.linalg import CNOT_MATRIX, SWAP_MATRIX, fourier_matrix, unitarity_residual
 from povmkit.simulate import analytic_probabilities, circuit_probabilities
+
+from helpers import gate_unitary
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 S = np.diag([1.0, 1.0j])
@@ -97,6 +99,45 @@ def test_gate_validation():
         BlockGate([0], fourier_matrix(4))  # dim mismatch
     with pytest.raises(InvalidGateError):
         BlockGate([0, 0], fourier_matrix(4))
+    with pytest.raises(InvalidGateError):
+        BlockGate([], np.eye(1))
+    with pytest.raises(InvalidGateError):
+        Gate("v", (0,), X)  # unknown kind
+    with pytest.raises(InvalidGateError):
+        Gate("u", (0, 1), np.eye(4))  # u acts on one qubit
+    with pytest.raises(InvalidGateError):
+        Gate("cu", (0,), X)
+    with pytest.raises(InvalidGateError):
+        Gate("swap", (0, 1, 2), np.eye(8))
+    with pytest.raises(InvalidGateError):
+        Gate("cnot", (0, 1), SWAP_MATRIX)  # cnot and swap have fixed matrices
+    with pytest.raises(InvalidGateError):
+        Gate("swap", (0, 1), np.eye(4))
+    with pytest.raises(InvalidGateError):
+        Gate("cu", (0, 1), np.kron(X, X))  # not the identity on either control value
+    with pytest.raises(InvalidGateError):
+        Gate("cu", (0, 1), np.kron(np.eye(2), S))  # S on the target whatever the control
+
+
+def test_gate_is_one_class_with_a_kind():
+    made = [
+        (SingleQubitGate(1, X), "u", (1,)),
+        (ControlledGate(0, 0, 1, S), "cu", (0, 1)),
+        (CnotGate(1, 0), "cnot", (1, 0)),
+        (SwapGate(0, 2), "swap", (0, 2)),
+        (BlockGate([2, 0], fourier_matrix(4)), "block", (2, 0)),
+    ]
+    for gate, kind, qubits in made:
+        assert type(gate) is Gate
+        assert (gate.kind, gate.qubits()) == (kind, qubits)
+        rebuilt = Gate(kind, qubits, gate.local_matrix())
+        assert rebuilt.to_dict() == gate.to_dict()
+        assert rebuilt.describe() == gate.describe()
+        adjoint = gate.adjoint()
+        assert (adjoint.kind, adjoint.qubits()) == (kind, qubits)
+        assert np.array_equal(adjoint.local_matrix(), gate.local_matrix().conj().T)
+    assert ControlledGate(0, 0, 1, S).control_value == 0
+    assert ControlledGate(0, 1, 1, S).control_value == 1
 
 
 def test_circuit_range_validation():
@@ -203,7 +244,7 @@ def test_gate_count_pins():
 def test_block_budget(family):
     d = structured_dilation(build_povm(family))
     c = synthesize_circuit(d)
-    blocks = [g for g in c.gates if isinstance(g, BlockGate)]
+    blocks = [g for g in c.gates if g.kind == "block"]
     assert len(blocks) <= 1
     for g in blocks:
         assert g.matrix.shape[0] <= 8

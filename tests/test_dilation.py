@@ -6,7 +6,6 @@ import pytest
 from povmkit.dilation import (
     MAX_QUBITS,
     DilatedMeasurement,
-    dihedral_coupling,
     generic_completion,
     orbit_mixer,
     padded_measurement_matrix,
@@ -34,6 +33,8 @@ from povmkit.families import (
     platonic_povm,
 )
 from povmkit.linalg import direct_sum, fourier_matrix, unitarity_residual
+
+from helpers import dihedral_coupling
 
 TCO_A = np.sqrt((3 + np.sqrt(3)) / 6)
 TCO_B = np.sqrt((3 - np.sqrt(3)) / 6)
