@@ -63,9 +63,9 @@ from .linalg import (
 # Rows the isometry must reproduce; anything below is completion freedom.
 _SEED_ROWS = 2
 
-# Largest dilated register.  Verification builds several dense r x r
-# complex matrices (the dilation, the compiled circuit, their residuals);
-# at 12 qubits each one takes 256 MB, and every further qubit quadruples it.
+# Largest dilated register.  The dilation, and in verification the compiled
+# circuit and the residuals, are dense r x r complex matrices: at 12 qubits
+# each takes 256 MB, and every further qubit quadruples it.
 MAX_QUBITS = 12
 
 
@@ -101,22 +101,21 @@ def padded_measurement_matrix(povm: Povm, size: int | None = None) -> np.ndarray
     return top
 
 
-@dataclass
+@dataclass(eq=False)
 class DilatedMeasurement:
     """A unitary dilation together with its outcome bookkeeping.
 
-    ``outcome_map`` sends a computational basis index of the dilated
-    register to the measurement outcome it realizes; basis indices absent
-    from the map are padding and carry no probability; ``outcome_positions``
-    (each outcome's basis index) and ``padding_positions`` hold the same map
-    as int arrays.  ``factors`` lists a
-    structured dilation's factors in the order they apply, each as (local
-    matrix, qubits, a thunk building gates that compile to its adjoint).
+    ``outcome_positions`` holds each outcome's computational basis index in
+    the dilated register; the others, ``padding_positions``, carry no
+    probability, and ``outcome_map`` and ``padding_indices`` view the same
+    layout as a dict and a tuple.  ``factors`` lists a structured
+    dilation's factors in the order they apply, each as (local matrix,
+    qubits, a thunk building gates that compile to its adjoint).
     """
 
     povm: Povm
     matrix: np.ndarray
-    outcome_map: dict[int, int]
+    outcome_positions: np.ndarray
     method: str
     factors: Optional[list] = None
 
@@ -126,10 +125,17 @@ class DilatedMeasurement:
         if matrix.shape != (r, r) or r & (r - 1):
             raise InvalidParameterError("dilation must be square with power-of-two size")
         self.matrix = matrix
-        inverse = {outcome: b for b, outcome in self.outcome_map.items()}
-        self.outcome_positions = np.array([inverse[j] for j in range(self.povm.n)], np.intp)
-        padding = [b for b in range(r) if b not in self.outcome_map]
-        self.padding_positions = np.array(padding, np.intp)
+        positions = np.asarray(self.outcome_positions)
+        padding = np.ones(r, dtype=bool)
+        if positions.dtype.kind in "iu":
+            padding[positions[(0 <= positions) & (positions < r)]] = False
+        # a position repeated or out of range leaves an extra padding index
+        if positions.shape != (self.povm.n,) or padding.sum() != r - self.povm.n:
+            raise InvalidParameterError(
+                f"outcome positions must be {self.povm.n} distinct basis indices below {r}"
+            )
+        self.outcome_positions = positions.astype(np.intp)
+        self.padding_positions = np.flatnonzero(padding)
 
     @property
     def dim(self) -> int:
@@ -138,6 +144,10 @@ class DilatedMeasurement:
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
+
+    @property
+    def outcome_map(self) -> dict[int, int]:
+        return {b: j for j, b in enumerate(self.outcome_positions.tolist())}
 
     @property
     def padding_indices(self) -> tuple[int, ...]:
@@ -257,8 +267,8 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     matrix = apply_gates(
         [(u, qubits) for u, qubits, _ in factors[1:]], np.kron(np.eye(1 << t), fourier)
     )
-    outcome_map = {(r >> t) * u + j: m * u + j for u in range(1 << t) for j in range(m)}
-    return DilatedMeasurement(povm, matrix, outcome_map, "structured", factors)
+    positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
+    return DilatedMeasurement(povm, matrix, positions, "structured", factors)
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:
@@ -278,9 +288,4 @@ def generic_completion(povm: Povm) -> DilatedMeasurement:
     matrix = q.conj().T
     matrix[:_SEED_ROWS] = top
 
-    return DilatedMeasurement(
-        povm=povm,
-        matrix=matrix,
-        outcome_map={j: j for j in range(povm.n)},
-        method="generic",
-    )
+    return DilatedMeasurement(povm, matrix, np.arange(povm.n), "generic")

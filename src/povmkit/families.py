@@ -152,7 +152,7 @@ def platonic_constants(kind: str) -> PlatonicConstants:
     raise InvalidParameterError(f"unknown platonic solid {kind!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Povm:
     """A resolved measurement: vectors plus the family that produced them."""
 

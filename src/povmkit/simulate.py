@@ -2,11 +2,13 @@
 
 The analytic path evaluates <psi_j| rho |psi_j> directly from the
 measurement vectors.  The register paths embed rho (or a pure state) into
-the dilated register, apply the dilation's adjoint (either as a matrix or
-as a compiled circuit), read the computational-basis diagonal and fold it
-back onto measurement outcomes, checking that the padding basis states
-stay empty.  The qubit state occupies only register basis states 0 and 1,
-so the diagonal needs only the first two columns of the applied matrix.
+the dilated register, apply the dilation's adjoint (as a matrix, or as a
+circuit checked against it), read the computational-basis diagonal and
+fold it back onto measurement outcomes, checking that the padding basis
+states stay empty.  The qubit state occupies only register basis states 0
+and 1, so the diagonal, and the check, need only the first two columns of
+the applied matrix: a circuit's gates are unitary, so a match on those
+columns fixes its statistics for every state.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ PADDING_TOL = 1e-12
 # PADDING_TOL, as they raise where verify_family only records a verdict
 LEAK_TOL = 1e-9
 
-# a compiled circuit further than this from the dilation adjoint is wrong
+# a circuit further than this from the dilation adjoint on columns 0-1 is wrong
 MISMATCH_TOL = 1e-8
 
 # Raw PCG64 words drawn at once by ``sample``, over all its threads; bounds
@@ -101,17 +103,20 @@ def _leak_checked(probs: np.ndarray, leak) -> np.ndarray:
     """``probs``, or PaddingLeakError if ``leak`` exceeds LEAK_TOL anywhere."""
     leak = float(np.max(leak))
     if not leak <= LEAK_TOL:
-        raise PaddingLeakError(
-            f"padding basis states carry probability {leak:.3e}"
-        )
+        raise PaddingLeakError(f"padding basis states carry probability {leak:.3e}")
     return probs
 
 
-def _compiled_isometry(dilated: DilatedMeasurement, circuit: Circuit):
-    """The compiled circuit's first two columns, and its phase-aligned
-    distance from the dilation adjoint."""
-    u = compile_circuit(circuit)
-    return u[:, :2], distance_up_to_global_phase(u, dilated.matrix.conj().T)
+def _checked_isometry(dilated: DilatedMeasurement, circuit: Circuit) -> np.ndarray:
+    """The circuit's first two columns, or CircuitMismatchError if their
+    phase-aligned distance from the dilation adjoint's exceeds MISMATCH_TOL."""
+    isometry = circuit_isometry(circuit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        distance = distance_up_to_global_phase(isometry, dilated.matrix[:2].conj().T)
+    if not distance <= MISMATCH_TOL:
+        raise CircuitMismatchError(f"circuit is {distance:.3e} from the dilation adjoint")
+    return isometry
 
 
 def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> np.ndarray:
@@ -132,24 +137,12 @@ def dilation_probabilities(dilated: DilatedMeasurement, rho: np.ndarray) -> np.n
 
 
 def circuit_probabilities(
-    dilated: DilatedMeasurement, circuit: Circuit, rho: np.ndarray, check: bool = True
+    dilated: DilatedMeasurement, circuit: Circuit, rho: np.ndarray
 ) -> np.ndarray:
-    """Outcome probabilities from running the compiled circuit on rho.
-
-    With ``check`` the full compiled matrix is compared with the dilation
-    adjoint first; without it only the two columns rho reaches are built.
-    """
+    """Outcome probabilities from running the circuit on rho, on the two
+    columns rho reaches, which are checked against the dilation adjoint."""
     rho = validate_density_matrix(rho)
-    if check:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            isometry, distance = _compiled_isometry(dilated, circuit)
-        if not distance <= MISMATCH_TOL:
-            raise CircuitMismatchError(
-                f"circuit is {distance:.3e} from the dilation adjoint"
-            )
-    else:
-        isometry = circuit_isometry(circuit)
+    isometry = _checked_isometry(dilated, circuit)
     return _leak_checked(*_register_probabilities(dilated, isometry, rho))
 
 
@@ -163,13 +156,14 @@ def statevector_probabilities(
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise InvalidStateError("pure state must be normalized")
     rho = np.outer(psi, psi.conj())
-    return _leak_checked(*_register_probabilities(dilated, circuit_isometry(circuit), rho))
+    isometry = _checked_isometry(dilated, circuit)
+    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
 
 
 # ---------------------------------------------------------------- sampling
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleCounts:
     """Histogram of sampled outcomes."""
 
@@ -476,15 +470,16 @@ def verify_family(
     if method == "structured":
         circuit = synthesize_circuit(dilated, merge=merge)
         report.gate_count = len(circuit.gates)
-        isometry, report.circuit_distance = _compiled_isometry(dilated, circuit)
+        u = compile_circuit(circuit)
+        report.circuit_distance = distance_up_to_global_phase(u, dilated.matrix.conj().T)
         if not report.circuit_distance <= CIRCUIT_DISTANCE_TOL:
             report.failures.append("circuit")
     else:
-        isometry = dilated.matrix[:2].conj().T
+        u = dilated.matrix[:2].conj().T
 
     rhos = random_density_matrices(np.random.Generator(np.random.PCG64(seed)), n_states)
     expected = analytic_probabilities(povm, rhos)
-    folded, leak = _register_probabilities(dilated, isometry, rhos)
+    folded, leak = _register_probabilities(dilated, u[:, :2], rhos)
     # np.max keeps a NaN where Python's max would drop it
     worst_prob = float(np.abs(folded - expected).max())
     worst_leak = float(leak.max())

@@ -147,6 +147,25 @@ def test_dihedral_dilation_m3_layout():
     assert d.embedding_residual() < 1e-12
 
 
+def test_outcome_positions_and_their_views():
+    d = structured_dilation(dihedral_povm(3, 0.6, 0.8))
+    assert d.outcome_positions.tolist() == [0, 1, 2, 4, 5, 6]
+    assert d.padding_positions.tolist() == [3, 7]
+    # the dict view keeps the order of the dict it replaced
+    assert list(d.outcome_map.items()) == [(0, 0), (1, 1), (2, 2), (4, 3), (5, 4), (6, 5)]
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[0, 0, 2], [0, 1, 4], [-1, 0, 1], [0, 1], [0, 1, 2, 3], [0.0, 1.0, 2.0]],
+    ids=["repeat", "above", "negative", "too-few", "too-many", "float"],
+)
+def test_dilation_rejects_bad_outcome_positions(positions):
+    d = structured_dilation(cyclic_povm(3))
+    with pytest.raises(InvalidParameterError):
+        DilatedMeasurement(d.povm, d.matrix, np.array(positions), "structured")
+
+
 # ---------------------------------------------------------------- platonic
 
 

@@ -1,19 +1,31 @@
 """Oracle tests for probability computation, sampling and verification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmkit.bloch import validate_density_matrix
-from povmkit.circuits import qft_circuit, synthesize_circuit
+from povmkit import circuits, simulate
+from povmkit.circuits import (
+    Circuit,
+    Gate,
+    SwapGate,
+    circuit_isometry,
+    compile_circuit,
+    qft_circuit,
+    synthesize_circuit,
+)
+from povmkit.cli import default_verify_matrix
 from povmkit.dilation import generic_completion, structured_dilation
 from povmkit.errors import (
     CircuitMismatchError,
     InvalidParameterError,
     InvalidStateError,
     PaddingLeakError,
+    PhaseUndefinedWarning,
 )
 from povmkit.families import (
     PLATONIC_KINDS,
@@ -22,8 +34,11 @@ from povmkit.families import (
     cyclic_povm,
     platonic_povm,
 )
+from povmkit.linalg import distance_up_to_global_phase
 from povmkit.simulate import (
+    CIRCUIT_DISTANCE_TOL,
     DEFAULT_SEED,
+    MISMATCH_TOL,
     SampleCounts,
     analytic_probabilities,
     circuit_probabilities,
@@ -200,8 +215,114 @@ def test_circuit_mismatch_detection():
     wrong = qft_circuit(2)  # forward transform instead of the adjoint
     with pytest.raises(CircuitMismatchError):
         circuit_probabilities(d, wrong, MIXED)
-    p = circuit_probabilities(d, wrong, MIXED, check=False)
-    assert abs(p.sum() - 1.0) < 1e-12
+
+
+def test_statevector_mismatch_detection():
+    d = structured_dilation(cyclic_povm(4))
+    with pytest.raises(CircuitMismatchError):
+        statevector_probabilities(d, qft_circuit(2), np.array([1.0, 0.0]))
+
+
+def _drop_last_gate(circuit):
+    return Circuit(circuit.n_qubits, circuit.gates[:-1])
+
+
+def _phase_last_gate(circuit):
+    """The last gate with a 1e-6 phase on its first output row."""
+    gate = circuit.gates[-1]
+    phase = np.ones(len(gate.matrix), dtype=complex)
+    phase[0] = np.exp(1e-6j)
+    perturbed = Gate("block", gate.wires, phase[:, None] * gate.matrix)
+    return Circuit(circuit.n_qubits, circuit.gates[:-1] + [perturbed])
+
+
+def _append_output_swap(circuit):
+    return Circuit(circuit.n_qubits, circuit.gates + [SwapGate(0, circuit.n_qubits - 1)])
+
+
+# a two-outcome register has one qubit, and no pair to swap
+CORRUPTIONS = [
+    pytest.param(family, corrupt, id=f"{corrupt.__name__[1:]}-{family.label()}")
+    for family in default_verify_matrix()
+    for corrupt in (_drop_last_gate, _phase_last_gate, _append_output_swap)
+    if family.n_outcomes > 2 or corrupt is not _append_output_swap
+]
+
+
+@pytest.mark.parametrize("family, corrupt", CORRUPTIONS)
+def test_two_column_check_rejects_corruptions(family, corrupt):
+    d = structured_dilation(build_povm(family))
+    circuit = synthesize_circuit(d)
+    wrong = corrupt(circuit)
+    # the corruption reaches the columns a qubit state enters on; a zero
+    # overlap, which warns that the phase is undefined, is a shift as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhaseUndefinedWarning)
+        shift = distance_up_to_global_phase(
+            circuit_isometry(wrong), circuit_isometry(circuit)
+        )
+    assert shift > MISMATCH_TOL
+    with pytest.raises(CircuitMismatchError):
+        circuit_probabilities(d, wrong, MIXED)
+    with pytest.raises(CircuitMismatchError):
+        statevector_probabilities(d, wrong, np.array([0.6, 0.8j]))
+
+
+def test_two_column_check_accepts_a_change_outside_them():
+    # the inverse QFT opens with swap(1, 2), which fixes basis states 0 and 1
+    d = structured_dilation(cyclic_povm(16))
+    circuit = synthesize_circuit(d)
+    first = circuit.gates[0]
+    assert (first.kind, first.wires) == ("swap", (1, 2))
+    trimmed = Circuit(circuit.n_qubits, circuit.gates[1:])
+    assert distance_up_to_global_phase(
+        compile_circuit(trimmed), compile_circuit(circuit)
+    ) > CIRCUIT_DISTANCE_TOL
+    rho = random_density_matrix(np.random.default_rng(2))
+    assert np.array_equal(
+        circuit_probabilities(d, trimmed, rho), circuit_probabilities(d, circuit, rho)
+    )
+    psi = random_pure_state(np.random.default_rng(3))
+    assert np.array_equal(
+        statevector_probabilities(d, trimmed, psi),
+        statevector_probabilities(d, circuit, psi),
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(1024), PovmFamily.dihedral(128, 0.6, 0.8)],
+    ids=lambda f: f.label(),
+)
+def test_probability_paths_never_compile(family, monkeypatch):
+    def refuse(circuit):
+        raise AssertionError("compile_circuit called")
+
+    monkeypatch.setattr(circuits, "compile_circuit", refuse)
+    monkeypatch.setattr(simulate, "compile_circuit", refuse)
+    povm = build_povm(family)
+    d = structured_dilation(povm)
+    c = synthesize_circuit(d)
+    rng = np.random.default_rng(4)
+    rho = random_density_matrix(rng)
+    psi = random_pure_state(rng)
+    expected = analytic_probabilities(povm, rho)
+    assert np.abs(circuit_probabilities(d, c, rho) - expected).max() < 1e-12
+    pure = analytic_probabilities(povm, np.outer(psi, psi.conj()))
+    assert np.abs(statevector_probabilities(d, c, psi) - pure).max() < 1e-12
+
+
+def test_distinct_instances_compare_unequal():
+    family = PovmFamily.platonic("cube")
+    povm = build_povm(family)  # shared, so the dilations differ in arrays only
+    for make in (
+        lambda: build_povm(family),
+        lambda: structured_dilation(povm),
+        lambda: sample([0.5, 0.5], 10, seed=1),
+    ):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert a == a
 
 
 def test_fold_reports_padding_leak():
