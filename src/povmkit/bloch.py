@@ -54,9 +54,11 @@ def bloch_to_state(point) -> np.ndarray:
     if p.shape != (3,):
         raise InvalidStateError(f"Bloch point must have 3 coordinates, got {p.shape}")
     if not np.isfinite(p).all():
-        raise InvalidStateError(f"Bloch point {tuple(p)} has a non-finite coordinate")
+        raise InvalidStateError(
+            f"Bloch point {tuple(p.tolist())} has a non-finite coordinate"
+        )
     if np.linalg.norm(p) > 1.0 + 1e-12:
-        raise OutsideBallError(f"|{tuple(p)}| = {np.linalg.norm(p):.6f} > 1")
+        raise OutsideBallError(f"|{tuple(p.tolist())}| = {np.linalg.norm(p):.6f} > 1")
     x, y, z = p
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 

@@ -90,14 +90,19 @@ class Gate:
                 raise InvalidGateError(f"a {self.kind} gate has a fixed matrix")
         elif not unitarity_residual(self.matrix) <= DEFAULT_TOL:
             raise InvalidGateError("gate matrix must be unitary")
-        if self.kind == "cu" and not (self.matrix == _controlled(*self._control())).all():
-            raise InvalidGateError("a cu matrix must be the identity on one control value")
+        if self.kind == "cu":
+            self._control()  # raises unless the matrix has a cu's form
 
     def _control(self) -> tuple[int, np.ndarray]:
-        """A cu gate's control value and the 2x2 it applies."""
-        if (self.matrix[:2, :2] == _I2).all():
-            return 1, self.matrix[2:, 2:]
-        return 0, self.matrix[:2, :2]
+        """A cu gate's control value and the 2x2 it applies; InvalidGateError
+        unless the matrix is 0 off its diagonal 2x2 blocks and exactly I in one."""
+        r = self.matrix.tolist()  # Python numbers: a numpy call on a 2x2 costs about 1 us
+        if not any(r[0][2:] + r[1][2:] + r[2][:2] + r[3][:2]):
+            if r[0][:2] + r[1][:2] == [1, 0, 0, 1]:
+                return 1, self.matrix[2:, 2:]
+            if r[2][2:] + r[3][2:] == [1, 0, 0, 1]:
+                return 0, self.matrix[:2, :2]
+        raise InvalidGateError("a cu matrix must be the identity on one control value")
 
     @property
     def control_value(self) -> int:

@@ -14,7 +14,6 @@ columns fixes its statistics for every state.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -193,6 +192,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as a PCG64 seed; InvalidParameterError unless a nonnegative integer."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise InvalidParameterError("seed must be nonnegative")
+    return seed
+
+
 def _guide_size(n_outcomes: int, shots: int) -> int:
     """Buckets in the guide table: a power of two near GUIDE_DENSITY per outcome.
 
@@ -249,49 +256,6 @@ def _chunk_counts(words, label, thresholds, buffers) -> np.ndarray:
     return counts + np.bincount(np.minimum(idx, n - 1), minlength=n + 1)
 
 
-def _span_counts(bit_generator, words: int, step: int, label, thresholds, buffers):
-    """``_chunk_counts`` summed over the next ``words`` raw words of
-    ``bit_generator``, drawn ``step`` at a time."""
-    counts = np.zeros(thresholds.size + 1, dtype=np.int64)
-    for start in range(0, words, step):
-        # unnamed, so a chunk's words are freed before the next are drawn
-        counts += _chunk_counts(
-            bit_generator.random_raw(min(step, words - start)),
-            label,
-            thresholds,
-            buffers,
-        )
-    return counts
-
-
-def _run_spans(function, spans: list) -> list:
-    """``function(*span)`` for each of ``spans``: the first on this thread,
-    each other on a thread of its own.  A helper's exception is raised
-    here, after every helper has finished."""
-    results = [None] * len(spans)
-
-    def run(i):
-        try:
-            results[i] = function(*spans[i])
-        except BaseException as exc:  # raised again by the calling thread
-            results[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, len(spans)):
-            helper = threading.Thread(target=run, args=(i,))
-            helper.start()
-            helpers.append(helper)
-        results[0] = function(*spans[0])
-    finally:
-        for helper in helpers:
-            helper.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return results
-
-
 def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     """Draw outcome counts by inverse-CDF sampling.
 
@@ -307,25 +271,22 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     of labels and one count over n + 1 bins, and only the words labelled n
     are searched.
 
-    The stream of ``shots`` words is split into up to W contiguous spans,
-    W being the CPUs this process may run on, at most SAMPLE_WORKERS.  The
-    calling thread draws the first span from PCG64(seed); each other span
-    runs on its own thread, from its own PCG64(seed) moved to the span's
-    start with ``advance``.  A call of one chunk runs inline and starts no
-    thread.  Chunks hold SAMPLE_CHUNK // W words, and at least n so that
-    a chunk's histogram never outgrows it; W is cut to SAMPLE_CHUNK // n
-    where that is smaller.  So max(SAMPLE_CHUNK, n) words are in flight at
-    once, and memory does not grow with ``shots`` or W.  All counting is
-    integer and the spans' counts add, so the counts are the same on every
-    run and for any W.
+    W is the CPUs this process may run on, at most SAMPLE_WORKERS and at
+    most SAMPLE_CHUNK // n.  A chunk holds SAMPLE_CHUNK // W words, and at
+    least n so that its histogram never outgrows it.  The ``shots`` words
+    are cut by count into S = min(W, chunks) spans: span i draws words
+    [shots i // S, shots (i + 1) // S) a chunk at a time from PCG64(seed)
+    moved there by ``advance``.  The calling thread runs span 0, and a
+    ThreadPoolExecutor of S - 1 threads the rest; a one-chunk call starts
+    no thread.  So max(SAMPLE_CHUNK, n) words are in flight, whatever
+    ``shots`` and W.  The counting is integer and the spans' counts add,
+    so the counts are the same on every run, for any W and any cut.
     """
     probs = np.asarray(probabilities, dtype=float)
     shots = _integer(shots, "shots")
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     if shots < 1:
         raise InvalidParameterError("shots must be positive")
-    if seed < 0:
-        raise InvalidParameterError("seed must be nonnegative")
     if probs.ndim != 1 or probs.size == 0:
         raise InvalidParameterError(
             f"probabilities must be a nonempty 1-D array, got shape {probs.shape}"
@@ -344,20 +305,35 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     # chunk, and at most max(SAMPLE_CHUNK, n) words in flight over all spans
     workers = min(_sample_workers(), max(1, SAMPLE_CHUNK // n))
     step = min(max(SAMPLE_CHUNK // workers, n), shots)
-    chunks = -(-shots // step)
-    n_spans = min(workers, chunks)
-    # span i holds chunks [i chunks / n_spans, (i + 1) chunks / n_spans)
-    starts = [step * (chunks * i // n_spans) for i in range(n_spans)] + [shots]
-    spans = []
-    for start, end in zip(starts, starts[1:]):
-        bit_generator = np.random.PCG64(seed).advance(start)
-        # allocated here, so a helper thread allocates little of its own
-        buffers = (
-            np.empty(step, np.intp), np.empty(step, np.intp), np.empty(step, bool)
-        )
-        spans.append((bit_generator, end - start, step, label, thresholds, buffers))
-    counts = sum(_run_spans(_span_counts, spans))[:n]
-    return SampleCounts(counts=counts, shots=shots, seed=seed)
+    spans = min(workers, -(-shots // step))
+    # allocated here, so a helper thread allocates little of its own
+    buffers = [
+        (np.empty(step, np.intp), np.empty(step, np.intp), np.empty(step, bool))
+        for _ in range(spans)
+    ]
+
+    def span_counts(i):
+        start, end = shots * i // spans, shots * (i + 1) // spans
+        stream = np.random.PCG64(seed).advance(start)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for first in range(start, end, step):
+            # unnamed, so a chunk's words are freed before the next are drawn
+            counts += _chunk_counts(
+                stream.random_raw(min(step, end - first)), label, thresholds, buffers[i]
+            )
+        return counts
+
+    if spans == 1:
+        counts = span_counts(0)
+    else:
+        # imported here: it pulls in logging, 6-8 ms of a fresh process,
+        # and the CLI's other commands never sample
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(spans - 1) as pool:
+            helpers = pool.map(span_counts, range(1, spans))
+            counts = span_counts(0) + sum(helpers)
+    return SampleCounts(counts=counts[:n], shots=shots, seed=seed)
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
@@ -438,6 +414,8 @@ def verify_family(
     """
     if method not in ("structured", "generic"):
         raise InvalidParameterError("method must be 'structured' or 'generic'")
+    n_states = _integer(n_states, "n_states")
+    seed = _seed(seed)
     if n_states < 1:
         raise InvalidParameterError("verification needs at least one state")
     register_size(family.n_outcomes)  # the cap, before any vector is built

@@ -1,5 +1,7 @@
 """Oracle tests for Bloch sphere conversions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,7 +77,7 @@ def test_state_to_bloch_takes_a_stack():
 
 
 def test_outside_ball_rejected():
-    with pytest.raises(OutsideBallError):
+    with pytest.raises(OutsideBallError, match=re.escape("|(0.0, 0.0, 1.1)| = 1.1")):
         bloch_to_state([0, 0, 1.1])
     with pytest.raises(OutsideBallError):
         bloch_to_state([0.8, 0.8, 0.8])

@@ -258,6 +258,7 @@ def test_output_to_file(tmp_path):
         ["simulate", "tetrahedron", "--state", "nan,0,0"],
         ["simulate", "tetrahedron", "--state", "1,0,inf,0"],
         ["sample", "tetrahedron", "--state", "0,nan,0", "--shots", "10"],
+        ["verify", "cyclic", "-m", "4", "--seed", "-1"],
     ],
     ids=[
         "theta-nan",
@@ -269,6 +270,7 @@ def test_output_to_file(tmp_path):
         "bloch-state-nan",
         "amplitude-state-inf",
         "sample-state-nan",
+        "verify-seed-negative",
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -305,6 +307,15 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # sample imports concurrent.futures only when it runs spans on threads,
+    # so a cold start does not pay for it (and for logging)
+    code = "import sys, povmkit.cli; print('concurrent.futures' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 def test_json_output_refuses_nan():

@@ -401,12 +401,15 @@ def short_switch_interval():
         sys.setswitchinterval(interval)
 
 
+# spans are cut by word count; at 2 and at 3 workers these cuts fall inside a chunk
+MID_CHUNK_SHOTS = 5 * SAMPLE_CHUNK // 2 + 3
+
+
 @pytest.mark.parametrize("shape", ["dense", "spiky"])
-@pytest.mark.parametrize("shots", [CHUNKED_SHOTS, 4 * 10**6])
+@pytest.mark.parametrize("shots", [CHUNKED_SHOTS, MID_CHUNK_SHOTS, 4 * 10**6])
 def test_sample_counts_do_not_depend_on_the_worker_count(
     monkeypatch, short_switch_interval, shape, shots
 ):
-    # 3 workers split CHUNKED_SHOTS into spans of unequal chunk counts
     probs = random_distribution(np.random.default_rng(11), 1000, shape)
     expected = one_batch_counts(probs, shots, 0x5EED)
     for workers in (1, 2, 3):

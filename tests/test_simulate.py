@@ -516,6 +516,14 @@ def test_verify_rejects_state_count_below_one(n_states):
         verify_family(PovmFamily.cyclic(3), n_states=n_states)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"seed": -1}, {"seed": 1.5}, {"n_states": 2.5}], ids=str
+)
+def test_verify_rejects_bad_seed_and_state_count(kwargs):
+    with pytest.raises(InvalidParameterError):
+        verify_family(PovmFamily.cyclic(3), **kwargs)
+
+
 def test_verify_checks_register_cap_before_building(monkeypatch):
     import povmkit.families
 
