@@ -252,7 +252,9 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     r = register_size(povm.n)
     l = r.bit_length() - 1
     m = povm.n >> t
-    fourier = direct_sum(fourier_matrix(m), np.eye((r >> t) - m))
+    fourier = fourier_matrix(m)
+    if m < r >> t:
+        fourier = direct_sum(fourier, np.eye((r >> t) - m))
     if conjugate:
         fourier = fourier.conj()
     low = tuple(range(t, l))
@@ -264,9 +266,16 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     if t:
         factors.append((CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)]))
     # the Fourier factor on the low qubits is I (x) F; the rest are local
-    matrix = apply_gates(
-        [(u, qubits) for u, qubits, _ in factors[1:]], np.kron(np.eye(1 << t), fourier)
-    )
+    gates = [(u, qubits) for u, qubits, _ in factors[1:]]
+    if gates:  # I (x) F unnamed, so that it is freed once apply_gates copies it
+        matrix = apply_gates(gates, np.kron(np.eye(1 << t), fourier))
+    elif m < r:  # a padded ring's block gate reads F, so U is a copy
+        matrix = np.kron(np.eye(1 << t), fourier)
+    else:  # nothing else reads F: it becomes U in place, multiplied by 1 as
+        # in I_1 (x) F, which turns a -0.0 imaginary part into the +0.0
+        # that ``build`` prints
+        fourier *= 1
+        matrix = fourier
     positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
     return DilatedMeasurement(povm, matrix, positions, "structured", factors)
 

@@ -33,8 +33,12 @@ def fourier_matrix(m: int) -> np.ndarray:
     """Return the m x m discrete Fourier matrix (negative exponent)."""
     if m < 1:
         raise InvalidDimensionError(f"fourier_matrix needs m >= 1, got {m}")
-    jk = np.outer(np.arange(m), np.arange(m))
-    return np.exp(-2j * np.pi * jk / m) / np.sqrt(m)
+    # exp(-2i pi jk / m) / sqrt(m), each step in place on one m x m array
+    f = -2j * np.pi * np.outer(np.arange(m), np.arange(m))
+    f /= m
+    np.exp(f, out=f)
+    f /= np.sqrt(m)
+    return f
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Oracle tests for the unitary dilations of the measurement families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,41 @@ def test_cyclic_power_of_two_has_no_padding():
     assert np.abs(d.matrix - fourier_matrix(4)).max() < 1e-14
     assert d.padding_indices == ()
     assert d.n_qubits == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 12, 16])
+def test_cyclic_dilation_keeps_the_bits_of_the_kron_product(m):
+    # the matrix is I_1 (x) F, zero signs included: ``build`` prints them
+    fourier = fourier_matrix(m)
+    r = register_size(m)
+    if m < r:
+        fourier = direct_sum(fourier, np.eye(r - m))
+    got = structured_dilation(cyclic_povm(m)).matrix
+    assert got.tobytes() == np.kron(np.eye(1), fourier).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, matrices",
+    [
+        # F, which becomes U in place, and the int jk table, half its size
+        (PovmFamily.cyclic(256), 2.0),
+        # F padded, and U a copy that the block gate does not read
+        (PovmFamily.cyclic(255), 2.5),
+        # apply_gates' two buffers, and F on half the qubits; I (x) F is
+        # freed once copied
+        (PovmFamily.dihedral_from_angle(128, 1.0), 2.5),
+    ],
+    ids=lambda x: x.label() if isinstance(x, PovmFamily) else str(x),
+)
+def test_structured_dilation_peak_memory(family, matrices):
+    povm = build_povm(family)
+    tracemalloc.start()
+    try:
+        structured_dilation(povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrices * 256 * 256 * 16
 
 
 # ---------------------------------------------------------------- dihedral

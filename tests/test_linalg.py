@@ -57,6 +57,13 @@ def test_fourier_unitary(m):
     assert unitarity_residual(fourier_matrix(m)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12, 64, 100])
+def test_fourier_in_place_keeps_the_bits_of_the_plain_formula(m):
+    jk = np.outer(np.arange(m), np.arange(m))
+    plain = np.exp(-2j * np.pi * jk / m) / np.sqrt(m)
+    assert fourier_matrix(m).tobytes() == plain.tobytes()
+
+
 def test_fourier_rejects_nonpositive_size():
     with pytest.raises(InvalidDimensionError):
         fourier_matrix(0)

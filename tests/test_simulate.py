@@ -1,5 +1,6 @@
 """Oracle tests for probability computation, sampling and verification."""
 
+import dataclasses
 import json
 import warnings
 
@@ -40,6 +41,7 @@ from povmkit.simulate import (
     DEFAULT_SEED,
     MISMATCH_TOL,
     SampleCounts,
+    VerificationReport,
     analytic_probabilities,
     circuit_probabilities,
     dilation_probabilities,
@@ -454,6 +456,52 @@ def test_stacked_states_equal_the_per_state_stream(n, seed):
     assert np.array_equal(stacked, reference)
 
 
+class _StubGenerator:
+    """Normals of magnitude e^-30 to e^30 and fixed weights, counting calls.
+
+    Over so wide a range, other formulas for the norm (``(x * x).sum()``,
+    ``einsum``) round differently from ``np.linalg.norm``.
+    """
+
+    WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+
+    def __init__(self, seed):
+        source = np.random.default_rng(seed)
+        signs = source.choice([-1.0, 1.0], 4 * 64)
+        self.normals = iter(signs * np.exp(source.uniform(-30.0, 30.0, 4 * 64)))
+        self.weights = iter(self.WEIGHTS * 13)
+        self.calls = {"standard_normal": 0, "random": 0}
+
+    def standard_normal(self, size=None, out=None):
+        self.calls["standard_normal"] += 1
+        target = np.empty(size) if out is None else out
+        for i in range(target.size):
+            target[i] = next(self.normals)
+        return target
+
+    def random(self):
+        self.calls["random"] += 1
+        return next(self.weights)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_states_equal_the_norm_reference_over_a_wide_range(seed):
+    stacked = random_density_matrices(_StubGenerator(seed), 64)
+    rng = _StubGenerator(seed)
+    reference = np.array([_reference_density_matrix(rng) for _ in range(64)])
+    assert stacked.tobytes() == reference.tobytes()
+
+
+def test_stacked_states_take_two_generator_calls_each_and_no_norm(monkeypatch):
+    def norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    rng = _StubGenerator(0)
+    random_density_matrices(rng, 64)
+    assert rng.calls == {"standard_normal": 64, "random": 64}
+
+
 def test_random_pure_state_is_normalized():
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(10):
@@ -508,6 +556,21 @@ def test_verify_report_is_json_serializable():
     data = json.loads(blob)
     assert data["passed"] is True
     assert data["label"] == "cyclic(m=2)"
+
+
+def test_report_dict_shares_no_container_with_the_report():
+    family = PovmFamily.dihedral(3, 0.6, 0.8).to_dict()
+    report = VerificationReport(
+        label="dihedral", family=family, method="structured", failures=["unitarity"]
+    )
+    data = report.to_dict()
+    assert list(data) == [f.name for f in dataclasses.fields(report)] + ["passed"]
+    assert data == {**dataclasses.asdict(report), "passed": False}
+    data["family"]["beta"].append(0.0)
+    data["family"]["m"] = 5
+    data["failures"].append("padding")
+    assert report.family == {"kind": "dihedral", "m": 3, "alpha": 0.6, "beta": [0.8, 0.0]}
+    assert report.failures == ["unitarity"]
 
 
 @pytest.mark.parametrize("n_states", [0, -5])
