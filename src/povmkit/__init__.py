@@ -37,7 +37,6 @@ from .dilation import (
     generic_completion,
     orbit_mixer,
     padded_measurement_matrix,
-    qubit_count,
     register_size,
     structured_dilation,
 )
@@ -54,7 +53,6 @@ from .errors import (
     PaddingLeakError,
     PhaseUndefinedWarning,
     PovmKitError,
-    RegisterTooSmallError,
     ZeroOperatorError,
 )
 from .families import (
@@ -85,8 +83,6 @@ from .linalg import (
     distance_up_to_global_phase,
     embed_on_qubits,
     fourier_matrix,
-    is_unitary,
-    tensor_product,
     unitarity_residual,
 )
 from .simulate import (

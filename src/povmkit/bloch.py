@@ -7,6 +7,8 @@ inside.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidStateError, OutsideBallError, ZeroOperatorError
@@ -15,26 +17,30 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# Hermiticity, trace and eigenvalue slack of a density matrix.
+STATE_TOL = 1e-10
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check that rho is a qubit density matrix; returns it as complex128.
 
-    Requires a finite 2x2 Hermitian matrix with unit trace and eigenvalues
-    no lower than -tol.  A (..., 2, 2) stack is checked as a whole: every
-    matrix in it must pass, and the first that fails names the error.
+    Requires a finite 2x2 matrix, Hermitian and of unit trace to within
+    STATE_TOL, with no eigenvalue below -STATE_TOL.  A (..., 2, 2) stack is
+    checked as a whole: every matrix in it must pass, and the first that
+    fails names the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise InvalidStateError(f"density matrix must be 2x2, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("density matrix has a non-finite entry")
-    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > tol:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > STATE_TOL:
         raise InvalidStateError("density matrix is not Hermitian")
     trace = np.trace(rho, axis1=-2, axis2=-1).ravel()
-    off = np.abs(trace - 1.0) > tol
+    off = np.abs(trace - 1.0) > STATE_TOL
     if off.any():
         raise InvalidStateError(f"trace is {trace[off][0].real}, expected 1")
-    if np.linalg.eigvalsh(rho).min(initial=0.0) < -tol:
+    if np.linalg.eigvalsh(rho).min(initial=0.0) < -STATE_TOL:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
 
@@ -57,8 +63,13 @@ def bloch_to_state(point) -> np.ndarray:
         raise InvalidStateError(
             f"Bloch point {tuple(p.tolist())} has a non-finite coordinate"
         )
-    if np.linalg.norm(p) > 1.0 + 1e-12:
-        raise OutsideBallError(f"|{tuple(p.tolist())}| = {np.linalg.norm(p):.6f} > 1")
+    # scaled down by a power of two, which is exact, so that the norm of a
+    # large point does not overflow; a norm past the float range reads inf
+    shift = max(math.frexp(np.abs(p).max())[1], 0)
+    with np.errstate(over="ignore"):
+        norm = np.ldexp(np.linalg.norm(np.ldexp(p, -shift)), shift)
+    if norm > 1.0 + 1e-12:
+        raise OutsideBallError(f"|{tuple(p.tolist())}| = {norm:.6f} > 1")
     x, y, z = p
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 

@@ -5,8 +5,8 @@ the order of application, so the compiled matrix is the product of the
 gate unitaries taken right to left.  Qubit 0 is the most significant bit
 of a basis index throughout.
 
-Each gate exposes its small local matrix and the qubits it acts on;
-``apply_circuit`` contracts those local matrices into the columns of a
+Each gate holds its small ``matrix`` and the ``wires`` it acts on;
+``apply_circuit`` contracts those matrices into the columns of a
 register array one gate at a time, so no gate is ever embedded as a dense
 register-sized matrix.
 
@@ -56,11 +56,6 @@ _FIXED = {"cnot": CNOT_MATRIX, "swap": SWAP_MATRIX}
 _I2 = np.eye(2)
 
 
-def _controlled(value: int, u: np.ndarray) -> np.ndarray:
-    """The 4x4 applying ``u`` to the second qubit when the first reads ``value``."""
-    return direct_sum(_I2, u) if value else direct_sum(u, _I2)
-
-
 @dataclass(eq=False)
 class Gate:
     """A unitary ``matrix`` on the ``wires`` qubits, the first most significant.
@@ -108,12 +103,6 @@ class Gate:
     def control_value(self) -> int:
         return self._control()[0]
 
-    def qubits(self) -> tuple[int, ...]:
-        return self.wires
-
-    def local_matrix(self) -> np.ndarray:
-        return self.matrix
-
     def adjoint(self) -> "Gate":
         """The same kind on the same qubits, with the adjoint matrix."""
         # the adjoint keeps every kind's form, so it is not validated again
@@ -157,7 +146,8 @@ def ControlledGate(control: int, control_value: int, target: int, matrix) -> Gat
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):  # Gate checks that it is unitary
         raise InvalidGateError("gate matrix must be 2x2")
-    return Gate("cu", (control, target), _controlled(control_value, matrix))
+    full = direct_sum(_I2, matrix) if control_value else direct_sum(matrix, _I2)
+    return Gate("cu", (control, target), full)
 
 
 def CnotGate(control: int, target: int) -> Gate:
@@ -187,7 +177,7 @@ class Circuit:
         if self.n_qubits < 1:
             raise InvalidParameterError("a circuit needs at least one qubit")
         for gate in self.gates:
-            for q in gate.qubits():
+            for q in gate.wires:
                 if not 0 <= q < self.n_qubits:
                     raise InvalidGateError(
                         f"gate {gate.describe()} leaves the {self.n_qubits}-qubit register"
@@ -203,7 +193,7 @@ class Circuit:
 
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the gates, in list order, to every column of an (r, c) array."""
-    return apply_gates(((g.local_matrix(), g.qubits()) for g in circuit.gates), state)
+    return apply_gates(((g.matrix, g.wires) for g in circuit.gates), state)
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:

@@ -7,8 +7,8 @@ counts, ``circuit`` prints the gate factorization and ``bloch`` the
 outcome directions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter
-errors, 3 degenerate dihedral seed, 4 an operating-system error such as an
-``--output`` file that cannot be written.
+errors, or a request too large for memory, 3 degenerate dihedral seed, 4 an
+operating-system error such as an ``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -107,7 +107,12 @@ def parse_state(text: str) -> np.ndarray:
     if len(parts) == 3:
         return bloch_to_state(np.array(parts))
     if len(parts) == 4:
-        psi = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+        # scaled down by a power of two, which is exact, so that the norm of
+        # a large state does not overflow; a scaled state's norm is at least
+        # 1/2, so only an unscaled one can fall below the floor
+        shift = max(math.frexp(max(map(abs, parts)))[1], 0)
+        re0, im0, re1, im1 = (math.ldexp(p, -shift) for p in parts)
+        psi = np.array([re0 + 1j * im0, re1 + 1j * im1])
         norm = np.linalg.norm(psi)
         if norm < 1e-12:
             raise InvalidParameterError("amplitude state must be nonzero")
@@ -369,6 +374,9 @@ def main(argv=None) -> int:
         return 3
     except PovmKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

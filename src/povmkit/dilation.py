@@ -34,11 +34,7 @@ from .circuits import (
     orbit_mixer_adjoint_circuit,
     qft_circuit,
 )
-from .errors import (
-    InvalidParameterError,
-    NotIsometryError,
-    RegisterTooSmallError,
-)
+from .errors import InvalidParameterError, NotIsometryError
 from .families import (
     CUBE,
     CYCLIC,
@@ -84,19 +80,9 @@ def register_size(n_outcomes: int) -> int:
     return 1 << (n_outcomes - 1).bit_length()
 
 
-def qubit_count(n_outcomes: int) -> int:
-    """Number of qubits in the dilated register."""
-    return register_size(n_outcomes).bit_length() - 1
-
-
-def padded_measurement_matrix(povm: Povm, size: int | None = None) -> np.ndarray:
+def padded_measurement_matrix(povm: Povm) -> np.ndarray:
     """2 x r matrix whose first n columns are the measurement vectors."""
-    r = register_size(povm.n) if size is None else int(size)
-    if r < povm.n:
-        raise RegisterTooSmallError(
-            f"register of size {r} cannot hold {povm.n} outcomes"
-        )
-    top = np.zeros((2, r), dtype=complex)
+    top = np.zeros((2, register_size(povm.n)), dtype=complex)
     top[:, : povm.n] = povm.vectors.T
     return top
 
@@ -106,9 +92,8 @@ class DilatedMeasurement:
     """A unitary dilation together with its outcome bookkeeping.
 
     ``outcome_positions`` holds each outcome's computational basis index in
-    the dilated register; the others, ``padding_positions``, carry no
-    probability, and ``outcome_map`` and ``padding_indices`` view the same
-    layout as a dict and a tuple.  ``factors`` lists a structured
+    the dilated register; the others, ``padding_positions`` in ascending
+    order, carry no probability.  ``factors`` lists a structured
     dilation's factors in the order they apply, each as (local matrix,
     qubits, a thunk building gates that compile to its adjoint).
     """
@@ -145,14 +130,6 @@ class DilatedMeasurement:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    @property
-    def outcome_map(self) -> dict[int, int]:
-        return {b: j for j, b in enumerate(self.outcome_positions.tolist())}
-
-    @property
-    def padding_indices(self) -> tuple[int, ...]:
-        return tuple(self.padding_positions.tolist())
-
     def unitarity_residual(self) -> float:
         return _unitarity_residual(self.matrix)
 
@@ -163,30 +140,28 @@ class DilatedMeasurement:
         return float(np.abs(head).max())
 
     def to_dict(self) -> dict:
+        """``outcome_map`` lists [basis index, outcome] pairs by basis index."""
+        order = np.argsort(self.outcome_positions)
         return {
             "method": self.method,
             "dim": self.dim,
             "n_qubits": self.n_qubits,
-            "outcome_map": [[b, o] for b, o in sorted(self.outcome_map.items())],
-            "padding_indices": list(self.padding_indices),
+            "outcome_map": np.stack([self.outcome_positions[order], order], 1).tolist(),
+            "padding_indices": self.padding_positions.tolist(),
             "matrix": matrix_to_pairs(self.matrix),
         }
-
-
-def reflection(a: float, b: float) -> np.ndarray:
-    """The unitary [[a, b], [b, -a]] for a^2 + b^2 = 1."""
-    return np.array([[a, b], [b, -a]], dtype=complex)
 
 
 def orbit_mixer(kind: str) -> np.ndarray:
     """Unitary that mixes the orbits of a platonic family.
 
-    2x2 for the two-orbit solids, 4x4 for the four-orbit ones.
+    2x2 for the two-orbit solids, the reflection [[a, b], [b, -a]], and
+    4x4 for the four-orbit ones.
     """
     c: PlatonicConstants = platonic_constants(kind)
-    if c.gamma is None:
-        return reflection(c.alpha, c.beta)
     a, b, g, d = c.alpha, c.beta, c.gamma, c.delta
+    if g is None:
+        return np.array([[a, b], [b, -a]], dtype=complex)
     return np.array(
         [
             [a, b, g, d],

@@ -33,10 +33,6 @@ class InvalidRotationError(PovmKitError):
     """Rotation matrix is not a 2x2 unitary."""
 
 
-class RegisterTooSmallError(PovmKitError):
-    """Register cannot hold all measurement outcomes."""
-
-
 class NotIsometryError(PovmKitError):
     """Rows to complete are not orthonormal."""
 

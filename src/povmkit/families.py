@@ -26,7 +26,7 @@ from .errors import (
     InvalidRotationError,
     ZeroOperatorError,
 )
-from .linalg import DEFAULT_TOL, unitarity_residual
+from .linalg import DEFAULT_TOL, matrix_to_pairs, unitarity_residual
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -53,6 +53,13 @@ DISTINCT_POINT_TOL = 1e-8
 _SCAN_BLOCK = 128
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; InvalidParameterError unless integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PovmFamily:
     """Identifies one measurement family and its parameters."""
@@ -64,11 +71,12 @@ class PovmFamily:
 
     @classmethod
     def cyclic(cls, m: int) -> "PovmFamily":
-        return cls(kind=CYCLIC, m=int(m))
+        return cls(kind=CYCLIC, m=_integer(m, "m"))
 
     @classmethod
     def dihedral(cls, m: int, alpha: float, beta: complex) -> "PovmFamily":
-        return cls(kind=DIHEDRAL, m=int(m), alpha=float(alpha), beta=complex(beta))
+        m = _integer(m, "m")
+        return cls(kind=DIHEDRAL, m=m, alpha=float(alpha), beta=complex(beta))
 
     @classmethod
     def dihedral_from_angle(cls, m: int, theta: float) -> "PovmFamily":
@@ -171,10 +179,6 @@ class Povm:
         """Number of outcomes."""
         return self.vectors.shape[0]
 
-    def elements(self) -> list[np.ndarray]:
-        """The rank-one POVM elements, one 2x2 matrix per outcome."""
-        return [np.outer(v, v.conj()) for v in self.vectors]
-
     def bloch_points(self) -> np.ndarray:
         """(n, 3) array of the outcome directions on the Bloch sphere.
 
@@ -194,9 +198,7 @@ class Povm:
         return {
             "family": self.family.to_dict(),
             "n": self.n,
-            "vectors": [
-                [[z.real, z.imag] for z in row] for row in self.vectors
-            ],
+            "vectors": matrix_to_pairs(self.vectors),
         }
 
 
@@ -215,13 +217,13 @@ def cyclic_povm(m: int) -> Povm:
     return Povm(vectors, PovmFamily.cyclic(m))
 
 
-def _distinct_points(points: np.ndarray, tol: float = DISTINCT_POINT_TOL) -> int:
+def _distinct_points(points: np.ndarray) -> int:
     """Number of representatives a greedy scan keeps.
 
     Scanning in order, a point is a new representative unless an earlier
-    representative lies within ``tol`` of it in max-norm.  The close pairs
-    are found in row blocks, so temporaries stay O(n * block); the greedy
-    order only runs over those pairs.  A NaN coordinate is never close.
+    representative lies within DISTINCT_POINT_TOL of it in max-norm.  The
+    close pairs are found in row blocks, so temporaries stay O(n * block);
+    the greedy order only runs over those pairs.  A NaN coordinate is never close.
     """
     points = np.asarray(points, dtype=float)
     pairs = [np.empty((0, 2), dtype=np.intp)]
@@ -229,7 +231,7 @@ def _distinct_points(points: np.ndarray, tol: float = DISTINCT_POINT_TOL) -> int
         rows = points[start : start + _SCAN_BLOCK]
         # each row against every point up to it: the lower triangle only
         gap = np.abs(rows[:, None, :] - points[None, : start + len(rows), :]).max(axis=2)
-        i, j = np.nonzero(gap < tol)
+        i, j = np.nonzero(gap < DISTINCT_POINT_TOL)
         keep = j < i + start
         pairs.append(np.stack([i[keep] + start, j[keep]], axis=1))
     pairs = np.concatenate(pairs)

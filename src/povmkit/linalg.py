@@ -6,8 +6,7 @@ Conventions used throughout the package:
 * the discrete Fourier matrix uses the negative exponent: entry (j, k) is
   exp(-2i pi j k / m) / sqrt(m),
 * in multi-qubit registers qubit 0 is the most significant bit of the basis
-  index, so ``tensor_product(a, b)`` puts ``a`` on the more significant
-  qubits.
+  index, so ``np.kron(a, b)`` puts ``a`` on the more significant qubits.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ def fourier_matrix(m: int) -> np.ndarray:
     return f
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor on the high-order index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block-diagonal sum of two matrices; either block may be 0-sized."""
     a = np.asarray(a, dtype=complex)
@@ -70,10 +64,6 @@ def unitarity_residual(a: np.ndarray) -> float:
     if not np.isfinite(a).all():
         return float("nan")
     return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return unitarity_residual(a) <= tol
 
 
 def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from .errors import (
     InvalidStateError,
     PaddingLeakError,
 )
-from .families import Povm, PovmFamily, build_povm, completeness_residual
+from .families import Povm, PovmFamily, _integer, build_povm, completeness_residual
 from .linalg import distance_up_to_global_phase
 
 DEFAULT_SEED = 0x5EED
@@ -183,13 +183,6 @@ class SampleCounts:
             "seed": self.seed,
             "counts": [int(c) for c in self.counts],
         }
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; InvalidParameterError unless integral."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _seed(value) -> int:

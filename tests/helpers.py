@@ -8,9 +8,7 @@ from povmkit.linalg import apply_gates
 
 def gate_unitary(gate, n_qubits: int) -> np.ndarray:
     """Full register unitary of one gate."""
-    return apply_gates(
-        [(gate.local_matrix(), gate.qubits())], np.eye(2**n_qubits, dtype=complex)
-    )
+    return apply_gates([(gate.matrix, gate.wires)], np.eye(2**n_qubits, dtype=complex))
 
 
 def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:

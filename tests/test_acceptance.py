@@ -130,9 +130,9 @@ def test_criterion_4_circuit_statistics():
             big[:2, :2] = rho
             basis = np.diag(u @ big @ u.conj().T).real
             folded = np.zeros(povm.n)
-            for b, outcome in d.outcome_map.items():
+            for outcome, b in enumerate(d.outcome_positions):
                 folded[outcome] = basis[b]
-            for b in d.padding_indices:
+            for b in d.padding_positions:
                 worst_leak = max(worst_leak, float(basis[b]))
             expected = analytic_probabilities(povm, rho)
             worst_error = max(worst_error, float(np.abs(folded - expected).max()))
@@ -278,8 +278,8 @@ def test_criterion_9_generic_completion():
             big = np.zeros((d.dim, d.dim), dtype=complex)
             big[:2, :2] = rho
             basis = np.diag(u @ big @ u.conj().T).real
-            if d.padding_indices:
-                worst_leak = max(worst_leak, float(basis[list(d.padding_indices)].max()))
+            if d.padding_positions.size:
+                worst_leak = max(worst_leak, float(basis[d.padding_positions].max()))
             expected = analytic_probabilities(povm, rho)
             worst_error = max(
                 worst_error, float(np.abs(basis[: povm.n] - expected).max())

@@ -129,13 +129,13 @@ def test_gate_is_one_class_with_a_kind():
     ]
     for gate, kind, qubits in made:
         assert type(gate) is Gate
-        assert (gate.kind, gate.qubits()) == (kind, qubits)
-        rebuilt = Gate(kind, qubits, gate.local_matrix())
+        assert (gate.kind, gate.wires) == (kind, qubits)
+        rebuilt = Gate(kind, qubits, gate.matrix)
         assert rebuilt.to_dict() == gate.to_dict()
         assert rebuilt.describe() == gate.describe()
         adjoint = gate.adjoint()
-        assert (adjoint.kind, adjoint.qubits()) == (kind, qubits)
-        assert np.array_equal(adjoint.local_matrix(), gate.local_matrix().conj().T)
+        assert (adjoint.kind, adjoint.wires) == (kind, qubits)
+        assert np.array_equal(adjoint.matrix, gate.matrix.conj().T)
     assert ControlledGate(0, 0, 1, S).control_value == 0
     assert ControlledGate(0, 1, 1, S).control_value == 1
 

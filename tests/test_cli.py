@@ -126,6 +126,15 @@ def test_simulate_amplitude_state():
     assert abs(data["analytic"][0] - 0.98) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_large_amplitude_state_is_normalized(capsys):
+    # its norm overflows unless the amplitudes are scaled first
+    assert cli.main(["simulate", "cube", "--state", "1e200,0,0,0", "--format", "csv"]) == 0
+    big = capsys.readouterr().out
+    assert cli.main(["simulate", "cube", "--state", "1,0,0,0", "--format", "csv"]) == 0
+    assert big == capsys.readouterr().out
+
+
 def test_simulate_generic_method():
     r = run_cli("simulate", "dodecahedron", "--method", "generic")
     assert r.returncode == 0, r.stderr
@@ -259,6 +268,10 @@ def test_output_to_file(tmp_path):
         ["simulate", "tetrahedron", "--state", "1,0,inf,0"],
         ["sample", "tetrahedron", "--state", "0,nan,0", "--shots", "10"],
         ["verify", "cyclic", "-m", "4", "--seed", "-1"],
+        ["simulate", "cube", "--state", "1e308,1e308,0"],
+        # over 2^47 bytes: refused at once, whatever the overcommit setting
+        ["bloch", "cyclic", "-m", "1000000000000000"],
+        ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
     ],
     ids=[
         "theta-nan",
@@ -271,13 +284,17 @@ def test_output_to_file(tmp_path):
         "amplitude-state-inf",
         "sample-state-nan",
         "verify-seed-negative",
+        "bloch-state-overflow",
+        "bloch-out-of-memory",
+        "verify-out-of-memory",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_2(argv, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "simulate", "sample", "circuit"])

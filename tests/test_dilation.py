@@ -11,15 +11,10 @@ from povmkit.dilation import (
     generic_completion,
     orbit_mixer,
     padded_measurement_matrix,
-    qubit_count,
     register_size,
     structured_dilation,
 )
-from povmkit.errors import (
-    InvalidParameterError,
-    NotIsometryError,
-    RegisterTooSmallError,
-)
+from povmkit.errors import InvalidParameterError, NotIsometryError
 from povmkit.families import (
     CUBE,
     DODECAHEDRON,
@@ -54,7 +49,6 @@ DOD_D = np.sqrt(0.5 - np.sqrt(75 - 30 * R5) / 30)
 )
 def test_register_size(n, r):
     assert register_size(n) == r
-    assert 2 ** qubit_count(n) == r
 
 
 def test_register_size_needs_two_outcomes():
@@ -82,8 +76,6 @@ def test_padded_measurement_matrix():
     assert top.shape == (2, 4)
     assert np.abs(top[:, :3] - p.vectors.T).max() == 0
     assert np.abs(top[:, 3]).max() == 0
-    with pytest.raises(RegisterTooSmallError):
-        padded_measurement_matrix(p, size=2)
 
 
 # ---------------------------------------------------------------- cyclic
@@ -93,15 +85,15 @@ def test_cyclic_dilation_is_padded_fourier():
     d = structured_dilation(cyclic_povm(3))
     expected = direct_sum(fourier_matrix(3), np.eye(1))
     assert np.abs(d.matrix - expected).max() < 1e-14
-    assert d.outcome_map == {0: 0, 1: 1, 2: 2}
-    assert d.padding_indices == (3,)
+    assert d.outcome_positions.tolist() == [0, 1, 2]
+    assert d.padding_positions.tolist() == [3]
     assert d.method == "structured"
 
 
 def test_cyclic_power_of_two_has_no_padding():
     d = structured_dilation(cyclic_povm(4))
     assert np.abs(d.matrix - fourier_matrix(4)).max() < 1e-14
-    assert d.padding_indices == ()
+    assert d.padding_positions.tolist() == []
     assert d.n_qubits == 2
 
 
@@ -169,8 +161,8 @@ def test_dihedral_coupling_complex_seed():
 def test_dihedral_dilation_m2():
     d = structured_dilation(dihedral_povm(2, 0.6, 0.8))
     assert d.dim == 4
-    assert d.outcome_map == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert d.padding_indices == ()
+    assert d.outcome_positions.tolist() == [0, 1, 2, 3]
+    assert d.padding_positions.tolist() == []
     assert d.unitarity_residual() < 1e-12
     assert d.embedding_residual() < 1e-12
 
@@ -178,18 +170,24 @@ def test_dihedral_dilation_m2():
 def test_dihedral_dilation_m3_layout():
     d = structured_dilation(dihedral_povm(3, 0.6, 0.8))
     assert d.dim == 8
-    assert d.outcome_map == {0: 0, 1: 1, 2: 2, 4: 3, 5: 4, 6: 5}
-    assert d.padding_indices == (3, 7)
+    assert d.outcome_positions.tolist() == [0, 1, 2, 4, 5, 6]
+    assert d.padding_positions.tolist() == [3, 7]
     assert d.unitarity_residual() < 1e-12
     assert d.embedding_residual() < 1e-12
 
 
-def test_outcome_positions_and_their_views():
-    d = structured_dilation(dihedral_povm(3, 0.6, 0.8))
-    assert d.outcome_positions.tolist() == [0, 1, 2, 4, 5, 6]
-    assert d.padding_positions.tolist() == [3, 7]
-    # the dict view keeps the order of the dict it replaced
-    assert list(d.outcome_map.items()) == [(0, 0), (1, 1), (2, 2), (4, 3), (5, 4), (6, 5)]
+def test_padded_dihedral_layout_json():
+    data = structured_dilation(dihedral_povm(3, 0.6, 0.8)).to_dict()
+    assert data["outcome_map"] == [[0, 0], [1, 1], [2, 2], [4, 3], [5, 4], [6, 5]]
+    assert data["padding_indices"] == [3, 7]
+
+
+def test_layout_json_lists_pairs_by_basis_index():
+    d = structured_dilation(cyclic_povm(3))
+    shuffled = DilatedMeasurement(d.povm, d.matrix, np.array([2, 0, 3]), "structured")
+    data = shuffled.to_dict()
+    assert data["outcome_map"] == [[0, 1], [2, 0], [3, 2]]
+    assert data["padding_indices"] == [1]
 
 
 @pytest.mark.parametrize(
@@ -224,7 +222,7 @@ def test_tetrahedron_dilation_matrix():
     )
     expected = pre[[0, 3, 2, 1]]  # basis swap 1 <-> 3
     assert np.abs(d.matrix - expected).max() < 1e-14
-    assert d.padding_indices == ()
+    assert d.padding_positions.tolist() == []
 
 
 def test_cube_dilation_spots():
@@ -240,8 +238,8 @@ def test_cube_dilation_spots():
 
 def test_octahedron_dilation_layout():
     d = structured_dilation(platonic_povm(OCTAHEDRON))
-    assert d.outcome_map == {0: 0, 1: 1, 2: 2, 4: 3, 5: 4, 6: 5}
-    assert d.padding_indices == (3, 7)
+    assert d.outcome_positions.tolist() == [0, 1, 2, 4, 5, 6]
+    assert d.padding_positions.tolist() == [3, 7]
     assert abs(d.matrix[3, 3] - TCO_B) < 1e-14
     assert abs(d.matrix[3, 7] + TCO_A) < 1e-14
     assert abs(d.matrix[7, 3] - TCO_A) < 1e-14
@@ -262,10 +260,10 @@ def test_dodecahedron_dilation_layout():
     d = structured_dilation(p)
     assert d.dim == 32
     assert d.n_qubits == 5
-    assert d.outcome_map[8] == 5
-    assert d.outcome_map[12] == 9
-    assert d.outcome_map[24] == 15
-    assert len(d.padding_indices) == 12
+    assert d.outcome_positions[5] == 8
+    assert d.outcome_positions[9] == 12
+    assert d.outcome_positions[15] == 24
+    assert d.padding_positions.size == 12
     assert np.abs(d.matrix[:2, 8] - p.vectors[5]).max() < 1e-14
     assert np.abs(d.matrix[:2, 5]).max() < 1e-14
     assert d.unitarity_residual() < 1e-12
@@ -275,13 +273,8 @@ def test_dodecahedron_dilation_layout():
 def test_icosahedron_dilation_layout():
     d = structured_dilation(platonic_povm(ICOSAHEDRON))
     assert d.dim == 16
-    assert d.outcome_map == {
-        0: 0, 1: 1, 2: 2,
-        4: 3, 5: 4, 6: 5,
-        8: 6, 9: 7, 10: 8,
-        12: 9, 13: 10, 14: 11,
-    }
-    assert d.padding_indices == (3, 7, 11, 15)
+    assert d.outcome_positions.tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14]
+    assert d.padding_positions.tolist() == [3, 7, 11, 15]
     assert d.unitarity_residual() < 1e-12
     assert d.embedding_residual() < 1e-12
 
@@ -298,7 +291,7 @@ def test_structured_dilations_are_exact(family):
     d = structured_dilation(build_povm(family))
     assert d.unitarity_residual() < 1e-12
     assert d.embedding_residual() < 1e-12
-    assert sorted(d.outcome_map.values()) == list(range(d.povm.n))
+    assert np.unique(d.outcome_positions).size == d.povm.n
 
 
 # ---------------------------------------------------------------- generic completion
@@ -311,7 +304,7 @@ def test_generic_completion(family):
     assert d.method == "generic"
     assert d.unitarity_residual() < 1e-10
     assert d.embedding_residual() < 1e-10
-    assert d.outcome_map == {j: j for j in range(p.n)}
+    assert d.outcome_positions.tolist() == list(range(p.n))
     assert np.abs(d.matrix[:2] - padded_measurement_matrix(p)).max() < 1e-14
 
 

@@ -161,6 +161,24 @@ def test_dihedral_from_angle():
     assert np.abs(p.bloch_points()[:3, 2] - 0.5).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        PovmFamily.cyclic,
+        lambda m: PovmFamily.dihedral(m, 0.6, 0.8),
+        lambda m: PovmFamily.dihedral_from_angle(m, 1.0),
+    ],
+    ids=["cyclic", "dihedral", "dihedral-from-angle"],
+)
+def test_ring_size_must_be_an_integer(make):
+    # int() would truncate 3.9 to a valid ring size and parse "5"
+    for m in (2.5, 3.9, "5"):
+        with pytest.raises(InvalidParameterError, match="m must be an integer"):
+            make(m)
+    m = make(np.int64(5)).m
+    assert m == 5 and type(m) is int
+
+
 # ---------------------------------------------------------------- constants
 
 

@@ -2,7 +2,7 @@
 
 ``data/structured_golden.npz`` holds, for every family in
 ``golden_families()``, the dense structured dilation and, for the merged
-and the unmerged circuit, each gate's ``qubits()`` and ``local_matrix()``.
+and the unmerged circuit, each gate's ``wires`` and ``matrix``.
 It was written, before the per-family factor table replaced the two
 per-family ladders, by::
 
@@ -21,12 +21,12 @@ per-family ladders, by::
             gates = synthesize_circuit(d, merge=merge).gates
             data[f"{k}_{tag}_count"] = len(gates)
             for i, g in enumerate(gates):
-                data[f"{k}_{tag}_{i}_qubits"] = g.qubits()
-                data[f"{k}_{tag}_{i}_matrix"] = g.local_matrix()
+                data[f"{k}_{tag}_{i}_qubits"] = g.wires
+                data[f"{k}_{tag}_{i}_matrix"] = g.matrix
     np.savez_compressed("tests/data/structured_golden.npz", **data)
     '
 
-Gates are compared by qubits and local matrix, not by kind, so a ``u`` and
+Gates are compared by wires and matrix, not by kind, so a ``u`` and
 a one-target ``block`` with the same matrix count as equal.
 
 ``data/verify_all_reports.json`` holds the ``verify --all`` reports at
@@ -89,10 +89,10 @@ def test_structured_dilation_and_circuit_match_golden(golden, k):
         gates = synthesize_circuit(d, merge=merge).gates
         assert len(gates) == int(golden[f"{k}_{tag}_count"])
         for i, g in enumerate(gates):
-            assert g.qubits() == tuple(golden[f"{k}_{tag}_{i}_qubits"])
+            assert g.wires == tuple(golden[f"{k}_{tag}_{i}_qubits"])
             want = golden[f"{k}_{tag}_{i}_matrix"]
-            assert g.local_matrix().shape == want.shape
-            assert np.abs(g.local_matrix() - want).max() <= 1e-15
+            assert g.matrix.shape == want.shape
+            assert np.abs(g.matrix - want).max() <= 1e-15
 
 
 def test_verify_all_reports_match_golden():

@@ -80,7 +80,7 @@ def embedded_product(circuit):
     """Reference compile: the dense embedded gate matrices multiplied."""
     total = np.eye(2**circuit.n_qubits, dtype=complex)
     for gate in circuit.gates:
-        total = embed_on_qubits(gate.local_matrix(), gate.qubits(), circuit.n_qubits) @ total
+        total = embed_on_qubits(gate.matrix, gate.wires, circuit.n_qubits) @ total
     return total
 
 
@@ -116,7 +116,7 @@ def test_apply_gates_matches_embedded_product_on_columns(seed):
     c = int(rng.integers(1, 5))
     state = rng.standard_normal((2**n, c)) + 1j * rng.standard_normal((2**n, c))
     before = state.copy()
-    out = apply_gates([(g.local_matrix(), g.qubits()) for g in circuit.gates], state)
+    out = apply_gates([(g.matrix, g.wires) for g in circuit.gates], state)
     assert np.abs(out - embedded_product(circuit) @ state).max() < 1e-12
     assert np.array_equal(state, before)  # the input is left alone
 

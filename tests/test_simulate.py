@@ -610,9 +610,9 @@ def test_verify_runs_no_point_scan_after_building(monkeypatch, family):
     events = []
     scan = povmkit.families._distinct_points
 
-    def logged_scan(points, tol=povmkit.families.DISTINCT_POINT_TOL):
+    def logged_scan(points):
         events.append("scan")
-        return scan(points, tol)
+        return scan(points)
 
     def logged_build(f):
         povm = build_povm(f)
