@@ -82,7 +82,7 @@ def dilated_family_from_args(args) -> PovmFamily:
     """``family_from_args`` for commands that dilate the family.
 
     Checks the register cap on the outcome count first, so an oversized
-    ring fails at once instead of after its O(m^2) distinct-point scan.
+    ring fails at once, before any of its vectors are built.
     """
     family = family_from_args(args)
     register_size(family.n_outcomes)

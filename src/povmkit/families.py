@@ -49,8 +49,13 @@ FAMILY_KINDS = (CYCLIC, DIHEDRAL) + PLATONIC_KINDS
 
 # Bloch points closer than this are treated as the same vertex.
 DISTINCT_POINT_TOL = 1e-8
-# Rows compared at once in the distinct-point scan; bounds its temporaries.
-_SCAN_BLOCK = 128
+# Sort key of the distinct-point sweep.  The direction lies off every
+# coordinate axis and plane, so a ring rotated into a coordinate plane does
+# not share one key; its 1-norm is below 1, so no finite row's key overflows.
+_SWEEP_DIRECTION = np.array([0.5377, 0.3182, 0.7806]) / 2
+# Candidate pairs the sweep checks at once; bounds its temporaries when many
+# points share a key.
+_SWEEP_CHUNK = 1 << 15
 
 
 def _integer(value, name: str) -> int:
@@ -221,26 +226,53 @@ def _distinct_points(points: np.ndarray) -> int:
     """Number of representatives a greedy scan keeps.
 
     Scanning in order, a point is a new representative unless an earlier
-    representative lies within DISTINCT_POINT_TOL of it in max-norm.  The
-    close pairs are found in row blocks, so temporaries stay O(n * block);
-    the greedy order only runs over those pairs.  A NaN coordinate is never close.
+    representative lies within DISTINCT_POINT_TOL of it in max-norm.  A row
+    with a NaN or an infinity is never close.  The close pairs are found by a
+    sort-and-sweep: the finite rows are sorted by their projection on
+    _SWEEP_DIRECTION, each row's window holds the rows whose key can be that
+    close, and only those candidate pairs take the max-norm test.  That costs
+    O(n log n) unless many points share a key; the greedy order only runs
+    over the close pairs.
     """
     points = np.asarray(points, dtype=float)
-    pairs = [np.empty((0, 2), dtype=np.intp)]
-    for start in range(0, len(points), _SCAN_BLOCK):
-        rows = points[start : start + _SCAN_BLOCK]
-        # each row against every point up to it: the lower triangle only
-        gap = np.abs(rows[:, None, :] - points[None, : start + len(rows), :]).max(axis=2)
-        i, j = np.nonzero(gap < DISTINCT_POINT_TOL)
-        keep = j < i + start
-        pairs.append(np.stack([i[keep] + start, j[keep]], axis=1))
+    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+    rows = points[finite]
+    key = rows @ _SWEEP_DIRECTION
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # Two points within the tolerance have keys closer than |d|_1 times the
+    # tolerance plus the rounding of both keys (at most 3 eps |d|_1 max|p|
+    # each); the reach is twice that, so no window misses a close pair.
+    scale = float(np.abs(rows).max()) if len(rows) else 0.0
+    reach = 2 * _SWEEP_DIRECTION.sum() * (
+        DISTINCT_POINT_TOL + 8 * np.finfo(float).eps * scale
+    )
+    # sorted row a is a candidate partner of the rows a + 1 .. a + counts[a]
+    counts = np.searchsorted(key, key + reach, side="right")
+    counts -= np.arange(1, len(key) + 1)
+    total = int(counts.sum())
+    if not total:
+        return len(points)
+    # split the sorted rows into runs of about _SWEEP_CHUNK candidates
+    cuts = np.searchsorted(
+        np.cumsum(counts), np.arange(_SWEEP_CHUNK, total, _SWEEP_CHUNK), side="right"
+    )
+    bounds = [0, *cuts.tolist(), len(key)]
+    pairs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c = counts[lo:hi]
+        first = np.repeat(np.arange(lo, hi), c)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
+        i, j = finite[order[first]], finite[order[second]]
+        close = np.abs(points[i] - points[j]).max(axis=1) < DISTINCT_POINT_TOL
+        pairs.append(np.sort(np.stack([i[close], j[close]], axis=1), axis=1))
     pairs = np.concatenate(pairs)
     if not len(pairs):
         return len(points)
     is_rep = np.ones(len(points), dtype=bool)
-    # np.nonzero lists pairs row by row, so they come in ascending order of
-    # the later point and each earlier point's status is final when read
-    for i, j in pairs.tolist():
+    # in ascending order of the later point, each earlier point's status is
+    # final when read
+    for j, i in pairs[np.lexsort(pairs.T)].tolist():
         if is_rep[j]:
             is_rep[i] = False
     return int(is_rep.sum())

@@ -295,6 +295,8 @@ def test_invalid_input_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.startswith("error: ") and err.count("\n") == 1
+    # short: a huge value prints in exponent form, not digit by digit
+    assert len(err) < 160
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "simulate", "sample", "circuit"])

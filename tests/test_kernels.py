@@ -1,4 +1,4 @@
-"""Equivalence tests: the local gate kernel, the vectorised point scan, the
+"""Equivalence tests: the local gate kernel, the distinct-point sweep, the
 closed-form Bloch map and the guide-table sampler against the
 straightforward reference versions."""
 
@@ -35,6 +35,8 @@ from povmkit.families import (
     PovmFamily,
     _distinct_points,
     build_povm,
+    rotate_povm,
+    validate_povm,
 )
 from povmkit.linalg import apply_gates, embed_on_qubits
 from povmkit.simulate import (
@@ -86,10 +88,10 @@ def embedded_product(circuit):
 
 def greedy_distinct_points(points, tol=DISTINCT_POINT_TOL):
     """Reference scan: keep a point unless an earlier kept point is close."""
-    reps = []
+    reps = np.empty((0, points.shape[1]))
     for p in points:
-        if not any(np.abs(p - q).max() < tol for q in reps):
-            reps.append(p)
+        if not (np.abs(p - reps).max(axis=1) < tol).any():
+            reps = np.vstack([reps, p])
     return len(reps)
 
 
@@ -152,22 +154,72 @@ def test_verify_cyclic_1024():
 # ---------------------------------------------------------------- point scan
 
 
+def sweep_orthogonal_basis():
+    """Two unit vectors orthogonal to the sweep direction and each other."""
+    d = povmkit.families._SWEEP_DIRECTION
+    u = np.cross(d, [1.0, 0, 0])
+    u /= np.linalg.norm(u)
+    w = np.cross(d, u)
+    return u, w / np.linalg.norm(w)
+
+
+def point_layout(rng, n):
+    """n points in one of the layouts that stress the distinct-point sweep."""
+    layout = rng.integers(5)
+    if layout == 0:
+        return rng.uniform(-1, 1, (n, 3))
+    if layout == 1:
+        # two rings parallel to a coordinate plane: each ring's points
+        # share one coordinate
+        m = max(n // 2, 1)
+        angles = 2 * np.pi * np.arange(m) / m
+        ring = np.stack([np.cos(angles), np.sin(angles), np.zeros(m)], axis=1)
+        theta = rng.uniform(0, np.pi)
+        rings = np.concatenate([ring * np.sin(theta), ring * np.sin(theta)])
+        rings[:m, 2], rings[m:, 2] = np.cos(theta), -np.cos(theta)
+        return np.roll(rings, rng.integers(3), axis=1)[:n]
+    if layout == 2:
+        # a dihedral family turned by H: its rings lie in planes x = const
+        m = max(n // 2, 2)
+        family = PovmFamily.dihedral_from_angle(m, rng.uniform(0.1, 3.0))
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return rotate_povm(build_povm(family), h).bloch_points()[:n]
+    if layout == 3:
+        # points that differ only orthogonally to the sweep direction, so
+        # their keys agree up to rounding
+        u, w = sweep_orthogonal_basis()
+        steps = rng.integers(-3, 4, (n, 2)) * rng.choice([0.4, 0.7, 1.0, 1.5])
+        steps *= DISTINCT_POINT_TOL
+        return rng.uniform(-1, 1, 3) + steps[:, :1] * u + steps[:, 1:] * w
+    # large coordinates, up to 1e300, shared by many rows that then differ
+    # in the small coordinates, within the tolerance or not: the keys round
+    # by far more than the tolerance
+    points = rng.uniform(-1, 1, (n, 3))
+    huge = rng.uniform(-1, 1, 3) * rng.choice([1e9, 1e300])
+    rows = rng.integers(n, size=n) if n else []
+    points[rows, rng.integers(3)] = rng.choice(huge, len(rows))
+    return points
+
+
 @given(SEEDS)
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 def test_distinct_points_matches_greedy_scan(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(0, 200))
-    points = rng.uniform(-1, 1, (n, 3))
+    n = int(rng.integers(0, rng.choice([20, 200, 601])))
+    points = point_layout(rng, n)
+    n = len(points)
     if n:
         # near-duplicates just inside and just outside the tolerance, chains
-        # of them, exact repeats and NaN rows
+        # of them, exact repeats and rows with a NaN or an infinity
         for _ in range(int(rng.integers(0, n // 2 + 1))):
             i, j = rng.integers(n, size=2)
             scale = rng.choice([0.0, 0.3, 0.9, 1.1, 2.5]) * DISTINCT_POINT_TOL
             points[i] = points[j] + scale * rng.choice([-1.0, 1.0], 3)
         for i in rng.integers(n, size=int(rng.integers(0, 4))):
-            points[i, rng.integers(3)] = np.nan
-    assert _distinct_points(points) == greedy_distinct_points(points)
+            points[i, rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):  # inf - inf in the reference
+        expected = greedy_distinct_points(points)
+    assert _distinct_points(points) == expected
 
 
 def test_distinct_points_greedy_order_on_a_chain():
@@ -179,6 +231,36 @@ def test_distinct_points_greedy_order_on_a_chain():
     # a gap of exactly the tolerance is not close
     points = np.array([[0.0, 0, 0], [DISTINCT_POINT_TOL, 0, 0]])
     assert _distinct_points(points) == greedy_distinct_points(points) == 2
+
+
+def traced_peak(fn):
+    """Peak traced allocation, in bytes, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distinct_points_memory_is_linear():
+    uniform = np.random.default_rng(0).uniform(-1, 1, (20_000, 3))
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    # both rings of the turned family lie in planes x = const
+    turned = rotate_povm(build_povm(PovmFamily.dihedral_from_angle(4096, 1.1)), h)
+    # every key equal up to rounding: each row is a candidate of every other
+    u, w = sweep_orthogonal_basis()
+    angles = np.random.default_rng(1).uniform(0, 2 * np.pi, 2000)
+    circle = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * w
+    peaks = [
+        traced_peak(lambda: _distinct_points(uniform)),
+        traced_peak(lambda: validate_povm(turned)),
+        traced_peak(lambda: _distinct_points(circle)),
+    ]
+    # an all-pairs scan in blocks of 128 rows takes about 140 MB and 60 MB
+    # on the first two; checking all 2*10**6 candidate pairs of the third at
+    # once takes about 160 MB
+    assert max(peaks) < 8 * 2**20, peaks
 
 
 # ---------------------------------------------------------------- Bloch points
