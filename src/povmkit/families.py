@@ -222,17 +222,16 @@ def cyclic_povm(m: int) -> Povm:
     return Povm(vectors, PovmFamily.cyclic(m))
 
 
-def _distinct_points(points: np.ndarray) -> int:
-    """Number of representatives a greedy scan keeps.
+def _close_pairs(points: np.ndarray):
+    """Yield the index pairs (i, j) of rows within DISTINCT_POINT_TOL of
+    each other in max-norm, as two arrays per batch of candidates.
 
-    Scanning in order, a point is a new representative unless an earlier
-    representative lies within DISTINCT_POINT_TOL of it in max-norm.  A row
-    with a NaN or an infinity is never close.  The close pairs are found by a
-    sort-and-sweep: the finite rows are sorted by their projection on
+    A row with a NaN or an infinity is never close.  The pairs are found by
+    a sort-and-sweep: the finite rows are sorted by their projection on
     _SWEEP_DIRECTION, each row's window holds the rows whose key can be that
-    close, and only those candidate pairs take the max-norm test.  That costs
-    O(n log n) unless many points share a key; the greedy order only runs
-    over the close pairs.
+    close, and only those candidate pairs take the max-norm test, about
+    _SWEEP_CHUNK at a time.  That costs O(n log n) unless many points share
+    a key.
     """
     points = np.asarray(points, dtype=float)
     finite = np.flatnonzero(np.isfinite(points).all(axis=1))
@@ -252,23 +251,43 @@ def _distinct_points(points: np.ndarray) -> int:
     counts -= np.arange(1, len(key) + 1)
     total = int(counts.sum())
     if not total:
-        return len(points)
+        return
     # split the sorted rows into runs of about _SWEEP_CHUNK candidates
     cuts = np.searchsorted(
         np.cumsum(counts), np.arange(_SWEEP_CHUNK, total, _SWEEP_CHUNK), side="right"
     )
     bounds = [0, *cuts.tolist(), len(key)]
-    pairs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         c = counts[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
         i, j = finite[order[first]], finite[order[second]]
         close = np.abs(points[i] - points[j]).max(axis=1) < DISTINCT_POINT_TOL
-        pairs.append(np.sort(np.stack([i[close], j[close]], axis=1), axis=1))
-    pairs = np.concatenate(pairs)
-    if not len(pairs):
+        yield i[close], j[close]
+
+
+def _all_distinct(points: np.ndarray) -> bool:
+    """Whether the greedy scan of ``_distinct_points`` keeps every point.
+
+    Exactly when no two points are close: of the close pairs, the one whose
+    later point comes first has a representative as its earlier point, so
+    that later point is dropped.  The sweep stops after the first run of
+    candidates that holds a close pair.
+    """
+    return not any(len(i) for i, _ in _close_pairs(points))
+
+
+def _distinct_points(points: np.ndarray) -> int:
+    """Number of representatives a greedy scan keeps.
+
+    Scanning in order, a point is a new representative unless an earlier
+    representative lies within DISTINCT_POINT_TOL of it in max-norm.  The
+    greedy order only runs over the close pairs.
+    """
+    pairs = [np.stack(ij, axis=1) for ij in _close_pairs(points)]
+    if not sum(map(len, pairs)):
         return len(points)
+    pairs = np.sort(np.concatenate(pairs), axis=1)
     is_rep = np.ones(len(points), dtype=bool)
     # in ascending order of the later point, each earlier point's status is
     # final when read
@@ -308,7 +327,7 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
     vectors *= np.sqrt(1 / m)
 
     povm = Povm(vectors, PovmFamily.dihedral(m, alpha, beta))
-    if _distinct_points(povm.bloch_points()) < 2 * m:
+    if not _all_distinct(povm.bloch_points()):
         raise DegenerateOrbitError(
             "seed yields fewer than 2m distinct Bloch points"
         )

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import validate_density_matrix
+from .bloch import STATE_TOL, validate_density_matrix
 from .circuits import Circuit, circuit_isometry, compile_circuit, synthesize_circuit
 from .dilation import (
     DilatedMeasurement,
@@ -152,7 +152,7 @@ def statevector_probabilities(
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise InvalidStateError("pure state must be a 2-vector")
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_TOL:
         raise InvalidStateError("pure state must be normalized")
     rho = np.outer(psi, psi.conj())
     isometry = _checked_isometry(dilated, circuit)

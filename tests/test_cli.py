@@ -303,10 +303,10 @@ def test_invalid_input_exits_2(argv, capsys):
 def test_register_cap_comes_before_point_scan(command, monkeypatch, capsys):
     import povmkit.families
 
-    def no_scan(points, tol=None):
+    def no_scan(points):
         raise AssertionError("the distinct-point scan ran")
 
-    monkeypatch.setattr(povmkit.families, "_distinct_points", no_scan)
+    monkeypatch.setattr(povmkit.families, "_close_pairs", no_scan)
     argv = [command, "dihedral", "-m", "5000", "--theta", "1"]
     if command == "sample":
         argv += ["--shots", "10"]

@@ -1,6 +1,6 @@
-"""Equivalence tests: the local gate kernel, the distinct-point sweep, the
-closed-form Bloch map and the guide-table sampler against the
-straightforward reference versions."""
+"""Equivalence tests: the local gate kernel, its split of block-diagonal
+gates, the distinct-point sweep, the closed-form Bloch map and the
+guide-table sampler against the straightforward reference versions."""
 
 import sys
 import threading
@@ -27,18 +27,26 @@ from povmkit.circuits import (
     synthesize_circuit,
 )
 from povmkit.dilation import structured_dilation
-from povmkit.errors import ZeroOperatorError
+from povmkit.errors import DegenerateOrbitError, ZeroOperatorError
 from povmkit.families import (
     DISTINCT_POINT_TOL,
     PLATONIC_KINDS,
     Povm,
     PovmFamily,
+    _all_distinct,
     _distinct_points,
     build_povm,
     rotate_povm,
     validate_povm,
 )
-from povmkit.linalg import apply_gates, embed_on_qubits
+from povmkit.linalg import (
+    CNOT_MATRIX,
+    SWAP_MATRIX,
+    _halves,
+    apply_gates,
+    direct_sum,
+    embed_on_qubits,
+)
 from povmkit.simulate import (
     GUIDE_DENSITY,
     SAMPLE_CHUNK,
@@ -47,6 +55,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
+from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -145,6 +154,91 @@ def test_compile_never_embeds(monkeypatch):
     assert calls == []
 
 
+def contracted(gates, state):
+    """Reference kernel: every gate gathered and multiplied by ``_contract``."""
+    state = np.array(state, dtype=complex, order="C")
+    spare = np.empty_like(state)
+    for u, targets in gates:
+        u = np.asarray(u, dtype=complex)
+        state, spare = povmkit.linalg._contract(u, list(targets), state, spare)
+    return state
+
+
+def block_diagonal_gate(rng, kind):
+    """A 4x4 that is 0 off its two diagonal 2x2 blocks."""
+    if kind == "halves":
+        return direct_sum(random_unitary(rng, 2), random_unitary(rng, 2))
+    if kind == "identity-half":
+        u = random_unitary(rng, 2)
+        return direct_sum(np.eye(2), u) if rng.integers(2) else direct_sum(u, np.eye(2))
+    if kind == "phase":
+        return np.diag([1, 1, 1, np.exp(1j * rng.uniform(0, 2 * np.pi))])
+    if kind == "cnot":
+        return CNOT_MATRIX
+    # multiplexed: a different rotation for each value of the first target
+    return direct_sum(random_unitary(rng, 2), np.array([[0, 1], [1, 0]]))
+
+
+@given(
+    st.sampled_from(["halves", "identity-half", "phase", "cnot", "multiplexed"]),
+    st.sampled_from(["dense", "zeros", "signed-zeros"]),
+    st.booleans(),
+    SEEDS,
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_block_diagonal_gates_match_the_contracted_product(kind, zeros, full, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    r = 2**n
+    c = r if full else 2
+    targets = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+    u = block_diagonal_gate(rng, kind)
+    state = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    if full and rng.integers(2):
+        state = np.eye(r, dtype=complex)
+    if zeros != "dense":
+        sign = -1.0 if zeros == "signed-zeros" else 1.0
+        for part in (state.real, state.imag):
+            part[rng.random((r, c)) < 0.3] = sign * 0.0
+    # the first target more significant than the second, then less
+    gates = [(u, targets), (u, targets[::-1])]
+    out, expected = apply_gates(gates, state), contracted(gates, state)
+    assert np.array_equal(out, expected)
+    # the 4x4 product turns a -0.0 into +0.0; an identity half, copied, keeps it
+    if full and zeros != "signed-zeros":
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_halves_split_only_block_diagonal_gates():
+    rng = np.random.default_rng(5)
+    u = random_unitary(rng, 2)
+    assert _halves(SWAP_MATRIX) is None
+    assert _halves(random_unitary(rng, 4)) is None
+    for row, col in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)]:
+        coupled = np.eye(4, dtype=complex)
+        coupled[row, col] = 1e-300
+        assert _halves(coupled) is None, (row, col)
+    assert _halves(direct_sum(u, np.eye(2)))[1] is None
+    blocks = _halves(direct_sum(u, np.eye(2)).conj().T)  # 1 - 0j reads as 1
+    assert np.array_equal(blocks[0], u.conj().T) and blocks[1] is None
+    blocks = _halves(CNOT_MATRIX)
+    assert blocks[0] is None and np.array_equal(blocks[1], [[0, 1], [1, 0]])
+
+
+def test_golden_circuits_and_dilations_match_the_contracted_kernel(monkeypatch):
+    outputs = []
+    for use_split in (True, False):
+        if not use_split:
+            monkeypatch.setattr(povmkit.linalg, "_halves", lambda u: None)
+        run = []
+        for family in golden_families():
+            dilated = structured_dilation(build_povm(family))
+            circuit = synthesize_circuit(dilated)
+            run += [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
+        outputs.append([a.tobytes() for a in run])
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_cyclic_1024():
     report = verify_family(PovmFamily.cyclic(1024), n_states=4)
     assert report.passed, report.failures
@@ -220,6 +314,7 @@ def test_distinct_points_matches_greedy_scan(seed):
     with np.errstate(invalid="ignore"):  # inf - inf in the reference
         expected = greedy_distinct_points(points)
     assert _distinct_points(points) == expected
+    assert _all_distinct(points) == (expected == n)
 
 
 def test_distinct_points_greedy_order_on_a_chain():
@@ -261,6 +356,17 @@ def test_distinct_points_memory_is_linear():
     # on the first two; checking all 2*10**6 candidate pairs of the third at
     # once takes about 160 MB
     assert max(peaks) < 8 * 2**20, peaks
+
+
+def test_degenerate_ring_stops_at_its_first_close_pair():
+    # a near-polar seed: about 477,000 close pairs, 80 MB to gather them all
+    family = PovmFamily.dihedral_from_angle(2000, 3e-8)
+
+    def build():
+        with pytest.raises(DegenerateOrbitError, match="fewer than 2m distinct"):
+            build_povm(family)
+
+    assert traced_peak(build) < 10 * 2**20
 
 
 # ---------------------------------------------------------------- Bloch points
