@@ -28,15 +28,32 @@ SWAP_MATRIX = np.array(
 )
 
 
+# rows of the Fourier matrix computed at a time
+_FOURIER_ROWS = 16
+
+
 def fourier_matrix(m: int) -> np.ndarray:
-    """Return the m x m discrete Fourier matrix (negative exponent)."""
+    """Return the m x m discrete Fourier matrix (negative exponent).
+
+    The matrix is symmetric, so each block of rows is computed only from
+    the diagonal rightward, as exp(-2i pi jk / m) / sqrt(m) one step at a
+    time, and copied into the transposed position too.  Entries (j, k) and
+    (k, j) take the same steps on the same jk, so they are equal, bit for
+    bit, to the one-shot formula over the whole matrix at half the exp
+    calls, and nothing but the result is m x m.
+    """
     if m < 1:
         raise InvalidDimensionError(f"fourier_matrix needs m >= 1, got {m}")
-    # exp(-2i pi jk / m) / sqrt(m), each step in place on one m x m array
-    f = -2j * np.pi * np.outer(np.arange(m), np.arange(m))
-    f /= m
-    np.exp(f, out=f)
-    f /= np.sqrt(m)
+    f = np.empty((m, m), dtype=complex)
+    j = np.arange(m)
+    for top in range(0, m, _FOURIER_ROWS):
+        rows = slice(top, top + _FOURIER_ROWS)
+        block = -2j * np.pi * np.outer(j[rows], j[top:])
+        block /= m
+        np.exp(block, out=block)
+        block /= np.sqrt(m)
+        f[rows, top:] = block
+        f[top:, rows] = block.T
     return f
 
 
@@ -55,15 +72,19 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def unitarity_residual(a: np.ndarray) -> float:
     """Worst entry-wise deviation of adjoint(a) @ a from the identity.
 
-    NaN when ``a`` has a non-finite entry, so that every ``<= tol`` check
-    fails; the product is not formed, as inf * 0 in it would warn.
+    The product's diagonal is reduced by 1 in place, so no identity and no
+    difference array is formed.  NaN when ``a`` has a non-finite entry, so
+    that every ``<= tol`` check fails; the product is not formed, as
+    inf * 0 in it would warn.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidDimensionError(f"unitarity check needs a square matrix, got {a.shape}")
     if not np.isfinite(a).all():
         return float("nan")
-    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    gram = a.conj().T @ a
+    gram.reshape(-1)[:: a.shape[0] + 1] -= 1  # the diagonal, in place
+    return float(np.abs(gram).max())
 
 
 def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
@@ -134,7 +155,7 @@ def _contract(u: np.ndarray, targets: list, state: np.ndarray, spare: np.ndarray
     single run of qubits, such as any single-qubit gate, needs no gather;
     otherwise ``spare`` holds the gathered copy and ``state`` the product,
     and the scatter back lands in ``spare``.  Both buffers are overwritten.
-    Of the two-qubit gates only swaps and dense blocks come here; a gate
+    Of the two-qubit gates only dense blocks come here; a swap or a gate
     block-diagonal in its first target takes ``_apply_halves``.
     """
     r, c = state.shape
@@ -169,37 +190,50 @@ def _contract(u: np.ndarray, targets: list, state: np.ndarray, spare: np.ndarray
     return spare, state
 
 
+_SWAP_ENTRIES = SWAP_MATRIX.ravel().tolist()
+# what ``_halves`` returns for the swap matrix
+_SWAP = "swap"
+
+
 def _halves(u: np.ndarray):
-    """The two 2x2 diagonal blocks of a 4x4 that is 0 off them, else None.
+    """How ``apply_gates`` splits a 4x4: its two diagonal 2x2 blocks when it
+    is 0 off them, ``_SWAP`` when it is the swap matrix, else None.
 
     Block v acts on the second target while the first reads v; a block that
     is exactly the identity is returned as None.
     """
     e = u.ravel().tolist()  # Python numbers: numpy calls on a 4x4 cost about 1 us each
     if e[2] or e[3] or e[6] or e[7] or e[8] or e[9] or e[12] or e[13]:
-        return None
+        return _SWAP if e == _SWAP_ENTRIES else None
     return [
         None if e[0] == e[5] == 1 and not (e[1] or e[4]) else u[:2, :2],
         None if e[10] == e[15] == 1 and not (e[11] or e[14]) else u[2:, 2:],
     ]
 
 
-def _apply_halves(blocks: list, targets: list, state: np.ndarray, spare: np.ndarray):
-    """A gate block-diagonal in its first target, as ``_contract`` returns it.
+def _apply_halves(blocks, targets: list, state: np.ndarray, spare: np.ndarray):
+    """A gate block-diagonal in its first target, or a swap, as ``_contract``
+    returns it.
 
-    Each value v of the first target selects a strided view of ``state``
-    with the second target on its next-to-last axis, and its block is
-    multiplied from that view straight into the same view of ``spare``, so
-    nothing is gathered or scattered; an identity block's half is copied.
-    On c = 2 or c = r columns of finite entries the result equals the 4x4
-    product's value for value, and at c = r bit for bit but for zero signs:
-    the product turns a -0.0 into +0.0, a copy keeps it.  One column, or a
-    split down to 1x1 products, can round differently in the last bit.
+    A swap is one copy of ``state`` into ``spare`` with the two target axes
+    exchanged, so no entry is multiplied by 0 or 1 and an infinity spreads
+    no NaN.  Otherwise each value v of the first target selects a strided
+    view of ``state`` with the second target on its next-to-last axis, and
+    its block is multiplied from that view straight into the same view of
+    ``spare``, so nothing is gathered or scattered; an identity block's
+    half is copied.  On c = 2 or c = r columns of finite entries the result
+    equals the 4x4 product's value for value, and at c = r bit for bit but
+    for zero signs: the product turns a -0.0 into +0.0, a copy keeps it.
+    One column, or a split down to 1x1 products, can round differently in
+    the last bit.
     """
     r, c = state.shape
     first, second = targets
     high, low = sorted(targets)  # the higher-order bit has the smaller index
     shape = (1 << high, 2, (1 << low) >> (high + 1), 2, (r >> (low + 1)) * c)
+    if blocks is _SWAP:
+        np.copyto(spare.reshape(shape), state.reshape(shape).transpose(0, 3, 2, 1, 4))
+        return spare, state
     # axes (first target, before, gap, second target, after)
     axes = (1, 0, 2, 3, 4) if first < second else (3, 0, 2, 1, 4)
     src = state.reshape(shape).transpose(axes)
@@ -223,7 +257,8 @@ def apply_gates(gates, state: np.ndarray) -> np.ndarray:
     gate that is block-diagonal in its first target (a controlled gate, a
     cnot) costs one 2x2 product on each half of the register where that
     target is fixed, with no gather, and only a copy on a half whose block
-    is the identity; swaps and dense blocks keep ``_contract``'s gather.
+    is the identity.  A swap is one transposed copy; dense blocks keep
+    ``_contract``'s gather.
     """
     state = np.array(state, dtype=complex, order="C")
     if state.ndim != 2 or state.shape[0] < 1 or state.shape[0] & (state.shape[0] - 1):

@@ -459,7 +459,9 @@ def verify_family(
         circuit = synthesize_circuit(dilated, merge=merge)
         report.gate_count = len(circuit.gates)
         u = compile_circuit(circuit)
-        report.circuit_distance = distance_up_to_global_phase(u, dilated.matrix.conj().T)
+        # the adjoint as one C-ordered copy, which vdot does not copy again
+        adjoint = np.conjugate(dilated.matrix.T, order="C")
+        report.circuit_distance = distance_up_to_global_phase(u, adjoint)
         if not report.circuit_distance <= CIRCUIT_DISTANCE_TOL:
             report.failures.append("circuit")
     else:

@@ -19,3 +19,12 @@ def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
     """
     matrix, qubits, _ = _dihedral_factor(alpha, beta, r.bit_length() - 1)
     return apply_gates([(matrix, qubits)], np.eye(r, dtype=complex))
+
+
+def one_shot_fourier(m: int) -> np.ndarray:
+    """The Fourier matrix by the one-shot formula, each step over all m x m."""
+    f = -2j * np.pi * np.outer(np.arange(m), np.arange(m))
+    f /= m
+    np.exp(f, out=f)
+    f /= np.sqrt(m)
+    return f

@@ -1,6 +1,8 @@
 """Equivalence tests: the local gate kernel, its split of block-diagonal
-gates, the distinct-point sweep, the closed-form Bloch map and the
-guide-table sampler against the straightforward reference versions."""
+gates and swaps, the register-wide first gate of a compile, the
+half-computed Fourier matrix, the distinct-point sweep, the closed-form
+Bloch map and the guide-table sampler against the straightforward
+reference versions."""
 
 import sys
 import threading
@@ -42,10 +44,12 @@ from povmkit.families import (
 from povmkit.linalg import (
     CNOT_MATRIX,
     SWAP_MATRIX,
+    _SWAP,
     _halves,
     apply_gates,
     direct_sum,
     embed_on_qubits,
+    fourier_matrix,
 )
 from povmkit.simulate import (
     GUIDE_DENSITY,
@@ -55,6 +59,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
+from helpers import one_shot_fourier
 from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -165,7 +170,9 @@ def contracted(gates, state):
 
 
 def block_diagonal_gate(rng, kind):
-    """A 4x4 that is 0 off its two diagonal 2x2 blocks."""
+    """A 4x4 that is 0 off its two diagonal 2x2 blocks, or the swap."""
+    if kind == "swap":
+        return SWAP_MATRIX
     if kind == "halves":
         return direct_sum(random_unitary(rng, 2), random_unitary(rng, 2))
     if kind == "identity-half":
@@ -180,7 +187,7 @@ def block_diagonal_gate(rng, kind):
 
 
 @given(
-    st.sampled_from(["halves", "identity-half", "phase", "cnot", "multiplexed"]),
+    st.sampled_from(["halves", "identity-half", "phase", "cnot", "multiplexed", "swap"]),
     st.sampled_from(["dense", "zeros", "signed-zeros"]),
     st.booleans(),
     SEEDS,
@@ -200,20 +207,27 @@ def test_block_diagonal_gates_match_the_contracted_product(kind, zeros, full, se
         sign = -1.0 if zeros == "signed-zeros" else 1.0
         for part in (state.real, state.imag):
             part[rng.random((r, c)) < 0.3] = sign * 0.0
-    # the first target more significant than the second, then less
-    gates = [(u, targets), (u, targets[::-1])]
-    out, expected = apply_gates(gates, state), contracted(gates, state)
-    assert np.array_equal(out, expected)
-    # the 4x4 product turns a -0.0 into +0.0; an identity half, copied, keeps it
-    if full and zeros != "signed-zeros":
-        assert out.tobytes() == expected.tobytes()
+    # the first target more significant than the second, then less; a
+    # swap twice on one pair is the identity, so the first gate alone too
+    for gates in ([(u, targets)], [(u, targets), (u, targets[::-1])]):
+        out, expected = apply_gates(gates, state), contracted(gates, state)
+        assert np.array_equal(out, expected)
+        # the 4x4 product turns a -0.0 into +0.0; an identity half or a
+        # swap, copied, keeps it
+        if full and zeros != "signed-zeros":
+            assert out.tobytes() == expected.tobytes()
 
 
 def test_halves_split_only_block_diagonal_gates():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 2)
-    assert _halves(SWAP_MATRIX) is None
+    assert _halves(SWAP_MATRIX) is _SWAP
     assert _halves(random_unitary(rng, 4)) is None
+    assert _halves(1j * SWAP_MATRIX) is None
+    for row, col in [(0, 0), (1, 2), (2, 1), (3, 3), (1, 1), (0, 3)]:
+        near_swap = SWAP_MATRIX.copy()
+        near_swap[row, col] += 1e-300j
+        assert _halves(near_swap) is None, (row, col)
     for row, col in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)]:
         coupled = np.eye(4, dtype=complex)
         coupled[row, col] = 1e-300
@@ -225,18 +239,67 @@ def test_halves_split_only_block_diagonal_gates():
     assert blocks[0] is None and np.array_equal(blocks[1], [[0, 1], [1, 0]])
 
 
+def test_swap_is_a_copy_that_spreads_no_nan():
+    rng = np.random.default_rng(9)
+    state = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    state[1, 0] = np.inf
+    state[4, 2] = complex(-np.inf, np.inf)
+    # swapping qubits 0 and 2 of three reverses each basis index's bits
+    reversed_bits = [int(f"{x:03b}"[::-1], 2) for x in range(8)]
+    for targets in ((0, 2), (2, 0)):
+        out = apply_gates([(SWAP_MATRIX, targets)], state)
+        assert out.tobytes() == state[reversed_bits].tobytes()
+        assert not np.isnan(out).any()
+
+
 def test_golden_circuits_and_dilations_match_the_contracted_kernel(monkeypatch):
-    outputs = []
-    for use_split in (True, False):
-        if not use_split:
-            monkeypatch.setattr(povmkit.linalg, "_halves", lambda u: None)
-        run = []
-        for family in golden_families():
-            dilated = structured_dilation(build_povm(family))
-            circuit = synthesize_circuit(dilated)
-            run += [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
-        outputs.append([a.tobytes() for a in run])
-    assert outputs[0] == outputs[1]
+    run = []
+    for family in golden_families():
+        dilated = structured_dilation(build_povm(family))
+        circuit = synthesize_circuit(dilated)
+        run += [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
+    # the reference: every gate through _contract, applied to the identity,
+    # so neither the split, nor the swap copy, nor compile_circuit's start
+    # from a register-wide first gate is taken
+    monkeypatch.setattr(povmkit.linalg, "_halves", lambda u: None)
+    reference = []
+    for family in golden_families():
+        dilated = structured_dilation(build_povm(family))
+        gates = [(g.matrix, g.wires) for g in synthesize_circuit(dilated).gates]
+        r = 2**dilated.n_qubits
+        reference += [dilated.matrix, contracted(gates, np.eye(r)), contracted(gates, np.eye(r, 2))]
+    assert [a.tobytes() for a in run] == [a.tobytes() for a in reference]
+
+
+@pytest.mark.parametrize("m", [3, 5, 6, 7, 12, 96, 100, 192, 255])
+def test_register_wide_block_compiles_to_its_product_with_the_identity(m):
+    # a ring that does not fill its register: one block on every wire
+    circuit = synthesize_circuit(structured_dilation(build_povm(PovmFamily.cyclic(m))))
+    (gate,) = circuit.gates
+    assert gate.wires == tuple(range(circuit.n_qubits))
+    expected = contracted([(gate.matrix, gate.wires)], np.eye(2**circuit.n_qubits))
+    assert compile_circuit(circuit).tobytes() == expected.tobytes()
+
+
+@given(SEEDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_register_wide_first_gate_then_more_gates(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    r = 2**n
+    k = int(rng.integers(1, r + 1))
+    # padded as a ring's block is, so that its adjoint holds -0.0 entries
+    first = direct_sum(random_unitary(rng, k), np.eye(r - k)).conj().T
+    rest = random_circuit(rng, n, int(rng.integers(0, 5))).gates
+    circuit = Circuit(n, [BlockGate(range(n), first)] + rest)
+    gates = [(g.matrix, g.wires) for g in circuit.gates]
+    assert np.array_equal(compile_circuit(circuit), contracted(gates, np.eye(r)))
+    assert np.abs(compile_circuit(circuit) - embedded_product(circuit)).max() < 1e-13
+
+
+def test_fourier_matrix_matches_the_one_shot_formula():
+    for m in [*range(1, 301), 511, 512, 1000, 2048]:
+        assert fourier_matrix(m).tobytes() == one_shot_fourier(m).tobytes(), m
 
 
 def test_verify_cyclic_1024():
