@@ -19,6 +19,7 @@ from .circuits import (
     Circuit,
     CnotGate,
     ControlledGate,
+    FourierGate,
     Gate,
     SingleQubitGate,
     SwapGate,

@@ -8,7 +8,8 @@ of a basis index throughout.
 Each gate holds its small ``matrix`` and the ``wires`` it acts on;
 ``apply_circuit`` contracts those matrices into the columns of a
 register array one gate at a time, so no gate is ever embedded as a dense
-register-sized matrix.
+register-sized matrix.  A ``fourier`` gate holds the size m of its padded
+Fourier transform instead, and builds its matrix on first use.
 
 ``synthesize_circuit`` joins the gate lists of a structured dilation's
 factors, last factor first, into a circuit that compiles exactly to the
@@ -51,42 +52,70 @@ _KINDS = {
     "cnot": (2, "cnot control={control} target={target}"),
     "swap": (2, "swap qubits=({qubits[0]}, {qubits[1]})"),
     "block": (0, "block targets={targets} dim={dim}"),
+    "fourier": (0, "fourier targets={targets} m={m} inverse={inverse}"),
 }
 _FIXED = {"cnot": CNOT_MATRIX, "swap": SWAP_MATRIX}
 _I2 = np.eye(2)
 
 
-@dataclass(eq=False)
 class Gate:
     """A unitary ``matrix`` on the ``wires`` qubits, the first most significant.
 
     ``kind`` names the matrix's form: ``u`` any 2x2, ``cu`` a 2x2 on the
     second qubit applied when the first reads ``control_value``, ``cnot``
     and ``swap`` the fixed 4x4s, ``block`` any 2^k x 2^k on k qubits.  A
-    controlled identity reads as controlled on 1.
+    controlled identity reads as controlled on 1.  A ``fourier`` gate on k
+    qubits takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``: its
+    matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
+    ``inverse``.  That matrix is unitary by construction, so it is not
+    checked; it is built on first use and kept.
     """
 
-    kind: str
-    wires: tuple
-    matrix: np.ndarray
+    m = None
+    inverse = False
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
-        self.wires = tuple(map(int, self.wires))
-        n, arity = len(self.wires), _KINDS[self.kind][0]
+    def __init__(self, kind: str, wires, matrix=None, m=None, inverse: bool = False) -> None:
+        if kind not in _KINDS:
+            raise InvalidGateError(f"unknown gate kind {kind!r}")
+        self.kind = kind
+        self.wires = tuple(map(int, wires))
+        n, arity = len(self.wires), _KINDS[kind][0]
         if not n or len(set(self.wires)) != n or (arity and n != arity):
-            raise InvalidGateError(f"a {self.kind} gate cannot act on qubits {self.wires}")
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (2**n, 2**n):
+            raise InvalidGateError(f"a {kind} gate cannot act on qubits {self.wires}")
+        if kind == "fourier":
+            if matrix is not None:
+                raise InvalidGateError("a fourier gate's matrix is built from m")
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= 2**n:
+                raise InvalidGateError(
+                    f"a fourier gate on {n} qubits needs an integer m from 1 to {2**n}, got {m!r}"
+                )
+            self.m, self.inverse, self._matrix = int(m), bool(inverse), None
+            return
+        if m is not None or inverse:
+            raise InvalidGateError("only a fourier gate takes m and inverse")
+        self._matrix = np.asarray(matrix, dtype=complex)
+        if self._matrix.shape != (2**n, 2**n):
             raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
-        if self.kind in _FIXED:
-            if not np.array_equal(self.matrix, _FIXED[self.kind]):
-                raise InvalidGateError(f"a {self.kind} gate has a fixed matrix")
-        elif not unitarity_residual(self.matrix) <= DEFAULT_TOL:
+        if kind in _FIXED:
+            if not np.array_equal(self._matrix, _FIXED[kind]):
+                raise InvalidGateError(f"a {kind} gate has a fixed matrix")
+        elif not unitarity_residual(self._matrix) <= DEFAULT_TOL:
             raise InvalidGateError("gate matrix must be unitary")
-        if self.kind == "cu":
+        if kind == "cu":
             self._control()  # raises unless the matrix has a cu's form
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:  # a fourier gate's, on first use
+            size = 2 ** len(self.wires)
+            f = fourier_matrix(self.m)
+            if self.m < size:
+                f = direct_sum(f, np.eye(size - self.m))
+            self._matrix = np.conjugate(f, out=f) if self.inverse else f
+        return self._matrix
+
+    def __repr__(self) -> str:
+        return f"<Gate {self.describe()}>"
 
     def _control(self) -> tuple[int, np.ndarray]:
         """A cu gate's control value and the 2x2 it applies; InvalidGateError
@@ -104,10 +133,14 @@ class Gate:
         return self._control()[0]
 
     def adjoint(self) -> "Gate":
-        """The same kind on the same qubits, with the adjoint matrix."""
+        """The same kind on the same qubits, with the adjoint matrix; a
+        fourier gate flips ``inverse`` instead."""
         # the adjoint keeps every kind's form, so it is not validated again
         gate = copy.copy(self)
-        gate.matrix = self.matrix.conj().T
+        if self.kind == "fourier":
+            gate.inverse, gate._matrix = not self.inverse, None
+        else:
+            gate._matrix = self._matrix.conj().T
         return gate
 
     def _fields(self) -> dict:
@@ -122,10 +155,12 @@ class Gate:
             return {"control": q[0], "target": q[1]}
         if self.kind == "swap":
             return {"qubits": q}
+        if self.kind == "fourier":
+            return {"targets": q, "m": self.m, "inverse": self.inverse}
         return {"targets": q, "matrix": self.matrix}
 
     def describe(self) -> str:
-        return _KINDS[self.kind][1].format(**self._fields(), dim=len(self.matrix))
+        return _KINDS[self.kind][1].format(**self._fields(), dim=2 ** len(self.wires))
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind, **self._fields()}
@@ -163,6 +198,19 @@ def SwapGate(a: int, b: int) -> Gate:
 def BlockGate(targets, matrix) -> Gate:
     """A dense unitary on a small group of adjacent-or-not qubits."""
     return Gate("block", targets, matrix)
+
+
+def FourierGate(targets, m: int, inverse: bool = False) -> Gate:
+    """F_m padded with an identity to the targets' 2^k, or its adjoint."""
+    return Gate("fourier", targets, m=m, inverse=inverse)
+
+
+def _fourier_gate(targets, m: int, inverse: bool, matrix: np.ndarray) -> Gate:
+    """``FourierGate`` holding ``matrix``, the caller's own F' (conj(F') when
+    ``inverse``), as its dense form, unchecked, so that F_m is built once."""
+    gate = FourierGate(targets, m, inverse)
+    gate._matrix = matrix
+    return gate
 
 
 @dataclass(eq=False)

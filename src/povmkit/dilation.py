@@ -26,10 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (
-    BlockGate,
     CnotGate,
     ControlledGate,
     SingleQubitGate,
+    _fourier_gate,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -235,8 +235,10 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     low = tuple(range(t, l))
     if m == r:  # unpadded on the whole register: the inverse QFT circuit
         factors = [(fourier, low, lambda: inverse_circuit(qft_circuit(l)).gates)]
-    else:
-        factors = [(fourier, low, lambda: [BlockGate(list(low), fourier.conj().T)])]
+    else:  # the gate holds the factor's adjoint, conj(F) as F is symmetric
+        factors = [
+            (fourier, low, lambda: [_fourier_gate(low, m, not conjugate, fourier.conj().T)])
+        ]
     factors += mixer(povm.family, l)
     if t:
         factors.append((CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)]))
@@ -244,7 +246,7 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     gates = [(u, qubits) for u, qubits, _ in factors[1:]]
     if gates:  # I (x) F unnamed, so that it is freed once apply_gates copies it
         matrix = apply_gates(gates, np.kron(np.eye(1 << t), fourier))
-    elif m < r:  # a padded ring's block gate reads F, so U is a copy
+    elif m < r:  # a padded ring's Fourier gate reads F, so U is a copy
         matrix = np.kron(np.eye(1 << t), fourier)
     else:  # nothing else reads F: it becomes U in place, multiplied by 1 as
         # in I_1 (x) F, which turns a -0.0 imaginary part into the +0.0

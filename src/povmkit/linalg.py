@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -94,21 +95,31 @@ def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     of the flattened matrices so no product is formed.  When that trace vanishes the
     phase is undefined; the raw unaligned distance is returned and a
     PhaseUndefinedWarning flags the result.
+
+    The trace vanishes when it is below 1e-15 max(1, |a|max |b|max n).  As
+    |a|max |b|max <= ||a||_F ||b||_F, a trace at least twice that test's
+    Frobenius form passes it, and the two max passes are made only when
+    the two ``vdot`` norms cannot settle it.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2:
         raise InvalidDimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     t = np.vdot(b, a)
-    scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[0])
-    if abs(t) < 1e-15 * scale:
-        warnings.warn(
-            "global phase undefined (tr(b^dag a) = 0); returning unaligned distance",
-            PhaseUndefinedWarning,
-            stacklevel=2,
-        )
-        return float(np.abs(a - b).max())
-    return float(np.abs(a - (t / abs(t)) * b).max())
+    # Python floats, so that an inf * 0 gives NaN with no warning; a NaN
+    # here, from a NaN entry or an inf against a zero matrix, makes t NaN too
+    norms = float(np.vdot(a, a).real) * float(np.vdot(b, b).real)
+    if not abs(t) >= 2e-15 * max(1.0, math.sqrt(norms) * a.shape[0]):
+        scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[0])
+        if abs(t) < 1e-15 * scale:
+            warnings.warn(
+                "global phase undefined (tr(b^dag a) = 0); returning unaligned distance",
+                PhaseUndefinedWarning,
+                stacklevel=2,
+            )
+            return float(np.abs(a - b).max())
+    diff = np.multiply(t / abs(t), b)
+    return float(np.abs(np.subtract(a, diff, out=diff)).max())
 
 
 def _check_targets(u: np.ndarray, targets: list, n_qubits: int) -> None:

@@ -1,8 +1,11 @@
 """Dense reference matrices that only the tests need."""
 
+import warnings
+
 import numpy as np
 
 from povmkit.dilation import _dihedral_factor
+from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
 from povmkit.linalg import apply_gates
 
 
@@ -28,3 +31,22 @@ def one_shot_fourier(m: int) -> np.ndarray:
     np.exp(f, out=f)
     f /= np.sqrt(m)
     return f
+
+
+def old_distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
+    """``linalg.distance_up_to_global_phase`` as it was before it settled the
+    phase test by Frobenius norms: the reference it must equal."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim != 2:
+        raise InvalidDimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    t = np.vdot(b, a)
+    scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[0])
+    if abs(t) < 1e-15 * scale:
+        warnings.warn(
+            "global phase undefined (tr(b^dag a) = 0); returning unaligned distance",
+            PhaseUndefinedWarning,
+            stacklevel=2,
+        )
+        return float(np.abs(a - b).max())
+    return float(np.abs(a - (t / abs(t)) * b).max())

@@ -15,6 +15,11 @@ It was written, while each gate kind still had a class of its own, by::
     print(json.dumps(golden, indent=1, allow_nan=False))
     ' > tests/data/circuit_format_golden.json
 
+Its Fourier entries were rewritten once, by the same ``format_circuit``
+and ``to_dict``, when the padded Fourier factor became a ``fourier`` gate:
+each such gate had been a ``block`` whose printed matrix equals the new
+gate's dense matrix to 1e-15, and no other entry changed.
+
 The text and every key outside the gate matrices must match exactly; a
 matrix entry may move by 1e-15, as the golden dilations may.
 """

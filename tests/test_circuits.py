@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from povmkit import circuits
 from povmkit.circuits import (
     BlockGate,
     Circuit,
     CnotGate,
     ControlledGate,
+    FourierGate,
     Gate,
     SingleQubitGate,
     SwapGate,
+    circuit_isometry,
     compile_circuit,
     format_circuit,
     inverse_circuit,
@@ -31,7 +34,13 @@ from povmkit.families import (
     dihedral_povm,
     platonic_povm,
 )
-from povmkit.linalg import CNOT_MATRIX, SWAP_MATRIX, fourier_matrix, unitarity_residual
+from povmkit.linalg import (
+    CNOT_MATRIX,
+    SWAP_MATRIX,
+    direct_sum,
+    fourier_matrix,
+    unitarity_residual,
+)
 from povmkit.simulate import analytic_probabilities, circuit_probabilities
 
 from helpers import gate_unitary
@@ -147,6 +156,87 @@ def test_circuit_range_validation():
         Circuit(0, [])
 
 
+# ---------------------------------------------------------------- the fourier kind
+
+
+def _padded_block(m: int, inverse: bool) -> np.ndarray:
+    """The dense block ``structured_dilation`` once emitted for a Fourier
+    factor: the adjoint of F' = F_m (+) I, or of conj(F') (the cube's)."""
+    size = 1 << max(1, (m - 1).bit_length())
+    fourier = fourier_matrix(m)
+    if m < size:
+        fourier = direct_sum(fourier, np.eye(size - m))
+    if not inverse:
+        fourier = fourier.conj()
+    return fourier.conj().T
+
+
+FOURIER_SIZES = [*range(1, 301), 1000]
+
+
+@pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
+def test_fourier_gate_matrix_is_the_padded_block(inverse):
+    for m in FOURIER_SIZES:
+        block = _padded_block(m, inverse)
+        k = len(block).bit_length() - 1
+        for t in range(3):
+            gate = FourierGate(range(t, t + k), m, inverse)
+            assert gate.matrix.tobytes() == block.tobytes()
+            # on a t + k qubit register the gate's first two columns are the block's
+            want = np.zeros((2 ** (t + k), 2), dtype=complex)
+            want[: len(block)] = block[:, :2]
+            assert np.array_equal(circuit_isometry(Circuit(t + k, [gate])), want)
+        if inverse:  # the forward matrix is its conjugate, with the same residual
+            assert unitarity_residual(gate.matrix) <= 1e-13
+
+
+def test_fourier_gate_is_built_once_and_printed_without_matrix():
+    gate = FourierGate([1, 2], 3, inverse=True)
+    assert gate.describe() == "fourier targets=[1, 2] m=3 inverse=True"
+    assert gate.to_dict() == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
+    assert gate._matrix is None  # neither printing builds the dense matrix
+    assert gate.matrix is gate.matrix
+    assert Gate("fourier", (1, 2), m=3, inverse=True).to_dict() == gate.to_dict()
+
+
+@pytest.mark.parametrize("m, inverse", [(1, False), (5, True), (7, False), (8, True)])
+def test_fourier_gate_adjoint(m, inverse):
+    gate = FourierGate([0, 2, 1], m, inverse)
+    adjoint = gate.adjoint()
+    assert (adjoint.kind, adjoint.wires, adjoint.m) == ("fourier", (0, 2, 1), m)
+    assert adjoint.inverse is not inverse
+    assert np.array_equal(adjoint.matrix, gate.matrix.conj().T)
+    back = adjoint.adjoint()
+    assert back.to_dict() == gate.to_dict()
+    assert back.matrix.tobytes() == gate.matrix.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FourierGate([0, 1], 0),
+        lambda: FourierGate([0, 1], 5),  # more than 2^k
+        lambda: FourierGate([0], -1),
+        lambda: FourierGate([0, 1], 3.0),
+        lambda: FourierGate([0, 1], True),
+        lambda: FourierGate([0, 1], None),
+        lambda: FourierGate([], 1),
+        lambda: FourierGate([1, 1], 2),
+        lambda: Gate("fourier", (0, 1), fourier_matrix(4), m=4),  # no unchecked matrix
+        lambda: Gate("block", (0, 1), fourier_matrix(4), m=4),  # only a fourier gate takes m
+        lambda: Gate("u", (0,), X, inverse=True),
+    ],
+)
+def test_fourier_gate_validation(make):
+    with pytest.raises(InvalidGateError):
+        make()
+
+
+def test_fourier_gate_leaving_the_register():
+    with pytest.raises(InvalidGateError):
+        Circuit(2, [FourierGate([1, 2], 3)])
+
+
 # ---------------------------------------------------------------- compilation
 
 
@@ -244,10 +334,30 @@ def test_gate_count_pins():
 def test_block_budget(family):
     d = structured_dilation(build_povm(family))
     c = synthesize_circuit(d)
-    blocks = [g for g in c.gates if g.kind == "block"]
+    # a fourier gate counts as the dense block its matrix is
+    blocks = [g for g in c.gates if g.kind in ("block", "fourier")]
     assert len(blocks) <= 1
     for g in blocks:
-        assert g.matrix.shape[0] <= 8
+        assert 2 ** len(g.wires) <= 8
+
+
+@pytest.mark.parametrize(
+    "family",
+    [*synthesis_matrix(), PovmFamily.cyclic(4095), PovmFamily.dihedral_from_angle(2048, 1.0)],
+    ids=lambda f: f.label(),
+)
+def test_synthesis_checks_no_matrix_wider_than_two_qubits(family, monkeypatch):
+    # the Fourier factor is unitary by construction, so no r x r check remains
+    d = structured_dilation(build_povm(family))
+    widths = []
+
+    def spy(a):
+        widths.append(len(a))
+        return unitarity_residual(a)
+
+    monkeypatch.setattr(circuits, "unitarity_residual", spy)
+    synthesize_circuit(d)
+    assert max(widths, default=0) <= 4
 
 
 def test_synthesize_rejects_generic_completion():
@@ -309,13 +419,13 @@ def test_circuit_json_kinds():
     d = structured_dilation(dihedral_povm(3, 0.6, 0.8))
     data = synthesize_circuit(d, merge=False).to_dict()
     kinds = [g["kind"] for g in data["gates"]]
-    assert kinds == ["cnot", "cu", "cu", "block"]
+    assert kinds == ["cnot", "cu", "cu", "fourier"]
     assert data["n_qubits"] == 3
     cu = data["gates"][1]
     assert cu["control"] == 2 and cu["control_value"] == 1 and cu["target"] == 0
     re, im = cu["matrix"][0][0]
     assert abs(complex(re, im) - 0.6) < 1e-15
-    assert data["gates"][3]["targets"] == [1, 2]
+    assert data["gates"][3] == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
 
 
 def test_circuit_json_swap_and_u():
@@ -331,7 +441,7 @@ def test_format_circuit():
     lines = text.splitlines()
     assert len(lines) == 4  # header plus one line per gate
     assert "cnot" in lines[1]
-    assert "block" in lines[3]
+    assert lines[3].endswith("fourier targets=[1, 2] m=4 inverse=False")
 
 
 def test_compiled_circuits_are_unitary():

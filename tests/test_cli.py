@@ -203,8 +203,8 @@ def test_circuit_json_merge_toggle():
     )
     merged_kinds = [g["kind"] for g in json.loads(merged.stdout)["gates"]]
     plain_kinds = [g["kind"] for g in json.loads(plain.stdout)["gates"]]
-    assert merged_kinds == ["cu", "cu", "block"]
-    assert plain_kinds == ["cnot", "cu", "cu", "block"]
+    assert merged_kinds == ["cu", "cu", "fourier"]
+    assert plain_kinds == ["cnot", "cu", "cu", "fourier"]
 
 
 def test_circuit_complex_beta():

@@ -1,5 +1,7 @@
 """Oracle tests for the dense matrix helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from povmkit.linalg import (
     fourier_matrix,
     unitarity_residual,
 )
+
+from helpers import old_distance_up_to_global_phase
 
 W3 = complex(-0.5, -np.sqrt(3) / 2)  # exp(-2i pi/3), written out by hand
 
@@ -169,6 +173,86 @@ def test_distance_triangle_inequality_sampled():
         dab = distance_up_to_global_phase(a, b)
         dbc = distance_up_to_global_phase(b, c)
         assert dac <= dab + dbc + 1e-9
+
+
+def _distance_and_warnings(distance, a, b):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = distance(a, b)
+    return d, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_distance(a, b):
+    """The same float, NaN included, and the same warnings as the old code."""
+    got, got_warnings = _distance_and_warnings(distance_up_to_global_phase, a, b)
+    want, want_warnings = _distance_and_warnings(old_distance_up_to_global_phase, a, b)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert got_warnings == want_warnings
+    return got_warnings
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_distance_equals_old_code_on_random_inputs():
+    rng = np.random.default_rng(4094)
+    for shape in [(1, 1), (2, 2), (4, 2), (8, 8), (64, 64), (256, 2), (256, 256)]:
+        for scale in (1e-200, 1e-9, 1.0, 1e150):
+            a = scale * _complex(rng, shape)
+            b = np.exp(2j * np.pi * rng.random()) * a + 1e-3 * scale * _complex(rng, shape)
+            _assert_same_distance(a, b)
+            _assert_same_distance(a, _complex(rng, shape))
+    u = _random_unitary(rng, 16)
+    # an F-ordered view, as the two-column circuit check passes
+    _assert_same_distance(u[:, :2], u[:2].conj().T)
+    _assert_same_distance(fourier_matrix(256), fourier_matrix(256).conj())
+
+
+def test_distance_equals_old_code_near_zero_trace():
+    rng = np.random.default_rng(4095)
+    seen = set()
+    for n in (2, 4, 32):
+        a = _complex(rng, (n, n))
+        b = _complex(rng, (n, n))
+        b -= np.vdot(a, b) / np.vdot(a, a) * a  # tr(a^dag b) ~ 0
+        for c in [0.0] + [10.0**e for e in range(-18, -8)]:
+            seen.add(len(_assert_same_distance(a, b + c * a)))
+    zero = np.zeros((3, 3))
+    for a, b in [
+        (np.eye(2), np.diag([1.0, -1.0])),
+        (zero, zero),
+        (zero, np.eye(3)),
+        (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    ]:
+        seen.add(len(_assert_same_distance(a, b)))
+    assert seen == {0, 1}  # both sides of the phase test were reached
+
+
+def test_distance_equals_old_code_at_tiny_scale():
+    # below |a|max |b|max n = 1 the test compares the trace with 1e-15 itself
+    for s in (1e-8, 2e-8, 2.2e-8, 2.3e-8, 3e-8, 1e-4, 1e-200, 5e-324):
+        for n in (1, 2, 5):
+            _assert_same_distance(s * np.eye(n), np.eye(n))
+            _assert_same_distance(s * np.eye(n), s * np.eye(n))
+            _assert_same_distance(np.full((n, n), s), np.full((n, n), s * 1j))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(1, np.nan)])
+def test_distance_equals_old_code_on_non_finite_entries(bad):
+    rng = np.random.default_rng(4096)
+    a = _random_unitary(rng, 4)
+    spoiled = a.copy()
+    spoiled[1, 2] = bad
+    for x, y in [
+        (spoiled, a),
+        (a, spoiled),
+        (spoiled, spoiled),
+        (spoiled, np.zeros((4, 4))),
+        (np.zeros((4, 4)), spoiled),
+        (np.full((4, 4), bad), np.full((4, 4), bad)),
+    ]:
+        _assert_same_distance(x, y)
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
