@@ -98,7 +98,6 @@ from .simulate import (
     random_density_matrix,
     random_pure_state,
     sample,
-    statevector_probabilities,
     verify_family,
 )
 

@@ -15,9 +15,9 @@ Fourier transform instead, and builds its matrix on first use.
 factors, last factor first, into a circuit that compiles exactly to the
 dilation's adjoint, so running it and then reading the register in the
 computational basis realizes the measurement.  The inverse QFT, the
-four-orbit mixer circuit and the dihedral rotations are derived apart from
-the matrices they compile to, so the circuit-to-dilation distance checks
-them.
+four-orbit mixer circuit and the dihedral rotations, which carry the half
+swap, are derived apart from the matrices they compile to, so the
+circuit-to-dilation distance checks them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Gate:
     """A unitary ``matrix`` on the ``wires`` qubits, the first most significant.
 
     ``kind`` names the matrix's form: ``u`` any 2x2, ``cu`` a 2x2 on the
-    second qubit applied when the first reads ``control_value``, ``cnot``
+    second qubit applied when the first reads the control value, ``cnot``
     and ``swap`` the fixed 4x4s, ``block`` any 2^k x 2^k on k qubits.  A
     controlled identity reads as controlled on 1.  A ``fourier`` gate on k
     qubits takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``: its
@@ -127,10 +127,6 @@ class Gate:
             if r[2][2:] + r[3][2:] == [1, 0, 0, 1]:
                 return 0, self.matrix[:2, :2]
         raise InvalidGateError("a cu matrix must be the identity on one control value")
-
-    @property
-    def control_value(self) -> int:
-        return self._control()[0]
 
     def adjoint(self) -> "Gate":
         """The same kind on the same qubits, with the adjoint matrix; a
@@ -336,33 +332,14 @@ def orbit_mixer_adjoint_circuit(kind: str) -> Circuit:
     return Circuit(2, gates, label=f"{kind} mixer adjoint")
 
 
-def synthesize_circuit(dilated: DilatedMeasurement, merge: bool = True) -> Circuit:
-    """Gate factorization of a structured dilation's adjoint.
-
-    The gate lists of the dilation's factors, last factor first.  With
-    ``merge`` a cnot followed by a rotation on the same wires, controlled on
-    1, becomes that rotation with its two columns swapped; this saves one
-    gate in the dihedral circuits and changes no other.
-    """
+def synthesize_circuit(dilated: DilatedMeasurement) -> Circuit:
+    """Gate factorization of a structured dilation's adjoint: the gate lists
+    of the dilation's factors, last factor first."""
     if dilated.factors is None:
         raise InvalidParameterError(
             "gate factorizations exist only for structured dilations"
         )
-    gates: list = []
-    for _, _, adjoint_gates in reversed(dilated.factors):
-        for gate in adjoint_gates():
-            flip = gates[-1] if merge and gates else None
-            if (
-                flip is not None
-                and flip.kind == "cnot"
-                and gate.kind == "cu"
-                and gate.control_value == 1
-                and gate.wires == flip.wires
-            ):
-                # the cnot swaps the last two columns of the rotation's 4x4
-                gate = Gate("cu", gate.wires, gate.matrix[:, [0, 1, 3, 2]])
-                gates.pop()
-            gates.append(gate)
+    gates = [g for _, _, adjoint_gates in reversed(dilated.factors) for g in adjoint_gates()]
     return Circuit(dilated.n_qubits, gates, label=dilated.povm.family.label())
 
 

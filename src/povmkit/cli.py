@@ -53,10 +53,26 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _family_flags(args) -> list[str]:
+    """The family parameters given, as their flags."""
+    flags = (("m", "-m"), ("alpha", "--alpha"), ("beta", "--beta"), ("theta", "--theta"))
+    return [flag for name, flag in flags if getattr(args, name) is not None]
+
+
 def family_from_args(args) -> PovmFamily:
+    """The family the arguments name; InvalidParameterError for a missing
+    parameter, and for one the family would ignore."""
     kind = args.family
     if kind is None:
         raise InvalidParameterError("a family is required unless --all is given")
+    if kind == "dihedral":
+        takes = ("-m", "--theta") if args.theta is not None else ("-m", "--alpha", "--beta")
+    else:
+        takes = ("-m",) if kind == "cyclic" else ()
+    ignored = [flag for flag in _family_flags(args) if flag not in takes]
+    if ignored:
+        given = "given --theta, " if kind == "dihedral" else ""
+        raise InvalidParameterError(f"{given}the {kind} family takes no {', '.join(ignored)}")
     if kind == "cyclic":
         if args.m is None:
             raise InvalidParameterError("the cyclic family needs -m")
@@ -143,16 +159,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.all and (args.family is not None or _family_flags(args)):
+        raise InvalidParameterError(
+            "--all verifies the standard grid and takes no family arguments"
+        )
     # verify_family checks the register cap before building anything
     families = default_verify_matrix() if args.all else [family_from_args(args)]
     reports = [
-        verify_family(
-            family,
-            n_states=args.states,
-            seed=args.seed,
-            merge=not args.no_merge,
-            method=args.method,
-        )
+        verify_family(family, n_states=args.states, seed=args.seed, method=args.method)
         for family in families
     ]
     if args.format == "json":
@@ -192,7 +206,7 @@ def cmd_simulate(args) -> int:
     analytic = analytic_probabilities(povm, rho)
     if args.method == "structured":
         dilated = structured_dilation(povm)
-        circuit = synthesize_circuit(dilated, merge=not args.no_merge)
+        circuit = synthesize_circuit(dilated)
         register = circuit_probabilities(dilated, circuit, rho)
     else:
         register = dilation_probabilities(generic_completion(povm), rho)
@@ -222,7 +236,7 @@ def cmd_sample(args) -> int:
     rho = parse_state(args.state)
     analytic = analytic_probabilities(povm, rho)
     dilated = structured_dilation(povm)
-    circuit = synthesize_circuit(dilated, merge=not args.no_merge)
+    circuit = synthesize_circuit(dilated)
     probs = circuit_probabilities(dilated, circuit, rho)
     counts = sample(probs, args.shots, args.seed)
     freqs = counts.frequencies()
@@ -250,9 +264,7 @@ def cmd_sample(args) -> int:
 
 def cmd_circuit(args) -> int:
     povm = build_povm(dilated_family_from_args(args))
-    circuit = synthesize_circuit(
-        structured_dilation(povm), merge=not args.no_merge
-    )
+    circuit = synthesize_circuit(structured_dilation(povm))
     if args.format == "json":
         _emit(args, _json(circuit.to_dict()))
     else:
@@ -329,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--all", action="store_true", help="verify the standard family grid")
     v.add_argument("--states", type=int, default=20, help="random states per family")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--no-merge", action="store_true", help="keep the basis flip separate")
     v.add_argument("--method", choices=("structured", "generic"), default="structured")
     _add_output_arguments(v, ("text", "json"))
     v.set_defaults(func=cmd_verify)
@@ -337,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate", help="compare circuit and analytic statistics")
     _add_family_arguments(s)
     s.add_argument("--state", default="mixed", help="'mixed', x,y,z or re0,im0,re1,im1")
-    s.add_argument("--no-merge", action="store_true")
     s.add_argument("--method", choices=("structured", "generic"), default="structured")
     _add_output_arguments(s, ("json", "csv"))
     s.set_defaults(func=cmd_simulate)
@@ -347,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="mixed", help="'mixed', x,y,z or re0,im0,re1,im1")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--no-merge", action="store_true")
     _add_output_arguments(p, ("json", "csv"))
     p.set_defaults(func=cmd_sample)
 
     c = subs.add_parser("circuit", help="print the gate factorization")
     _add_family_arguments(c)
-    c.add_argument("--no-merge", action="store_true")
     _add_output_arguments(c, ("text", "json"))
     c.set_defaults(func=cmd_circuit)
 

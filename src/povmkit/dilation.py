@@ -11,8 +11,9 @@ measurement statistics, with the zero-started columns never firing.
 form 2^t rings of m, and U applies the Fourier transform F_m, padded with
 an identity, on the low l - t qubits of its l, then the family's orbit
 mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
-holds what differs between families.  Both U and the gate circuit of
-``circuits.synthesize_circuit`` are read from the same list of factors.
+holds what differs between families from the mixer on, half swap included.
+Both U and the gate circuit of ``circuits.synthesize_circuit`` are read
+from the same list of factors.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -174,35 +175,41 @@ def orbit_mixer(kind: str) -> np.ndarray:
 
 
 def _dihedral_factor(alpha: float, beta: complex, l: int) -> tuple:
-    """The dihedral coupling, one 4x4 on qubits (l - 1, 0).
+    """The dihedral coupling, then the half swap: one 4x4 on qubits (l - 1, 0).
 
     Qubit 0 pairs basis state j with j + r/2, and the parity of j (qubit
-    l - 1) picks the 2x2 block.  The gates are the two controlled
-    rotations, written out as adjoints.
+    l - 1) picks the coupling's 2x2 block, [[a, b], [b*, -a]] or, for odd
+    j, [[a, -b*], [b, a]], whose rows the swap exchanges.  The gates are
+    the two controlled rotations, written out as adjoints.
     """
     beta = complex(beta)
     bc = beta.conjugate()
     even = np.array([[alpha, beta], [bc, -alpha]])
-    odd = np.array([[alpha, -bc], [beta, alpha]])
+    odd = np.array([[beta, alpha], [alpha, -bc]])
     return direct_sum(even, odd), (l - 1, 0), lambda: [
-        ControlledGate(l - 1, 1, 0, np.array([[alpha, bc], [-beta, alpha]])),
+        ControlledGate(l - 1, 1, 0, np.array([[bc, alpha], [alpha, -beta]])),
         ControlledGate(l - 1, 0, 0, np.array([[alpha, beta], [bc, -alpha]])),
     ]
 
 
 def _orbit_mixer_factors(family, l: int) -> list:
-    """The platonic orbit mixer on the top qubits; a 4x4 one has its own circuit."""
+    """The platonic orbit mixer on the top t qubits, then the half swap
+    CNOT(l - 1 -> t - 1); a 4x4 mixer has its own circuit."""
     mixer = orbit_mixer(family.kind)
     if len(mixer) == 2:
-        return [(mixer, (0,), lambda: [SingleQubitGate(0, mixer.conj().T)])]
-    return [(mixer, (0, 1), lambda: orbit_mixer_adjoint_circuit(family.kind).gates)]
+        factor = (mixer, (0,), lambda: [SingleQubitGate(0, mixer.conj().T)])
+    else:
+        factor = (mixer, (0, 1), lambda: orbit_mixer_adjoint_circuit(family.kind).gates)
+    t = len(factor[1])
+    return [factor, (CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)])]
 
 
 _TETRAHEDRON_PHASE = (
     np.diag([1, 1, 1, -1j]), (0, 1), lambda: [ControlledGate(0, 1, 1, np.diag([1.0, 1.0j]))]
 )
 
-# kind -> (orbit qubits t, conjugated Fourier factor, mixer factors of (family, l))
+# kind -> (orbit qubits t, conjugated Fourier factor, the factors after it of
+# (family, l), the half swap last)
 _FACTOR_TABLE = {
     CYCLIC: (0, False, lambda f, l: []),
     DIHEDRAL: (1, False, lambda f, l: [_dihedral_factor(f.alpha, f.beta, l)]),
@@ -240,8 +247,6 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
             (fourier, low, lambda: [_fourier_gate(low, m, not conjugate, fourier.conj().T)])
         ]
     factors += mixer(povm.family, l)
-    if t:
-        factors.append((CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)]))
     # the Fourier factor on the low qubits is I (x) F; the rest are local
     gates = [(u, qubits) for u, qubits, _ in factors[1:]]
     if gates:  # I (x) F unnamed, so that it is freed once apply_gates copies it

@@ -1,11 +1,11 @@
 """Probability computation, sampling and end-to-end verification.
 
 The analytic path evaluates <psi_j| rho |psi_j> directly from the
-measurement vectors.  The register paths embed rho (or a pure state) into
-the dilated register, apply the dilation's adjoint (as a matrix, or as a
-circuit checked against it), read the computational-basis diagonal and
-fold it back onto measurement outcomes, checking that the padding basis
-states stay empty.  The qubit state occupies only register basis states 0
+measurement vectors.  The register paths embed rho into the dilated
+register, apply the dilation's adjoint (as a matrix, or as a circuit
+checked against it), read the computational-basis diagonal and fold it
+back onto measurement outcomes, checking that the padding basis states
+stay empty.  The qubit state occupies only register basis states 0
 and 1, so the diagonal, and the check, need only the first two columns of
 the applied matrix: a circuit's gates are unitary, so a match on those
 columns fixes its statistics for every state.
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import STATE_TOL, validate_density_matrix
+from .bloch import validate_density_matrix
 from .circuits import Circuit, circuit_isometry, compile_circuit, synthesize_circuit
 from .dilation import (
     DilatedMeasurement,
@@ -32,7 +32,6 @@ from .errors import (
     CircuitMismatchError,
     DegenerateOrbitError,
     InvalidParameterError,
-    InvalidStateError,
     PaddingLeakError,
 )
 from .families import Povm, PovmFamily, _integer, build_povm, completeness_residual
@@ -141,20 +140,6 @@ def circuit_probabilities(
     """Outcome probabilities from running the circuit on rho, on the two
     columns rho reaches, which are checked against the dilation adjoint."""
     rho = validate_density_matrix(rho)
-    isometry = _checked_isometry(dilated, circuit)
-    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
-
-
-def statevector_probabilities(
-    dilated: DilatedMeasurement, circuit: Circuit, psi: np.ndarray
-) -> np.ndarray:
-    """Outcome probabilities for a pure state, as those of psi psi^dag."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise InvalidStateError("pure state must be a 2-vector")
-    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_TOL:
-        raise InvalidStateError("pure state must be normalized")
-    rho = np.outer(psi, psi.conj())
     isometry = _checked_isometry(dilated, circuit)
     return _leak_checked(*_register_probabilities(dilated, isometry, rho))
 
@@ -411,7 +396,6 @@ def verify_family(
     family: PovmFamily,
     n_states: int = 20,
     seed: int = DEFAULT_SEED,
-    merge: bool = True,
     method: str = "structured",
 ) -> VerificationReport:
     """Check one family end to end against the analytic probabilities.
@@ -456,7 +440,7 @@ def verify_family(
         report.failures.append("embedding")
 
     if method == "structured":
-        circuit = synthesize_circuit(dilated, merge=merge)
+        circuit = synthesize_circuit(dilated)
         report.gate_count = len(circuit.gates)
         u = compile_circuit(circuit)
         # the adjoint as one C-ordered copy, which vdot does not copy again

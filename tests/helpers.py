@@ -6,7 +6,7 @@ import numpy as np
 
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
-from povmkit.linalg import apply_gates
+from povmkit.linalg import CNOT_MATRIX, apply_gates
 
 
 def gate_unitary(gate, n_qubits: int) -> np.ndarray:
@@ -18,10 +18,12 @@ def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
     """Unitary coupling the two halves of the dihedral register.
 
     Pairs basis state j with j + r/2; the sign pattern alternates with the
-    parity of j so that each pair carries a valid 2x2 unitary block.
+    parity of j so that each pair carries a valid 2x2 unitary block.  The
+    dilation's dihedral factor is this coupling followed by the half swap,
+    a cnot on the same qubits, which a second cnot undoes.
     """
     matrix, qubits, _ = _dihedral_factor(alpha, beta, r.bit_length() - 1)
-    return apply_gates([(matrix, qubits)], np.eye(r, dtype=complex))
+    return apply_gates([(matrix, qubits), (CNOT_MATRIX, qubits)], np.eye(r, dtype=complex))
 
 
 def one_shot_fourier(m: int) -> np.ndarray:

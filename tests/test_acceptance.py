@@ -109,9 +109,8 @@ def test_criterion_3_circuit_fidelity():
     for family in circuit_matrix():
         d = structured_dilation(build_povm(family))
         target = d.matrix.conj().T
-        for merge in (True, False):
-            compiled = compile_circuit(synthesize_circuit(d, merge=merge))
-            worst = max(worst, distance_up_to_global_phase(compiled, target))
+        compiled = compile_circuit(synthesize_circuit(d))
+        worst = max(worst, distance_up_to_global_phase(compiled, target))
     _report(3, "circuit fidelity", worst <= 1e-9, f"worst distance {worst:.2e}")
 
 

@@ -145,8 +145,8 @@ def test_gate_is_one_class_with_a_kind():
         adjoint = gate.adjoint()
         assert (adjoint.kind, adjoint.wires) == (kind, qubits)
         assert np.array_equal(adjoint.matrix, gate.matrix.conj().T)
-    assert ControlledGate(0, 0, 1, S).control_value == 0
-    assert ControlledGate(0, 1, 1, S).control_value == 1
+    assert ControlledGate(0, 0, 1, S).to_dict()["control_value"] == 0
+    assert ControlledGate(0, 1, 1, S).to_dict()["control_value"] == 1
 
 
 def test_circuit_range_validation():
@@ -306,23 +306,29 @@ def synthesis_matrix():
 
 
 @pytest.mark.parametrize("family", synthesis_matrix(), ids=lambda f: f.label())
-@pytest.mark.parametrize("merge", [True, False], ids=["merged", "plain"])
-def test_synthesized_circuit_compiles_to_dilation_adjoint(family, merge):
+def test_synthesized_circuit_compiles_to_dilation_adjoint(family):
     d = structured_dilation(build_povm(family))
-    c = synthesize_circuit(d, merge=merge)
+    c = synthesize_circuit(d)
     assert c.n_qubits == d.n_qubits
     assert np.abs(compile_circuit(c) - d.matrix.conj().T).max() < 1e-12
 
 
+@pytest.mark.parametrize("family", synthesis_matrix(), ids=lambda f: f.label())
+def test_inverse_circuit_compiles_to_the_dilation(family):
+    d = structured_dilation(build_povm(family))
+    inverse = inverse_circuit(synthesize_circuit(d))
+    assert inverse.n_qubits == d.n_qubits
+    assert np.abs(compile_circuit(inverse) - d.matrix).max() < 1e-12
+
+
 def test_gate_count_pins():
-    def count(family, merge=True):
+    def count(family):
         d = structured_dilation(build_povm(family))
-        return len(synthesize_circuit(d, merge=merge).gates)
+        return len(synthesize_circuit(d).gates)
 
     assert count(PovmFamily.cyclic(3)) == 1  # one padded Fourier block
     assert count(PovmFamily.cyclic(4)) == 4  # inverse qft
     assert count(PovmFamily.dihedral(3, 0.6, 0.8)) == 3
-    assert count(PovmFamily.dihedral(3, 0.6, 0.8), merge=False) == 4
     assert count(PovmFamily.platonic("tetrahedron")) == 4
     assert count(PovmFamily.platonic("cube")) == 3
     assert count(PovmFamily.platonic("octahedron")) == 3
@@ -366,13 +372,6 @@ def test_synthesize_rejects_generic_completion():
         synthesize_circuit(d)
 
 
-def test_dihedral_merge_consistency():
-    d = structured_dilation(dihedral_povm(4, 0.6, 0.8))
-    merged = compile_circuit(synthesize_circuit(d, merge=True))
-    plain = compile_circuit(synthesize_circuit(d, merge=False))
-    assert np.abs(merged - plain).max() < 1e-13
-
-
 def test_complex_seed_synthesis():
     d = structured_dilation(dihedral_povm(3, 0.6, 0.8j))
     c = synthesize_circuit(d)
@@ -386,12 +385,11 @@ UNIT = st.floats(-1.0, 1.0)
     theta=st.floats(0.15, np.pi - 0.15, exclude_min=True, exclude_max=True),
     phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
     m=st.integers(2, 64),
-    merge=st.booleans(),
     amplitudes=st.tuples(UNIT, UNIT, UNIT, UNIT),
     weight=st.floats(0.0, 1.0),
 )
 @settings(max_examples=60, derandomize=True, deadline=None)
-def test_dihedral_seeds_synthesize_exactly(theta, phi, m, merge, amplitudes, weight):
+def test_dihedral_seeds_synthesize_exactly(theta, phi, m, amplitudes, weight):
     beta = np.sin(theta / 2) * np.exp(1j * phi)
     try:
         povm = dihedral_povm(m, np.cos(theta / 2), beta)
@@ -403,7 +401,7 @@ def test_dihedral_seeds_synthesize_exactly(theta, phi, m, merge, amplitudes, wei
     rho = weight * np.outer(psi, psi.conj()) + (1 - weight) * np.eye(2) / 2
 
     d = structured_dilation(povm)
-    c = synthesize_circuit(d, merge=merge)
+    c = synthesize_circuit(d)
     # no global phase alignment: the circuit is the adjoint itself
     assert np.abs(compile_circuit(c) - d.matrix.conj().T).max() <= 1e-12
     assert d.unitarity_residual() <= 1e-10
@@ -417,15 +415,16 @@ def test_dihedral_seeds_synthesize_exactly(theta, phi, m, merge, amplitudes, wei
 
 def test_circuit_json_kinds():
     d = structured_dilation(dihedral_povm(3, 0.6, 0.8))
-    data = synthesize_circuit(d, merge=False).to_dict()
+    data = synthesize_circuit(d).to_dict()
     kinds = [g["kind"] for g in data["gates"]]
-    assert kinds == ["cnot", "cu", "cu", "fourier"]
+    assert kinds == ["cu", "cu", "fourier"]
     assert data["n_qubits"] == 3
-    cu = data["gates"][1]
+    cu = data["gates"][0]
     assert cu["control"] == 2 and cu["control_value"] == 1 and cu["target"] == 0
-    re, im = cu["matrix"][0][0]
-    assert abs(complex(re, im) - 0.6) < 1e-15
-    assert data["gates"][3] == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
+    # the odd block's adjoint with its columns swapped: the half swap folded in
+    matrix = [[complex(*z) for z in row] for row in cu["matrix"]]
+    assert matrix == [[0.8, 0.6], [0.6, -0.8]]
+    assert data["gates"][2] == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
 
 
 def test_circuit_json_swap_and_u():

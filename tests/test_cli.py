@@ -192,19 +192,15 @@ def test_circuit_text_output():
     assert "3 gates" in r.stdout
 
 
-def test_circuit_json_merge_toggle():
-    merged = run_cli(
-        "circuit", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "0.8",
-        "--format", "json",
-    )
-    plain = run_cli(
-        "circuit", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "0.8",
-        "--format", "json", "--no-merge",
-    )
-    merged_kinds = [g["kind"] for g in json.loads(merged.stdout)["gates"]]
-    plain_kinds = [g["kind"] for g in json.loads(plain.stdout)["gates"]]
-    assert merged_kinds == ["cu", "cu", "fourier"]
-    assert plain_kinds == ["cnot", "cu", "cu", "fourier"]
+@pytest.mark.parametrize("command", ["verify", "simulate", "sample", "circuit"])
+def test_no_merge_option(command):
+    argv = [command, "dihedral", "-m", "3", "--theta", "1", "--no-merge"]
+    if command == "sample":
+        argv += ["--shots", "10"]
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --no-merge" in r.stderr
+    assert r.stdout == ""
 
 
 def test_circuit_complex_beta():
@@ -272,6 +268,18 @@ def test_output_to_file(tmp_path):
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
+        # a family argument that would be ignored
+        ["verify", "cube", "--all"],
+        ["verify", "--all", "-m", "3"],
+        ["verify", "dihedral", "-m", "3", "--theta", "1", "--alpha", "0.6", "--beta", "0.8"],
+        ["circuit", "cube", "-m", "7"],
+        ["bloch", "cyclic", "-m", "4", "--theta", "1"],
+        ["verify", "--all", "--theta", "1"],
+        ["verify", "cyclic", "-m", "4", "--alpha", "0.6"],
+        ["circuit", "dihedral", "-m", "3", "--theta", "1", "--beta", "0.8"],
+        ["simulate", "tetrahedron", "--theta", "1"],
+        ["sample", "cube", "--alpha", "0.6", "--beta", "0.8", "--shots", "10"],
+        ["build", "octahedron", "-m", "3"],
     ],
     ids=[
         "theta-nan",
@@ -287,6 +295,17 @@ def test_output_to_file(tmp_path):
         "bloch-state-overflow",
         "bloch-out-of-memory",
         "verify-out-of-memory",
+        "all-with-family",
+        "all-with-m",
+        "theta-with-alpha-beta",
+        "platonic-with-m",
+        "cyclic-with-theta",
+        "all-with-theta",
+        "cyclic-with-alpha",
+        "theta-with-beta",
+        "simulate-platonic-with-theta",
+        "sample-platonic-with-alpha-beta",
+        "build-platonic-with-m",
     ],
 )
 @pytest.mark.filterwarnings("error")

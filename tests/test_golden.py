@@ -2,7 +2,10 @@
 
 ``data/structured_golden.npz`` holds, for every family in
 ``golden_families()``, the dense structured dilation and, for the merged
-and the unmerged circuit, each gate's ``wires`` and ``matrix``.
+and the unmerged circuit, each gate's ``wires`` and ``matrix``.  A family
+now has one circuit, the merged one, which must match the ``merged`` keys
+gate by gate; the ``plain`` circuit is no longer built, and its keys pin
+only the operator, which the one circuit must still compile to.
 It was written, before the per-family factor table replaced the two
 per-family ladders, by::
 
@@ -48,10 +51,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmkit.circuits import synthesize_circuit
+from povmkit.circuits import compile_circuit, synthesize_circuit
 from povmkit.cli import default_verify_matrix
 from povmkit.dilation import structured_dilation
 from povmkit.families import PLATONIC_KINDS, PovmFamily, build_povm
+from povmkit.linalg import apply_gates
 from povmkit.simulate import verify_family
 
 GOLDEN = Path(__file__).parent / "data" / "structured_golden.npz"
@@ -85,14 +89,26 @@ def test_structured_dilation_and_circuit_match_golden(golden, k):
     expected = golden[f"{k}_dilation"]
     assert d.matrix.shape == expected.shape
     assert np.abs(d.matrix - expected).max() <= 1e-14
-    for tag, merge in (("merged", True), ("plain", False)):
-        gates = synthesize_circuit(d, merge=merge).gates
-        assert len(gates) == int(golden[f"{k}_{tag}_count"])
-        for i, g in enumerate(gates):
-            assert g.wires == tuple(golden[f"{k}_{tag}_{i}_qubits"])
-            want = golden[f"{k}_{tag}_{i}_matrix"]
-            assert g.matrix.shape == want.shape
-            assert np.abs(g.matrix - want).max() <= 1e-15
+    gates = synthesize_circuit(d).gates
+    assert len(gates) == int(golden[f"{k}_merged_count"])
+    for i, g in enumerate(gates):
+        assert g.wires == tuple(golden[f"{k}_merged_{i}_qubits"])
+        want = golden[f"{k}_merged_{i}_matrix"]
+        assert g.matrix.shape == want.shape
+        assert np.abs(g.matrix - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(len(FAMILIES)), ids=[f.label() for f in FAMILIES])
+def test_circuit_compiles_to_the_golden_plain_circuit(golden, k):
+    """The unmerged circuit kept the half swap as its own cnot; the one
+    circuit folds it into the coupling and must be the same operator."""
+    d = structured_dilation(build_povm(FAMILIES[k]))
+    plain = [
+        (golden[f"{k}_plain_{i}_matrix"], tuple(golden[f"{k}_plain_{i}_qubits"]))
+        for i in range(int(golden[f"{k}_plain_count"]))
+    ]
+    want = apply_gates(plain, np.eye(2**d.n_qubits, dtype=complex))
+    assert np.abs(compile_circuit(synthesize_circuit(d)) - want).max() <= 1e-12
 
 
 def test_verify_all_reports_match_golden():

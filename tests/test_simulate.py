@@ -50,7 +50,6 @@ from povmkit.simulate import (
     random_density_matrix,
     random_pure_state,
     sample,
-    statevector_probabilities,
     verify_family,
 )
 
@@ -167,11 +166,10 @@ def test_dilation_probabilities_match_analytic(family, method):
 
 
 @pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
-@pytest.mark.parametrize("merge", [True, False], ids=["merged", "plain"])
-def test_circuit_probabilities_match_analytic(family, merge):
+def test_circuit_probabilities_match_analytic(family):
     povm = build_povm(family)
     d = structured_dilation(povm)
-    c = synthesize_circuit(d, merge=merge)
+    c = synthesize_circuit(d)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(5):
         rho = random_density_matrix(rng)
@@ -181,7 +179,7 @@ def test_circuit_probabilities_match_analytic(family, merge):
 
 
 @pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
-def test_statevector_agrees_with_density_path(family):
+def test_pure_state_circuit_probabilities_match_analytic(family):
     povm = build_povm(family)
     d = structured_dilation(povm)
     c = synthesize_circuit(d)
@@ -189,40 +187,49 @@ def test_statevector_agrees_with_density_path(family):
     for _ in range(3):
         psi = random_pure_state(rng)
         rho = np.outer(psi, psi.conj())
-        a = statevector_probabilities(d, c, psi)
-        b = circuit_probabilities(d, c, rho)
-        assert np.abs(a - b).max() < 1e-12
+        got = circuit_probabilities(d, c, rho)
+        assert np.abs(got - analytic_probabilities(povm, rho)).max() < 1e-12
 
 
-def test_statevector_requires_normalized_input():
+@pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
+def test_stacked_circuit_probabilities_match_per_state(family):
+    povm = build_povm(family)
+    d = structured_dilation(povm)
+    c = synthesize_circuit(d)
+    rhos = random_density_matrices(np.random.default_rng(13), 6)
+    loop = np.array([circuit_probabilities(d, c, rho) for rho in rhos])
+    stacked = circuit_probabilities(d, c, rhos.reshape(2, 3, 2, 2))
+    assert stacked.shape == (2, 3, povm.n)
+    assert np.abs(stacked.reshape(6, povm.n) - loop).max() <= 1e-15
+
+
+def test_circuit_probabilities_require_unit_trace():
     d = structured_dilation(cyclic_povm(3))
     c = synthesize_circuit(d)
     with pytest.raises(InvalidStateError):
-        statevector_probabilities(d, c, np.array([1.0, 1.0]))
+        circuit_probabilities(d, c, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("psi", [[np.nan, 0], [0, np.inf], [np.nan, np.nan]])
-def test_statevector_rejects_non_finite_input(m, psi):
-    # the norm check is written so that a NaN norm fails it: cyclic(4) used to
-    # return NaN probabilities, cyclic(3) to report a padding leak
+def test_circuit_probabilities_reject_non_finite_input(m, psi):
+    # a non-finite pure state must fail validation, not reach the register:
+    # there cyclic(4) gave NaN probabilities and cyclic(3) a padding leak
     d = structured_dilation(cyclic_povm(m))
     c = synthesize_circuit(d)
+    psi = np.array(psi, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        rho = np.outer(psi, psi.conj())
     with pytest.raises(InvalidStateError):
-        statevector_probabilities(d, c, np.array(psi, dtype=complex))
+        circuit_probabilities(d, c, rho)
 
 
-def test_circuit_mismatch_detection():
+@pytest.mark.parametrize("rho", [MIXED, np.diag([1.0, 0.0])], ids=["mixed", "pure"])
+def test_circuit_mismatch_detection(rho):
     d = structured_dilation(cyclic_povm(4))
     wrong = qft_circuit(2)  # forward transform instead of the adjoint
     with pytest.raises(CircuitMismatchError):
-        circuit_probabilities(d, wrong, MIXED)
-
-
-def test_statevector_mismatch_detection():
-    d = structured_dilation(cyclic_povm(4))
-    with pytest.raises(CircuitMismatchError):
-        statevector_probabilities(d, qft_circuit(2), np.array([1.0, 0.0]))
+        circuit_probabilities(d, wrong, rho)
 
 
 def _drop_last_gate(circuit):
@@ -266,8 +273,9 @@ def test_two_column_check_rejects_corruptions(family, corrupt):
     assert shift > MISMATCH_TOL
     with pytest.raises(CircuitMismatchError):
         circuit_probabilities(d, wrong, MIXED)
+    psi = np.array([0.6, 0.8j])
     with pytest.raises(CircuitMismatchError):
-        statevector_probabilities(d, wrong, np.array([0.6, 0.8j]))
+        circuit_probabilities(d, wrong, np.outer(psi, psi.conj()))
 
 
 def test_two_column_check_accepts_a_change_outside_them():
@@ -285,9 +293,9 @@ def test_two_column_check_accepts_a_change_outside_them():
         circuit_probabilities(d, trimmed, rho), circuit_probabilities(d, circuit, rho)
     )
     psi = random_pure_state(np.random.default_rng(3))
+    pure = np.outer(psi, psi.conj())
     assert np.array_equal(
-        statevector_probabilities(d, trimmed, psi),
-        statevector_probabilities(d, circuit, psi),
+        circuit_probabilities(d, trimmed, pure), circuit_probabilities(d, circuit, pure)
     )
 
 
@@ -310,8 +318,9 @@ def test_probability_paths_never_compile(family, monkeypatch):
     psi = random_pure_state(rng)
     expected = analytic_probabilities(povm, rho)
     assert np.abs(circuit_probabilities(d, c, rho) - expected).max() < 1e-12
-    pure = analytic_probabilities(povm, np.outer(psi, psi.conj()))
-    assert np.abs(statevector_probabilities(d, c, psi) - pure).max() < 1e-12
+    pure = np.outer(psi, psi.conj())
+    expected = analytic_probabilities(povm, pure)
+    assert np.abs(circuit_probabilities(d, c, pure) - expected).max() < 1e-12
 
 
 def test_distinct_instances_compare_unequal():
