@@ -15,7 +15,6 @@ from .bloch import (
     validate_density_matrix,
 )
 from .circuits import (
-    BlockGate,
     Circuit,
     CnotGate,
     ControlledGate,

@@ -8,8 +8,10 @@ of a basis index throughout.
 Each gate holds its small ``matrix`` and the ``wires`` it acts on;
 ``apply_circuit`` contracts those matrices into the columns of a
 register array one gate at a time, so no gate is ever embedded as a dense
-register-sized matrix.  A ``fourier`` gate holds the size m of its padded
-Fourier transform instead, and builds its matrix on first use.
+register-sized matrix.  The gates are the paper's elementary one- and
+two-qubit gates and a ``fourier`` gate, F_m padded with an identity on an
+ascending run of qubits, which holds the size m of its transform and
+builds its matrix on first use.
 
 ``synthesize_circuit`` joins the gate lists of a structured dilation's
 factors, last factor first, into a circuit that compiles exactly to the
@@ -45,13 +47,12 @@ if TYPE_CHECKING:
     from .dilation import DilatedMeasurement
 
 
-# kind -> (qubits it acts on, 0 for any number; its ``describe`` line)
+# kind -> (qubits it acts on, 0 for any ascending run; its ``describe`` line)
 _KINDS = {
     "u": (1, "u target={target}"),
     "cu": (2, "cu control={control} value={control_value} target={target}"),
     "cnot": (2, "cnot control={control} target={target}"),
     "swap": (2, "swap qubits=({qubits[0]}, {qubits[1]})"),
-    "block": (0, "block targets={targets} dim={dim}"),
     "fourier": (0, "fourier targets={targets} m={m} inverse={inverse}"),
 }
 _FIXED = {"cnot": CNOT_MATRIX, "swap": SWAP_MATRIX}
@@ -63,10 +64,10 @@ class Gate:
 
     ``kind`` names the matrix's form: ``u`` any 2x2, ``cu`` a 2x2 on the
     second qubit applied when the first reads the control value, ``cnot``
-    and ``swap`` the fixed 4x4s, ``block`` any 2^k x 2^k on k qubits.  A
-    controlled identity reads as controlled on 1.  A ``fourier`` gate on k
-    qubits takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``: its
-    matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
+    and ``swap`` the fixed 4x4s.  A controlled identity reads as
+    controlled on 1.  A ``fourier`` gate acts on an ascending run of k
+    qubits and takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``:
+    its matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
     ``inverse``.  That matrix is unitary by construction, so it is not
     checked; it is built on first use and kept.
     """
@@ -83,6 +84,10 @@ class Gate:
         if not n or len(set(self.wires)) != n or (arity and n != arity):
             raise InvalidGateError(f"a {kind} gate cannot act on qubits {self.wires}")
         if kind == "fourier":
+            if self.wires != tuple(range(self.wires[0], self.wires[0] + n)):
+                raise InvalidGateError(
+                    f"a fourier gate acts on an ascending run of qubits, not {self.wires}"
+                )
             if matrix is not None:
                 raise InvalidGateError("a fourier gate's matrix is built from m")
             if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= 2**n:
@@ -129,13 +134,13 @@ class Gate:
         raise InvalidGateError("a cu matrix must be the identity on one control value")
 
     def adjoint(self) -> "Gate":
-        """The same kind on the same qubits, with the adjoint matrix; a
-        fourier gate flips ``inverse`` instead."""
+        """The same kind on the same qubits, with the adjoint matrix if it is
+        built; a fourier gate also flips ``inverse``."""
         # the adjoint keeps every kind's form, so it is not validated again
         gate = copy.copy(self)
         if self.kind == "fourier":
-            gate.inverse, gate._matrix = not self.inverse, None
-        else:
+            gate.inverse = not self.inverse
+        if self._matrix is not None:
             gate._matrix = self._matrix.conj().T
         return gate
 
@@ -151,12 +156,10 @@ class Gate:
             return {"control": q[0], "target": q[1]}
         if self.kind == "swap":
             return {"qubits": q}
-        if self.kind == "fourier":
-            return {"targets": q, "m": self.m, "inverse": self.inverse}
-        return {"targets": q, "matrix": self.matrix}
+        return {"targets": q, "m": self.m, "inverse": self.inverse}
 
     def describe(self) -> str:
-        return _KINDS[self.kind][1].format(**self._fields(), dim=2 ** len(self.wires))
+        return _KINDS[self.kind][1].format(**self._fields())
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind, **self._fields()}
@@ -191,22 +194,9 @@ def SwapGate(a: int, b: int) -> Gate:
     return Gate("swap", (a, b), SWAP_MATRIX)
 
 
-def BlockGate(targets, matrix) -> Gate:
-    """A dense unitary on a small group of adjacent-or-not qubits."""
-    return Gate("block", targets, matrix)
-
-
 def FourierGate(targets, m: int, inverse: bool = False) -> Gate:
     """F_m padded with an identity to the targets' 2^k, or its adjoint."""
     return Gate("fourier", targets, m=m, inverse=inverse)
-
-
-def _fourier_gate(targets, m: int, inverse: bool, matrix: np.ndarray) -> Gate:
-    """``FourierGate`` holding ``matrix``, the caller's own F' (conj(F') when
-    ``inverse``), as its dense form, unchecked, so that F_m is built once."""
-    gate = FourierGate(targets, m, inverse)
-    gate._matrix = matrix
-    return gate
 
 
 @dataclass(eq=False)
@@ -246,8 +236,8 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     A first gate on wires (0, ..., n-1) in that order is its own product
     with the identity, so the rest start from a copy of its matrix; adding
     0.0 turns a -0.0 into +0.0 there as that product does.  A circuit that
-    is one register-wide block, such as a cyclic ring that does not fill
-    its register, so costs one copy instead of an O(r^3) product.
+    is one register-wide ``fourier`` gate, such as a cyclic ring that does
+    not fill its register, so costs one copy instead of an O(r^3) product.
     """
     gates = circuit.gates
     if gates and gates[0].wires == tuple(range(circuit.n_qubits)):

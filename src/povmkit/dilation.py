@@ -29,8 +29,8 @@ import numpy as np
 from .circuits import (
     CnotGate,
     ControlledGate,
+    FourierGate,
     SingleQubitGate,
-    _fourier_gate,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -52,7 +52,6 @@ from .linalg import (
     CNOT_MATRIX,
     apply_gates,
     direct_sum,
-    fourier_matrix,
     matrix_to_pairs,
     unitarity_residual as _unitarity_residual,
 )
@@ -234,18 +233,13 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     r = register_size(povm.n)
     l = r.bit_length() - 1
     m = povm.n >> t
-    fourier = fourier_matrix(m)
-    if m < r >> t:
-        fourier = direct_sum(fourier, np.eye((r >> t) - m))
-    if conjugate:
-        fourier = fourier.conj()
     low = tuple(range(t, l))
+    gate = FourierGate(low, m, inverse=conjugate)
+    fourier = gate.matrix  # the factor: F' = F_m (+) I, or conj(F') for the cube
     if m == r:  # unpadded on the whole register: the inverse QFT circuit
         factors = [(fourier, low, lambda: inverse_circuit(qft_circuit(l)).gates)]
-    else:  # the gate holds the factor's adjoint, conj(F) as F is symmetric
-        factors = [
-            (fourier, low, lambda: [_fourier_gate(low, m, not conjugate, fourier.conj().T)])
-        ]
+    else:  # the adjoint gate holds conj(F').T, so F_m is built once
+        factors = [(fourier, low, lambda: [gate.adjoint()])]
     factors += mixer(povm.family, l)
     # the Fourier factor on the low qubits is I (x) F; the rest are local
     gates = [(u, qubits) for u, qubits, _ in factors[1:]]

@@ -313,7 +313,9 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
         raise InvalidParameterError("seed amplitudes must be finite")
     if alpha < 0:
         raise InvalidParameterError("seed amplitude alpha must be nonnegative")
-    if abs(alpha**2 + abs(beta) ** 2 - 1) > 1e-10:
+    # a component above 2 squares to more than 4; a huge one would overflow
+    large = max(alpha, abs(beta.real), abs(beta.imag)) > 2
+    if large or abs(alpha**2 + abs(beta) ** 2 - 1) > 1e-10:
         raise InvalidParameterError("seed must satisfy alpha^2 + |beta|^2 = 1")
     if alpha < DISTINCT_POINT_TOL or abs(beta) < DISTINCT_POINT_TOL:
         raise DegenerateOrbitError("polar seed collapses both rings to the poles")

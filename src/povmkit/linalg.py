@@ -156,51 +156,6 @@ def embed_on_qubits(u: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     return big[np.ix_(perm, perm)]
 
 
-def _contract(u: np.ndarray, targets: list, state: np.ndarray, spare: np.ndarray):
-    """One gate of ``apply_gates``: returns (result, free buffer).
-
-    The register axis of the C-ordered (r, c) ``state`` is split into
-    (gap, run) pairs, one per run of adjacent target qubits, then the rest
-    of the register times the columns.  Gathering the runs into one axis of
-    size 2^k lets a broadcast matmul contract them with ``u``.  A gate on a
-    single run of qubits, such as any single-qubit gate, needs no gather;
-    otherwise ``spare`` holds the gathered copy and ``state`` the product,
-    and the scatter back lands in ``spare``.  Both buffers are overwritten.
-    Of the two-qubit gates only dense blocks come here; a swap or a gate
-    block-diagonal in its first target takes ``_apply_halves``.
-    """
-    r, c = state.shape
-    n_qubits = r.bit_length() - 1
-    k = len(targets)
-    order = sorted(range(k), key=targets.__getitem__)
-    if order != list(range(k)):
-        # relabel u's index bits so that its targets read in ascending order
-        perm = order + [k + i for i in order]
-        u = u.reshape((2,) * (2 * k)).transpose(perm).reshape(2**k, 2**k)
-    ascending = sorted(targets)
-    shape: list[int] = []
-    prev = 0
-    for i, q in enumerate(ascending):
-        if i and q == ascending[i - 1] + 1:
-            shape[-1] *= 2
-        else:
-            shape += [2 ** (q - prev), 2]
-        prev = q + 1
-    shape.append(2 ** (n_qubits - prev) * c)
-    runs = len(shape) // 2
-    gaps, sizes = shape[0 : 2 * runs : 2], shape[1 : 2 * runs : 2]
-    stacked = gaps + [2**k, shape[-1]]
-    if runs == 1:
-        np.matmul(u, state.reshape(stacked), out=spare.reshape(stacked))
-        return spare, state
-    axes = list(range(0, 2 * runs, 2)) + list(range(1, 2 * runs, 2)) + [2 * runs]
-    split = gaps + sizes + [shape[-1]]
-    np.copyto(spare.reshape(split), state.reshape(shape).transpose(axes))
-    np.matmul(u, spare.reshape(stacked), out=state.reshape(stacked))
-    np.copyto(spare.reshape(shape).transpose(axes), state.reshape(split))
-    return spare, state
-
-
 _SWAP_ENTRIES = SWAP_MATRIX.ravel().tolist()
 # what ``_halves`` returns for the swap matrix
 _SWAP = "swap"
@@ -223,8 +178,8 @@ def _halves(u: np.ndarray):
 
 
 def _apply_halves(blocks, targets: list, state: np.ndarray, spare: np.ndarray):
-    """A gate block-diagonal in its first target, or a swap, as ``_contract``
-    returns it.
+    """A gate block-diagonal in its first target, or a swap, in ``apply_gates``:
+    returns (result, free buffer).
 
     A swap is one copy of ``state`` into ``spare`` with the two target axes
     exchanged, so no entry is multiplied by 0 or 1 and an infinity spreads
@@ -267,9 +222,11 @@ def apply_gates(gates, state: np.ndarray) -> np.ndarray:
     state's size are allocated once and reused for every gate.  A two-qubit
     gate that is block-diagonal in its first target (a controlled gate, a
     cnot) costs one 2x2 product on each half of the register where that
-    target is fixed, with no gather, and only a copy on a half whose block
-    is the identity.  A swap is one transposed copy; dense blocks keep
-    ``_contract``'s gather.
+    target is fixed, and only a copy on a half whose block is the
+    identity; a swap is one transposed copy.  Any other matrix must act on
+    an ascending run of qubits q, ..., q + k - 1, else InvalidDimensionError:
+    the register then reads as (2^q, 2^k, rest), and one broadcast matmul
+    multiplies the run's axis.
     """
     state = np.array(state, dtype=complex, order="C")
     if state.ndim != 2 or state.shape[0] < 1 or state.shape[0] & (state.shape[0] - 1):
@@ -281,10 +238,17 @@ def apply_gates(gates, state: np.ndarray) -> np.ndarray:
         targets = list(targets)
         _check_targets(u, targets, n_qubits)
         blocks = _halves(u) if len(targets) == 2 else None
-        if blocks is None:
-            state, spare = _contract(u, targets, state, spare)
-        else:
+        if blocks is not None:
             state, spare = _apply_halves(blocks, targets, state, spare)
+            continue
+        q, k = targets[0], len(targets)
+        if targets != list(range(q, q + k)):
+            raise InvalidDimensionError(
+                f"a dense gate must act on an ascending run of qubits, got {targets}"
+            )
+        shape = (1 << q, 1 << k, state.size >> (q + k))
+        np.matmul(u, state.reshape(shape), out=spare.reshape(shape))
+        state, spare = spare, state
     return state
 
 

@@ -52,3 +52,50 @@ def old_distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
         )
         return float(np.abs(a - b).max())
     return float(np.abs(a - (t / abs(t)) * b).max())
+
+
+def contract(u: np.ndarray, targets: list, state: np.ndarray, spare: np.ndarray):
+    """The reference gate kernel: one k-qubit matrix on any k distinct
+    qubits, in any order; returns (result, free buffer).
+
+    ``linalg.apply_gates`` takes a dense matrix only on an ascending run of
+    qubits and splits block-diagonal 4x4s and the swap; this general
+    contraction was its kernel before that.  The register axis of the
+    C-ordered (r, c) ``state`` is split into (gap, run) pairs, one per run
+    of adjacent target qubits, then the rest of the register times the
+    columns.  Gathering the runs into one axis of size 2^k lets a broadcast
+    matmul contract them with ``u``.  A gate on a single run of qubits
+    needs no gather; otherwise ``spare`` holds the gathered copy and
+    ``state`` the product, and the scatter back lands in ``spare``.  Both
+    buffers are overwritten.
+    """
+    r, c = state.shape
+    n_qubits = r.bit_length() - 1
+    k = len(targets)
+    order = sorted(range(k), key=targets.__getitem__)
+    if order != list(range(k)):
+        # relabel u's index bits so that its targets read in ascending order
+        perm = order + [k + i for i in order]
+        u = u.reshape((2,) * (2 * k)).transpose(perm).reshape(2**k, 2**k)
+    ascending = sorted(targets)
+    shape: list[int] = []
+    prev = 0
+    for i, q in enumerate(ascending):
+        if i and q == ascending[i - 1] + 1:
+            shape[-1] *= 2
+        else:
+            shape += [2 ** (q - prev), 2]
+        prev = q + 1
+    shape.append(2 ** (n_qubits - prev) * c)
+    runs = len(shape) // 2
+    gaps, sizes = shape[0 : 2 * runs : 2], shape[1 : 2 * runs : 2]
+    stacked = gaps + [2**k, shape[-1]]
+    if runs == 1:
+        np.matmul(u, state.reshape(stacked), out=spare.reshape(stacked))
+        return spare, state
+    axes = list(range(0, 2 * runs, 2)) + list(range(1, 2 * runs, 2)) + [2 * runs]
+    split = gaps + sizes + [shape[-1]]
+    np.copyto(spare.reshape(split), state.reshape(shape).transpose(axes))
+    np.matmul(u, spare.reshape(stacked), out=state.reshape(stacked))
+    np.copyto(spare.reshape(shape).transpose(axes), state.reshape(split))
+    return spare, state

@@ -22,8 +22,8 @@ gate's dense matrix to 1e-15, and no other entry changed.
 
 The text and every key outside the gate matrices must match exactly; a
 matrix entry may move by 1e-15, as the golden dilations may.  Entries are
-read by name, and the ``plain`` ones are no longer read: a family has one
-circuit, the ``merged`` one.
+read by name.  A family has one circuit, the ``merged`` one; the entries of
+the ``plain`` circuit it once also had were removed from the file.
 """
 
 import json
@@ -88,5 +88,5 @@ def test_printed_circuit_matches_golden(golden, k):
 
 
 def test_golden_covers_every_circuit(golden):
-    names = [entry["name"] for entry in golden if " plain" not in entry["name"]]
+    names = [entry["name"] for entry in golden]
     assert names == [name for name, _ in GOLDEN_CIRCUITS]

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from povmkit import circuits
 from povmkit.circuits import (
-    BlockGate,
     Circuit,
     CnotGate,
     ControlledGate,
@@ -81,12 +80,6 @@ def test_cnot_and_swap_gates():
     assert np.abs(flipped - expected).max() == 0
 
 
-def test_block_gate_embedding():
-    f4 = fourier_matrix(4)
-    g = BlockGate([1, 2], f4)
-    assert np.abs(gate_unitary(g, 3) - np.kron(np.eye(2), f4)).max() == 0
-
-
 # ---------------------------------------------------------------- validation
 
 
@@ -105,13 +98,11 @@ def test_gate_validation():
     with pytest.raises(InvalidGateError):
         SwapGate(2, 2)
     with pytest.raises(InvalidGateError):
-        BlockGate([0], fourier_matrix(4))  # dim mismatch
-    with pytest.raises(InvalidGateError):
-        BlockGate([0, 0], fourier_matrix(4))
-    with pytest.raises(InvalidGateError):
-        BlockGate([], np.eye(1))
+        Gate("u", (0,), fourier_matrix(4))  # dim mismatch
     with pytest.raises(InvalidGateError):
         Gate("v", (0,), X)  # unknown kind
+    with pytest.raises(InvalidGateError):
+        Gate("block", (0, 1), fourier_matrix(4))  # no dense kind: F_m is a fourier gate
     with pytest.raises(InvalidGateError):
         Gate("u", (0, 1), np.eye(4))  # u acts on one qubit
     with pytest.raises(InvalidGateError):
@@ -134,7 +125,6 @@ def test_gate_is_one_class_with_a_kind():
         (ControlledGate(0, 0, 1, S), "cu", (0, 1)),
         (CnotGate(1, 0), "cnot", (1, 0)),
         (SwapGate(0, 2), "swap", (0, 2)),
-        (BlockGate([2, 0], fourier_matrix(4)), "block", (2, 0)),
     ]
     for gate, kind, qubits in made:
         assert type(gate) is Gate
@@ -201,14 +191,18 @@ def test_fourier_gate_is_built_once_and_printed_without_matrix():
 
 @pytest.mark.parametrize("m, inverse", [(1, False), (5, True), (7, False), (8, True)])
 def test_fourier_gate_adjoint(m, inverse):
-    gate = FourierGate([0, 2, 1], m, inverse)
+    gate = FourierGate([0, 1, 2], m, inverse)
     adjoint = gate.adjoint()
-    assert (adjoint.kind, adjoint.wires, adjoint.m) == ("fourier", (0, 2, 1), m)
+    assert (adjoint.kind, adjoint.wires, adjoint.m) == ("fourier", (0, 1, 2), m)
     assert adjoint.inverse is not inverse
     assert np.array_equal(adjoint.matrix, gate.matrix.conj().T)
     back = adjoint.adjoint()
     assert back.to_dict() == gate.to_dict()
     assert back.matrix.tobytes() == gate.matrix.tobytes()
+    # a matrix already built is carried over, not built again
+    carried = gate.adjoint()
+    assert carried._matrix is not None and carried.inverse is not inverse
+    assert carried.matrix.tobytes() == gate.matrix.conj().T.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -223,8 +217,10 @@ def test_fourier_gate_adjoint(m, inverse):
         lambda: FourierGate([], 1),
         lambda: FourierGate([1, 1], 2),
         lambda: Gate("fourier", (0, 1), fourier_matrix(4), m=4),  # no unchecked matrix
-        lambda: Gate("block", (0, 1), fourier_matrix(4), m=4),  # only a fourier gate takes m
+        lambda: Gate("u", (0,), X, m=2),  # only a fourier gate takes m
         lambda: Gate("u", (0,), X, inverse=True),
+        lambda: FourierGate([0, 2], 3),  # not a run of qubits
+        lambda: FourierGate([1, 0], 3),  # not ascending
     ],
 )
 def test_fourier_gate_validation(make):
@@ -341,7 +337,7 @@ def test_block_budget(family):
     d = structured_dilation(build_povm(family))
     c = synthesize_circuit(d)
     # a fourier gate counts as the dense block its matrix is
-    blocks = [g for g in c.gates if g.kind in ("block", "fourier")]
+    blocks = [g for g in c.gates if g.kind == "fourier"]
     assert len(blocks) <= 1
     for g in blocks:
         assert 2 ** len(g.wires) <= 8

@@ -265,6 +265,10 @@ def test_output_to_file(tmp_path):
         ["sample", "tetrahedron", "--state", "0,nan,0", "--shots", "10"],
         ["verify", "cyclic", "-m", "4", "--seed", "-1"],
         ["simulate", "cube", "--state", "1e308,1e308,0"],
+        # seed amplitudes whose squares overflow a float
+        ["verify", "dihedral", "-m", "3", "--alpha", "1e200", "--beta", "0.5"],
+        ["simulate", "dihedral", "-m", "3", "--alpha", "0.5", "--beta", "1e200"],
+        ["bloch", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "1e200j"],
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
@@ -293,6 +297,9 @@ def test_output_to_file(tmp_path):
         "sample-state-nan",
         "verify-seed-negative",
         "bloch-state-overflow",
+        "verify-alpha-overflow",
+        "simulate-beta-overflow",
+        "bloch-imaginary-beta-overflow",
         "bloch-out-of-memory",
         "verify-out-of-memory",
         "all-with-family",

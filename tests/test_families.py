@@ -147,6 +147,16 @@ def test_dihedral_rejects_non_finite_seed(alpha, beta):
         dihedral_povm(3, alpha, beta)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(1e200, 0.5), (0.5, 1e200), (0.6, 1e200j), (0.6, complex(1e308, 1e308)), (1e155, 0.0)],
+)
+@pytest.mark.filterwarnings("error")
+def test_dihedral_seed_whose_squares_overflow_is_invalid(alpha, beta):
+    with pytest.raises(InvalidParameterError, match=r"alpha\^2"):
+        build_povm(PovmFamily.dihedral(3, alpha, beta))
+
+
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_dihedral_from_angle_rejects_non_finite_angle(theta):
     with pytest.raises(InvalidParameterError):

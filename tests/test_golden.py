@@ -29,8 +29,9 @@ per-family ladders, by::
     np.savez_compressed("tests/data/structured_golden.npz", **data)
     '
 
-Gates are compared by wires and matrix, not by kind, so a ``u`` and
-a one-target ``block`` with the same matrix count as equal.
+Gates are compared by wires and matrix, not by kind, so a padded Fourier
+factor, stored when it was a dense gate and now a ``fourier`` gate, counts
+as equal when its matrix is.
 
 ``data/verify_all_reports.json`` holds the ``verify --all`` reports at
 ``DEFAULT_SEED``, written while ``verify_family`` still built, validated and

@@ -7,6 +7,7 @@ reference versions."""
 import sys
 import threading
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ import povmkit.linalg
 import povmkit.simulate
 from povmkit.bloch import povm_element_to_bloch
 from povmkit.circuits import (
-    BlockGate,
     Circuit,
     CnotGate,
     ControlledGate,
+    FourierGate,
     SingleQubitGate,
     SwapGate,
     circuit_isometry,
@@ -29,7 +30,7 @@ from povmkit.circuits import (
     synthesize_circuit,
 )
 from povmkit.dilation import structured_dilation
-from povmkit.errors import DegenerateOrbitError, ZeroOperatorError
+from povmkit.errors import DegenerateOrbitError, InvalidDimensionError, ZeroOperatorError
 from povmkit.families import (
     DISTINCT_POINT_TOL,
     PLATONIC_KINDS,
@@ -59,7 +60,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
-from helpers import one_shot_fourier
+from helpers import contract, one_shot_fourier
 from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -71,10 +72,15 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# any unitary on an ascending run of qubits, which ``apply_gates`` takes
+# though no gate kind holds one
+DenseGate = namedtuple("DenseGate", "wires matrix")
+
+
 def random_circuit(rng, n_qubits, n_gates):
     gates = []
     for _ in range(n_gates):
-        kinds = ["u", "block"] + (["cu", "cnot", "swap"] if n_qubits > 1 else [])
+        kinds = ["u", "dense"] + (["cu", "cnot", "swap"] if n_qubits > 1 else [])
         kind = kinds[rng.integers(len(kinds))]
         order = [int(q) for q in rng.permutation(n_qubits)]
         if kind == "u":
@@ -86,9 +92,10 @@ def random_circuit(rng, n_qubits, n_gates):
             gates.append(CnotGate(order[0], order[1]))
         elif kind == "swap":
             gates.append(SwapGate(order[0], order[1]))
-        else:
+        else:  # a dense matrix on a random ascending run of qubits
             k = int(rng.integers(1, min(n_qubits, 3) + 1))
-            gates.append(BlockGate(order[:k], random_unitary(rng, 2**k)))
+            q = int(rng.integers(n_qubits - k + 1))
+            gates.append(DenseGate(tuple(range(q, q + k)), random_unitary(rng, 2**k)))
     return Circuit(n_qubits, gates)
 
 
@@ -160,12 +167,12 @@ def test_compile_never_embeds(monkeypatch):
 
 
 def contracted(gates, state):
-    """Reference kernel: every gate gathered and multiplied by ``_contract``."""
+    """Reference kernel: every gate gathered and multiplied by ``contract``."""
     state = np.array(state, dtype=complex, order="C")
     spare = np.empty_like(state)
     for u, targets in gates:
         u = np.asarray(u, dtype=complex)
-        state, spare = povmkit.linalg._contract(u, list(targets), state, spare)
+        state, spare = contract(u, list(targets), state, spare)
     return state
 
 
@@ -252,16 +259,29 @@ def test_swap_is_a_copy_that_spreads_no_nan():
         assert not np.isnan(out).any()
 
 
+@pytest.mark.parametrize("targets", [(0, 2), (1, 0), (0, 1, 3)])
+def test_dense_gate_must_act_on_an_ascending_run(targets):
+    rng = np.random.default_rng(13)
+    state = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    with pytest.raises(InvalidDimensionError):
+        apply_gates([(random_unitary(rng, 2 ** len(targets)), targets)], state)
+    if len(targets) == 2:  # what ``_halves`` splits applies on any two wires
+        for u in (direct_sum(random_unitary(rng, 2), random_unitary(rng, 2)), SWAP_MATRIX):
+            gates = [(u, targets)]
+            assert np.array_equal(apply_gates(gates, state), contracted(gates, state))
+
+
 def test_golden_circuits_and_dilations_match_the_contracted_kernel(monkeypatch):
     run = []
     for family in golden_families():
         dilated = structured_dilation(build_povm(family))
         circuit = synthesize_circuit(dilated)
         run += [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
-    # the reference: every gate through _contract, applied to the identity,
-    # so neither the split, nor the swap copy, nor compile_circuit's start
-    # from a register-wide first gate is taken
-    monkeypatch.setattr(povmkit.linalg, "_halves", lambda u: None)
+    # the reference: every gate through ``contract``, applied to the
+    # identity, so neither the split, nor the swap copy, nor compile_circuit's
+    # start from a register-wide first gate is taken; the dilations apply
+    # their factors through it too
+    monkeypatch.setattr(povmkit.dilation, "apply_gates", contracted)
     reference = []
     for family in golden_families():
         dilated = structured_dilation(build_povm(family))
@@ -273,7 +293,7 @@ def test_golden_circuits_and_dilations_match_the_contracted_kernel(monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 12, 96, 100, 192, 255])
 def test_register_wide_block_compiles_to_its_product_with_the_identity(m):
-    # a ring that does not fill its register: one block on every wire
+    # a ring that does not fill its register: one fourier gate on every wire
     circuit = synthesize_circuit(structured_dilation(build_povm(PovmFamily.cyclic(m))))
     (gate,) = circuit.gates
     assert gate.wires == tuple(range(circuit.n_qubits))
@@ -288,10 +308,10 @@ def test_register_wide_first_gate_then_more_gates(seed):
     n = int(rng.integers(1, 6))
     r = 2**n
     k = int(rng.integers(1, r + 1))
-    # padded as a ring's block is, so that its adjoint holds -0.0 entries
-    first = direct_sum(random_unitary(rng, k), np.eye(r - k)).conj().T
+    # a padded ring's inverse transform: its matrix holds -0.0 entries
+    first = FourierGate(range(n), k, inverse=True)
     rest = random_circuit(rng, n, int(rng.integers(0, 5))).gates
-    circuit = Circuit(n, [BlockGate(range(n), first)] + rest)
+    circuit = Circuit(n, [first] + rest)
     gates = [(g.matrix, g.wires) for g in circuit.gates]
     assert np.array_equal(compile_circuit(circuit), contracted(gates, np.eye(r)))
     assert np.abs(compile_circuit(circuit) - embedded_product(circuit)).max() < 1e-13

@@ -12,7 +12,7 @@ from povmkit.bloch import validate_density_matrix
 from povmkit import circuits, simulate
 from povmkit.circuits import (
     Circuit,
-    Gate,
+    SingleQubitGate,
     SwapGate,
     circuit_isometry,
     compile_circuit,
@@ -237,12 +237,9 @@ def _drop_last_gate(circuit):
 
 
 def _phase_last_gate(circuit):
-    """The last gate with a 1e-6 phase on its first output row."""
-    gate = circuit.gates[-1]
-    phase = np.ones(len(gate.matrix), dtype=complex)
-    phase[0] = np.exp(1e-6j)
-    perturbed = Gate("block", gate.wires, phase[:, None] * gate.matrix)
-    return Circuit(circuit.n_qubits, circuit.gates[:-1] + [perturbed])
+    """A 1e-6 phase on the last gate's first wire reading 0, after that gate."""
+    phase = SingleQubitGate(circuit.gates[-1].wires[0], np.diag([np.exp(1e-6j), 1.0]))
+    return Circuit(circuit.n_qubits, circuit.gates + [phase])
 
 
 def _append_output_swap(circuit):
