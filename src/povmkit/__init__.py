@@ -3,7 +3,8 @@
 The pipeline: pick a family (``PovmFamily``), resolve it to vectors
 (``build_povm``), dilate it to a register unitary (``structured_dilation``
 or ``generic_completion``), synthesize the measurement circuit
-(``synthesize_circuit``), then compute or sample outcome statistics
+(``synthesize_circuit``, or ``structured_circuit`` without the dilation
+matrix), then compute or sample outcome statistics
 (``analytic_probabilities``, ``circuit_probabilities``, ``sample``) and
 check everything end to end (``verify_family``).
 """
@@ -38,6 +39,7 @@ from .dilation import (
     orbit_mixer,
     padded_measurement_matrix,
     register_size,
+    structured_circuit,
     structured_dilation,
 )
 from .errors import (

@@ -6,12 +6,13 @@ gate unitaries taken right to left.  Qubit 0 is the most significant bit
 of a basis index throughout.
 
 Each gate holds its small ``matrix`` and the ``wires`` it acts on;
-``apply_circuit`` contracts those matrices into the columns of a
-register array one gate at a time, so no gate is ever embedded as a dense
-register-sized matrix.  The gates are the paper's elementary one- and
-two-qubit gates and a ``fourier`` gate, F_m padded with an identity on an
-ascending run of qubits, which holds the size m of its transform and
-builds its matrix on first use.
+``apply_circuit`` applies the gates to the columns of a register array one
+at a time with ``linalg.apply_gates``, which takes each gate by its form,
+so no gate is ever embedded as a dense register-sized matrix.  The gates
+are the paper's elementary one- and two-qubit gates and a ``fourier``
+gate, F_m padded with an identity on an ascending run of qubits, which
+holds the size m of its transform and runs as an FFT; its dense matrix is
+built only when ``matrix`` is read.
 
 ``synthesize_circuit`` joins the gate lists of a structured dilation's
 factors, last factor first, into a circuit that compiles exactly to the
@@ -36,6 +37,8 @@ from .linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
     SWAP_MATRIX,
+    Fourier,
+    _apply_in_place,
     apply_gates,
     direct_sum,
     fourier_matrix,
@@ -69,7 +72,8 @@ class Gate:
     qubits and takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``:
     its matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
     ``inverse``.  That matrix is unitary by construction, so it is not
-    checked; it is built on first use and kept.
+    checked; it is built on first use and kept, as the dense reference:
+    a register applies the gate's ``operator``, an FFT.
     """
 
     m = None
@@ -118,6 +122,12 @@ class Gate:
                 f = direct_sum(f, np.eye(size - self.m))
             self._matrix = np.conjugate(f, out=f) if self.inverse else f
         return self._matrix
+
+    @property
+    def operator(self):
+        """What ``apply_gates`` applies: ``Fourier(m, inverse)`` for a
+        fourier gate, else the matrix."""
+        return Fourier(self.m, self.inverse) if self.kind == "fourier" else self.matrix
 
     def __repr__(self) -> str:
         return f"<Gate {self.describe()}>"
@@ -227,34 +237,24 @@ class Circuit:
 
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the gates, in list order, to every column of an (r, c) array."""
-    return apply_gates(((g.matrix, g.wires) for g in circuit.gates), state)
+    return apply_gates(((g.operator, g.wires) for g in circuit.gates), state)
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
-    """The circuit's full register unitary: the gates applied to the identity.
-
-    A first gate on wires (0, ..., n-1) in that order is its own product
-    with the identity, so the rest start from a copy of its matrix; adding
-    0.0 turns a -0.0 into +0.0 there as that product does.  A circuit that
-    is one register-wide ``fourier`` gate, such as a cyclic ring that does
-    not fill its register, so costs one copy instead of an O(r^3) product.
-    """
-    gates = circuit.gates
-    if gates and gates[0].wires == tuple(range(circuit.n_qubits)):
-        state = np.add(gates[0].matrix, 0.0, order="C")
-        gates = gates[1:]
-    else:
-        state = np.eye(2**circuit.n_qubits, dtype=complex)
-    return apply_gates(((g.matrix, g.wires) for g in gates), state) if gates else state
+    """The circuit's full register unitary: the gates applied to the identity."""
+    state = np.eye(2**circuit.n_qubits, dtype=complex)
+    return _apply_in_place(((g.operator, g.wires) for g in circuit.gates), state)
 
 
 def circuit_isometry(circuit: Circuit) -> np.ndarray:
     """First two columns of the compiled circuit.
 
     A qubit state enters the register on basis states 0 and 1, so these
-    columns are all a simulation needs; they cost O(r) per gate.
+    columns are all a simulation needs; they cost O(r) per gate, O(r log r)
+    for a ``fourier`` gate.
     """
-    return apply_circuit(circuit, np.eye(2**circuit.n_qubits, 2, dtype=complex))
+    state = np.eye(2**circuit.n_qubits, 2, dtype=complex)
+    return _apply_in_place(((g.operator, g.wires) for g in circuit.gates), state)
 
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
@@ -329,8 +329,13 @@ def synthesize_circuit(dilated: DilatedMeasurement) -> Circuit:
         raise InvalidParameterError(
             "gate factorizations exist only for structured dilations"
         )
-    gates = [g for _, _, adjoint_gates in reversed(dilated.factors) for g in adjoint_gates()]
-    return Circuit(dilated.n_qubits, gates, label=dilated.povm.family.label())
+    return _factor_circuit(dilated.n_qubits, dilated.factors, dilated.povm.family.label())
+
+
+def _factor_circuit(n_qubits: int, factors: list, label: str) -> Circuit:
+    """The gate lists of (local matrix, qubits, gates thunk) factors, last
+    factor first: a circuit compiling to the adjoint of their product."""
+    return Circuit(n_qubits, [g for _, _, gates in reversed(factors) for g in gates()], label)
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -22,7 +22,12 @@ import numpy as np
 
 from .bloch import bloch_to_state
 from .circuits import format_circuit, synthesize_circuit
-from .dilation import generic_completion, register_size, structured_dilation
+from .dilation import (
+    generic_completion,
+    register_size,
+    structured_circuit,
+    structured_dilation,
+)
 from .errors import DegenerateOrbitError, InvalidParameterError, PovmKitError
 from .families import FAMILY_KINDS, PLATONIC_KINDS, PovmFamily, build_povm
 from .simulate import (
@@ -264,7 +269,7 @@ def cmd_sample(args) -> int:
 
 def cmd_circuit(args) -> int:
     povm = build_povm(dilated_family_from_args(args))
-    circuit = synthesize_circuit(structured_dilation(povm))
+    circuit = structured_circuit(povm)
     if args.format == "json":
         _emit(args, _json(circuit.to_dict()))
     else:

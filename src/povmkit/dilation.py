@@ -13,7 +13,8 @@ an identity, on the low l - t qubits of its l, then the family's orbit
 mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
 holds what differs between families from the mixer on, half swap included.
 Both U and the gate circuit of ``circuits.synthesize_circuit`` are read
-from the same list of factors.
+from the same list of factors; ``structured_circuit`` reads the circuit
+from the factors alone, without U.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -27,10 +28,12 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (
+    Circuit,
     CnotGate,
     ControlledGate,
     FourierGate,
     SingleQubitGate,
+    _factor_circuit,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -50,7 +53,8 @@ from .families import (
 )
 from .linalg import (
     CNOT_MATRIX,
-    apply_gates,
+    Fourier,
+    _apply_in_place,
     direct_sum,
     matrix_to_pairs,
     unitarity_residual as _unitarity_residual,
@@ -95,7 +99,8 @@ class DilatedMeasurement:
     the dilated register; the others, ``padding_positions`` in ascending
     order, carry no probability.  ``factors`` lists a structured
     dilation's factors in the order they apply, each as (local matrix,
-    qubits, a thunk building gates that compile to its adjoint).
+    or a ``linalg.Fourier`` for the Fourier factor, qubits, a thunk
+    building gates that compile to its adjoint).
     """
 
     povm: Povm
@@ -220,12 +225,9 @@ _FACTOR_TABLE = {
 }
 
 
-def structured_dilation(povm: Povm) -> DilatedMeasurement:
-    """Dilation built from the family's row of the factor table.
-
-    The n outcomes form 2^t orbits of m; outcome m u + j sits on basis
-    state (r / 2^t) u + j.
-    """
+def _structured_factors(povm: Povm) -> tuple[int, int, list]:
+    """The orbit qubits t, the register's qubits l and the factors of the
+    family's row of the factor table, Fourier factor first."""
     kind = povm.family.kind
     if kind not in _FACTOR_TABLE:
         raise InvalidParameterError(f"no structured dilation for kind {kind!r}")
@@ -234,26 +236,35 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     l = r.bit_length() - 1
     m = povm.n >> t
     low = tuple(range(t, l))
-    gate = FourierGate(low, m, inverse=conjugate)
-    fourier = gate.matrix  # the factor: F' = F_m (+) I, or conj(F') for the cube
     if m == r:  # unpadded on the whole register: the inverse QFT circuit
-        factors = [(fourier, low, lambda: inverse_circuit(qft_circuit(l)).gates)]
-    else:  # the adjoint gate holds conj(F').T, so F_m is built once
-        factors = [(fourier, low, lambda: [gate.adjoint()])]
-    factors += mixer(povm.family, l)
-    # the Fourier factor on the low qubits is I (x) F; the rest are local
-    gates = [(u, qubits) for u, qubits, _ in factors[1:]]
-    if gates:  # I (x) F unnamed, so that it is freed once apply_gates copies it
-        matrix = apply_gates(gates, np.kron(np.eye(1 << t), fourier))
-    elif m < r:  # a padded ring's Fourier gate reads F, so U is a copy
-        matrix = np.kron(np.eye(1 << t), fourier)
-    else:  # nothing else reads F: it becomes U in place, multiplied by 1 as
-        # in I_1 (x) F, which turns a -0.0 imaginary part into the +0.0
-        # that ``build`` prints
-        fourier *= 1
-        matrix = fourier
+        gates = lambda: inverse_circuit(qft_circuit(l)).gates
+    else:
+        gates = lambda: [FourierGate(low, m, inverse=not conjugate)]
+    # F' = F_m (+) I on the low qubits, or conj(F') for the cube
+    return t, l, [(Fourier(m, conjugate), low, gates), *mixer(povm.family, l)]
+
+
+def structured_dilation(povm: Povm) -> DilatedMeasurement:
+    """Dilation built from the family's row of the factor table.
+
+    U is the factors applied, in order, to one r x r identity by
+    ``apply_gates``: the Fourier factor as an in-place FFT of each
+    column's orbit blocks, the rest by their forms.  The n outcomes form
+    2^t orbits of m; outcome m u + j sits on basis state (r / 2^t) u + j.
+    """
+    t, l, factors = _structured_factors(povm)
+    r = 1 << l
+    matrix = _apply_in_place([(u, qubits) for u, qubits, _ in factors], np.eye(r, dtype=complex))
+    m = povm.n >> t
     positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
     return DilatedMeasurement(povm, matrix, positions, "structured", factors)
+
+
+def structured_circuit(povm: Povm) -> Circuit:
+    """``synthesize_circuit(structured_dilation(povm))`` from the factors
+    alone: no r x r matrix is built."""
+    _, l, factors = _structured_factors(povm)
+    return _factor_circuit(l, factors, povm.family.label())
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

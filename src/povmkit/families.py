@@ -222,23 +222,14 @@ def cyclic_povm(m: int) -> Povm:
     return Povm(vectors, PovmFamily.cyclic(m))
 
 
-def _close_pairs(points: np.ndarray):
-    """Yield the index pairs (i, j) of rows within DISTINCT_POINT_TOL of
-    each other in max-norm, as two arrays per batch of candidates.
-
-    A row with a NaN or an infinity is never close.  The pairs are found by
-    a sort-and-sweep: the finite rows are sorted by their projection on
-    _SWEEP_DIRECTION, each row's window holds the rows whose key can be that
-    close, and only those candidate pairs take the max-norm test, about
-    _SWEEP_CHUNK at a time.  That costs O(n log n) unless many points share
-    a key.
-    """
-    points = np.asarray(points, dtype=float)
+def _sweep(points: np.ndarray):
+    """The finite rows' indices in order of their projection on
+    _SWEEP_DIRECTION, those keys in that order, and the reach: two rows
+    within DISTINCT_POINT_TOL of each other have keys closer than it."""
     finite = np.flatnonzero(np.isfinite(points).all(axis=1))
     rows = points[finite]
     key = rows @ _SWEEP_DIRECTION
     order = np.argsort(key, kind="stable")
-    key = key[order]
     # Two points within the tolerance have keys closer than |d|_1 times the
     # tolerance plus the rounding of both keys (at most 3 eps |d|_1 max|p|
     # each); the reach is twice that, so no window misses a close pair.
@@ -246,6 +237,21 @@ def _close_pairs(points: np.ndarray):
     reach = 2 * _SWEEP_DIRECTION.sum() * (
         DISTINCT_POINT_TOL + 8 * np.finfo(float).eps * scale
     )
+    return finite[order], key[order], reach
+
+
+def _close_pairs(points: np.ndarray):
+    """Yield the index pairs (i, j) of rows within DISTINCT_POINT_TOL of
+    each other in max-norm, as two arrays per batch of candidates.
+
+    A row with a NaN or an infinity is never close.  The pairs are found by
+    a sort-and-sweep: the finite rows are sorted by their ``_sweep`` key,
+    each row's window holds the rows whose key can be that close, and only
+    those candidate pairs take the max-norm test, about _SWEEP_CHUNK at a
+    time.  That costs O(n log n) unless many points share a key.
+    """
+    points = np.asarray(points, dtype=float)
+    index, key, reach = _sweep(points)
     # sorted row a is a candidate partner of the rows a + 1 .. a + counts[a]
     counts = np.searchsorted(key, key + reach, side="right")
     counts -= np.arange(1, len(key) + 1)
@@ -261,7 +267,7 @@ def _close_pairs(points: np.ndarray):
         c = counts[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
-        i, j = finite[order[first]], finite[order[second]]
+        i, j = index[first], index[second]
         close = np.abs(points[i] - points[j]).max(axis=1) < DISTINCT_POINT_TOL
         yield i[close], j[close]
 
@@ -281,19 +287,30 @@ def _distinct_points(points: np.ndarray) -> int:
     """Number of representatives a greedy scan keeps.
 
     Scanning in order, a point is a new representative unless an earlier
-    representative lies within DISTINCT_POINT_TOL of it in max-norm.  The
-    greedy order only runs over the close pairs.
+    representative lies within DISTINCT_POINT_TOL of it in max-norm.  A
+    point with no earlier close point is one; the sweep marks the others,
+    and only those are scanned, in index order, each against the
+    representatives among the rows in its key window.  A later point
+    close to it is marked, so not yet a representative when it is read.
+    No pair is kept, so memory stays linear in the points.
     """
-    pairs = [np.stack(ij, axis=1) for ij in _close_pairs(points)]
-    if not sum(map(len, pairs)):
-        return len(points)
-    pairs = np.sort(np.concatenate(pairs), axis=1)
+    points = np.asarray(points, dtype=float)
     is_rep = np.ones(len(points), dtype=bool)
-    # in ascending order of the later point, each earlier point's status is
-    # final when read
-    for j, i in pairs[np.lexsort(pairs.T)].tolist():
-        if is_rep[j]:
-            is_rep[i] = False
+    for i, j in _close_pairs(points):
+        is_rep[np.maximum(i, j)] = False
+    marked = np.flatnonzero(~is_rep)
+    if not len(marked):
+        return len(points)
+    index, key, reach = _sweep(points)
+    lo = np.searchsorted(key, key - reach, side="left")
+    hi = np.searchsorted(key, key + reach, side="right")
+    position = np.empty(len(points), dtype=np.intp)
+    position[index] = np.arange(len(index))
+    for i in marked.tolist():
+        window = index[lo[position[i]] : hi[position[i]]]
+        reps = window[is_rep[window]]
+        close = np.abs(points[reps] - points[i]).max(axis=1) < DISTINCT_POINT_TOL
+        is_rep[i] = not close.any()
     return int(is_rep.sum())
 
 

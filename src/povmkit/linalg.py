@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,40 +213,105 @@ def _apply_halves(blocks, targets: list, state: np.ndarray, spare: np.ndarray):
     return spare, state
 
 
+class Fourier(NamedTuple):
+    """F_m padded with an identity on an ascending run of k qubits, m <= 2^k,
+    as ``apply_gates`` takes it: an FFT of entries 0, ..., m - 1 of the run,
+    or the inverse FFT, for conj(F_m) = F_m^dag, when ``inverse``."""
+
+    m: int
+    inverse: bool = False
+
+
+def _run_start(targets: list, n_qubits: int) -> int:
+    """The first qubit of targets that are an ascending run of qubits q, ...,
+    q + k - 1 in the register; InvalidDimensionError otherwise."""
+    q, k = targets[0], len(targets)
+    if targets != list(range(q, q + k)) or q < 0 or q + k > n_qubits:
+        raise InvalidDimensionError(
+            f"a dense or fourier gate must act on an ascending run of qubits, got {targets}"
+        )
+    return q
+
+
+def _phases(u: np.ndarray):
+    """(index, entry) for each diagonal entry of u other than 1 when u is 0
+    off its diagonal, else None."""
+    diagonal = np.diagonal(u)
+    if np.count_nonzero(u) != np.count_nonzero(diagonal):
+        return None
+    return [(x, v) for x, v in enumerate(diagonal.tolist()) if v != 1]
+
+
+def _multiply_phases(phases, targets: list, state: np.ndarray) -> None:
+    """A diagonal gate in ``apply_gates``: each slice of ``state`` where the
+    targets read x is multiplied in place by entry x."""
+    view = state.reshape((2,) * (state.shape[0].bit_length() - 1) + (-1,))
+    k = len(targets)
+    for x, v in phases:
+        index = [slice(None)] * (view.ndim - 1)
+        for i, q in enumerate(targets):
+            index[q] = (x >> (k - 1 - i)) & 1
+        view[tuple(index)] *= v
+
+
 def apply_gates(gates, state: np.ndarray) -> np.ndarray:
     """Apply (matrix, targets) pairs, in order, to every column of a register.
 
-    ``state`` is an (r, c) array with r = 2**n; each matrix acts on its
-    listed target qubits as in ``embed_on_qubits``, so the result equals the
-    product of the embedded matrices times ``state`` without forming any
-    r x r matrix.  A k-qubit gate costs O(r c 2^k); two buffers of the
-    state's size are allocated once and reused for every gate.  A two-qubit
-    gate that is block-diagonal in its first target (a controlled gate, a
-    cnot) costs one 2x2 product on each half of the register where that
-    target is fixed, and only a copy on a half whose block is the
-    identity; a swap is one transposed copy.  Any other matrix must act on
-    an ascending run of qubits q, ..., q + k - 1, else InvalidDimensionError:
-    the register then reads as (2^q, 2^k, rest), and one broadcast matmul
-    multiplies the run's axis.
+    ``state`` is an (r, c) array with r = 2**n, which is left alone; each
+    matrix acts on its listed target qubits as in ``embed_on_qubits``, so
+    the result equals the product of the embedded matrices times ``state``
+    without forming any r x r matrix.  Each gate is applied by its form:
+
+    * a ``Fourier`` in place of a matrix runs ``np.fft.fft`` (``ifft`` when
+      ``inverse``), orthonormal, in place along its run's axis of the
+      register read as (2^q, 2^k, rest), on entries 0, ..., m - 1 only, so
+      the padding entries are not touched: O(r c log m);
+    * a diagonal matrix multiplies in place the slices of the register
+      where its targets read each entry that is not exactly 1;
+    * a two-qubit gate block-diagonal in its first target (a controlled
+      gate, a cnot) costs one 2x2 product on each half of the register
+      where that target is fixed, and only a copy on a half whose block is
+      the identity; a swap is one transposed copy;
+    * any other matrix must act on an ascending run of qubits q, ...,
+      q + k - 1, else InvalidDimensionError, and one broadcast matmul
+      multiplies the run's axis: O(r c 2^k).
+
+    A spare buffer of the state's size is allocated at the first gate that
+    is not applied in place, and reused.
     """
     state = np.array(state, dtype=complex, order="C")
     if state.ndim != 2 or state.shape[0] < 1 or state.shape[0] & (state.shape[0] - 1):
         raise InvalidDimensionError(f"register array must be (2**n, c), got {state.shape}")
+    return _apply_in_place(gates, state)
+
+
+def _apply_in_place(gates, state: np.ndarray) -> np.ndarray:
+    """``apply_gates`` on a C-ordered complex (2**n, c) array, which it
+    overwrites: for callers that have just allocated ``state``."""
     n_qubits = state.shape[0].bit_length() - 1
-    spare = np.empty_like(state)
+    spare = None
     for u, targets in gates:
-        u = np.asarray(u, dtype=complex)
         targets = list(targets)
+        if isinstance(u, Fourier):
+            q, k = _run_start(targets, n_qubits), len(targets)
+            if not 1 <= u.m <= 1 << k:
+                raise InvalidDimensionError(f"F_{u.m} does not fit on {k} qubit(s)")
+            view = state.reshape(1 << q, 1 << k, -1)[:, : u.m]
+            (np.fft.ifft if u.inverse else np.fft.fft)(view, axis=1, norm="ortho", out=view)
+            continue
+        u = np.asarray(u, dtype=complex)
         _check_targets(u, targets, n_qubits)
+        phases = _phases(u)
+        if phases is not None:
+            _multiply_phases(phases, targets, state)
+            continue
+        if spare is None:
+            spare = np.empty_like(state)
         blocks = _halves(u) if len(targets) == 2 else None
         if blocks is not None:
             state, spare = _apply_halves(blocks, targets, state, spare)
             continue
-        q, k = targets[0], len(targets)
-        if targets != list(range(q, q + k)):
-            raise InvalidDimensionError(
-                f"a dense gate must act on an ascending run of qubits, got {targets}"
-            )
+        q, k = _run_start(targets, n_qubits), len(targets)
         shape = (1 << q, 1 << k, state.size >> (q + k))
         np.matmul(u, state.reshape(shape), out=spare.reshape(shape))
         state, spare = spare, state

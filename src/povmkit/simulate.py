@@ -159,7 +159,13 @@ class SampleCounts:
         return self.counts / self.shots
 
     def total_variation(self, probabilities) -> float:
+        """Half the 1-norm distance of the frequencies from ``probabilities``,
+        which must hold one value per outcome."""
         p = np.asarray(probabilities, dtype=float)
+        if p.shape != self.counts.shape:
+            raise InvalidParameterError(
+                f"probabilities must have shape {self.counts.shape}, got {p.shape}"
+            )
         return float(0.5 * np.abs(self.frequencies() - p).sum())
 
     def to_dict(self) -> dict:

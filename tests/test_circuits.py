@@ -1,5 +1,7 @@
 """Oracle tests for gate synthesis and circuit compilation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +23,12 @@ from povmkit.circuits import (
     qft_circuit,
     synthesize_circuit,
 )
-from povmkit.dilation import generic_completion, orbit_mixer, structured_dilation
+from povmkit.dilation import (
+    generic_completion,
+    orbit_mixer,
+    structured_circuit,
+    structured_dilation,
+)
 from povmkit.errors import DegenerateOrbitError, InvalidGateError, InvalidParameterError
 from povmkit.families import (
     DODECAHEDRON,
@@ -43,6 +50,7 @@ from povmkit.linalg import (
 from povmkit.simulate import analytic_probabilities, circuit_probabilities
 
 from helpers import gate_unitary
+from test_golden import golden_families
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 S = np.diag([1.0, 1.0j])
@@ -172,10 +180,11 @@ def test_fourier_gate_matrix_is_the_padded_block(inverse):
         for t in range(3):
             gate = FourierGate(range(t, t + k), m, inverse)
             assert gate.matrix.tobytes() == block.tobytes()
-            # on a t + k qubit register the gate's first two columns are the block's
+            # on a t + k qubit register the gate's first two columns are the
+            # block's, up to the rounding of the FFT that applies it
             want = np.zeros((2 ** (t + k), 2), dtype=complex)
             want[: len(block)] = block[:, :2]
-            assert np.array_equal(circuit_isometry(Circuit(t + k, [gate])), want)
+            assert np.abs(circuit_isometry(Circuit(t + k, [gate])) - want).max() <= 1e-13
         if inverse:  # the forward matrix is its conjugate, with the same residual
             assert unitarity_residual(gate.matrix) <= 1e-13
 
@@ -444,3 +453,30 @@ def test_compiled_circuits_are_unitary():
         d = structured_dilation(build_povm(family))
         u = compile_circuit(synthesize_circuit(d))
         assert unitarity_residual(u) < 1e-12
+
+
+@pytest.mark.parametrize("family", golden_families(), ids=lambda f: f.label())
+def test_structured_circuit_is_the_synthesized_circuit(family):
+    povm = build_povm(family)
+    circuit = structured_circuit(povm)
+    want = synthesize_circuit(structured_dilation(povm))
+    assert (circuit.n_qubits, circuit.label) == (want.n_qubits, want.label)
+    assert circuit.to_dict() == want.to_dict()
+    for gate, wanted in zip(circuit.gates, want.gates):
+        assert (gate.kind, gate.wires) == (wanted.kind, wanted.wires)
+        assert gate.matrix.tobytes() == wanted.matrix.tobytes()
+
+
+def test_structured_circuit_builds_no_register_matrix():
+    # at 12 qubits one r x r complex matrix takes 256 MB, one column 64 KB
+    povm = build_povm(PovmFamily.cyclic(4095))
+    tracemalloc.start()
+    try:
+        circuit = structured_circuit(povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert [g.describe() for g in circuit.gates] == [
+        "fourier targets=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] m=4095 inverse=True"
+    ]

@@ -1,11 +1,11 @@
-"""Equivalence tests: the local gate kernel, its split of block-diagonal
-gates and swaps, the register-wide first gate of a compile, the
-half-computed Fourier matrix, the distinct-point sweep, the closed-form
-Bloch map and the guide-table sampler against the straightforward
-reference versions."""
+"""Equivalence tests: the local gate kernel (its FFT, its in-place
+phases, its split of block-diagonal gates and swaps), the half-computed
+Fourier matrix, the distinct-point sweep, the closed-form Bloch map and
+the guide-table sampler against the straightforward reference versions."""
 
 import sys
 import threading
+import time
 import tracemalloc
 from collections import namedtuple
 
@@ -25,6 +25,7 @@ from povmkit.circuits import (
     FourierGate,
     SingleQubitGate,
     SwapGate,
+    apply_circuit,
     circuit_isometry,
     compile_circuit,
     synthesize_circuit,
@@ -46,6 +47,7 @@ from povmkit.linalg import (
     CNOT_MATRIX,
     SWAP_MATRIX,
     _SWAP,
+    Fourier,
     _halves,
     apply_gates,
     direct_sum,
@@ -72,9 +74,11 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-# any unitary on an ascending run of qubits, which ``apply_gates`` takes
-# though no gate kind holds one
-DenseGate = namedtuple("DenseGate", "wires matrix")
+class DenseGate(namedtuple("DenseGate", "wires matrix")):
+    """Any unitary on an ascending run of qubits, which ``apply_gates`` takes
+    though no gate kind holds one."""
+
+    operator = property(lambda self: self.matrix)
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -187,6 +191,10 @@ def block_diagonal_gate(rng, kind):
         return direct_sum(np.eye(2), u) if rng.integers(2) else direct_sum(u, np.eye(2))
     if kind == "phase":
         return np.diag([1, 1, 1, np.exp(1j * rng.uniform(0, 2 * np.pi))])
+    if kind == "diagonal":  # four phases, one of them exactly 1
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        phases[rng.integers(4)] = 1
+        return np.diag(phases)
     if kind == "cnot":
         return CNOT_MATRIX
     # multiplexed: a different rotation for each value of the first target
@@ -194,7 +202,9 @@ def block_diagonal_gate(rng, kind):
 
 
 @given(
-    st.sampled_from(["halves", "identity-half", "phase", "cnot", "multiplexed", "swap"]),
+    st.sampled_from(
+        ["halves", "identity-half", "phase", "diagonal", "cnot", "multiplexed", "swap"]
+    ),
     st.sampled_from(["dense", "zeros", "signed-zeros"]),
     st.booleans(),
     SEEDS,
@@ -218,6 +228,11 @@ def test_block_diagonal_gates_match_the_contracted_product(kind, zeros, full, se
     # swap twice on one pair is the identity, so the first gate alone too
     for gates in ([(u, targets)], [(u, targets), (u, targets[::-1])]):
         out, expected = apply_gates(gates, state), contracted(gates, state)
+        if kind in ("phase", "diagonal"):
+            # a diagonal gate is an in-place multiply of its slices, which
+            # may round differently from the 4x4 product
+            assert np.abs(out - expected).max() <= 1e-13
+            continue
         assert np.array_equal(out, expected)
         # the 4x4 product turns a -0.0 into +0.0; an identity half or a
         # swap, copied, keeps it
@@ -271,24 +286,31 @@ def test_dense_gate_must_act_on_an_ascending_run(targets):
             assert np.array_equal(apply_gates(gates, state), contracted(gates, state))
 
 
-def test_golden_circuits_and_dilations_match_the_contracted_kernel(monkeypatch):
-    run = []
+def dense(operator, wires):
+    """A gate's operator as the kernel's input, a Fourier as its dense matrix."""
+    if isinstance(operator, Fourier):
+        return FourierGate(wires, operator.m, operator.inverse).matrix
+    return operator
+
+
+def test_golden_circuits_and_dilations_match_the_contracted_kernel():
     for family in golden_families():
         dilated = structured_dilation(build_povm(family))
         circuit = synthesize_circuit(dilated)
-        run += [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
-    # the reference: every gate through ``contract``, applied to the
-    # identity, so neither the split, nor the swap copy, nor compile_circuit's
-    # start from a register-wide first gate is taken; the dilations apply
-    # their factors through it too
-    monkeypatch.setattr(povmkit.dilation, "apply_gates", contracted)
-    reference = []
-    for family in golden_families():
-        dilated = structured_dilation(build_povm(family))
-        gates = [(g.matrix, g.wires) for g in synthesize_circuit(dilated).gates]
+        run = [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
+        # the reference: every factor and gate as a dense matrix through
+        # ``contract``, applied to the identity, so neither the FFT, nor the
+        # in-place phases, nor the split, nor the swap copy is taken
+        factors = [(dense(u, wires), wires) for u, wires, _ in dilated.factors]
+        gates = [(g.matrix, g.wires) for g in circuit.gates]
         r = 2**dilated.n_qubits
-        reference += [dilated.matrix, contracted(gates, np.eye(r)), contracted(gates, np.eye(r, 2))]
-    assert [a.tobytes() for a in run] == [a.tobytes() for a in reference]
+        reference = [
+            contracted(factors, np.eye(r)),
+            contracted(gates, np.eye(r)),
+            contracted(gates, np.eye(r, 2)),
+        ]
+        for got, want in zip(run, reference):
+            assert np.abs(got - want).max() <= 1e-13, family.label()
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 12, 96, 100, 192, 255])
@@ -298,7 +320,7 @@ def test_register_wide_block_compiles_to_its_product_with_the_identity(m):
     (gate,) = circuit.gates
     assert gate.wires == tuple(range(circuit.n_qubits))
     expected = contracted([(gate.matrix, gate.wires)], np.eye(2**circuit.n_qubits))
-    assert compile_circuit(circuit).tobytes() == expected.tobytes()
+    assert np.abs(compile_circuit(circuit) - expected).max() <= 1e-13
 
 
 @given(SEEDS)
@@ -313,13 +335,134 @@ def test_register_wide_first_gate_then_more_gates(seed):
     rest = random_circuit(rng, n, int(rng.integers(0, 5))).gates
     circuit = Circuit(n, [first] + rest)
     gates = [(g.matrix, g.wires) for g in circuit.gates]
-    assert np.array_equal(compile_circuit(circuit), contracted(gates, np.eye(r)))
+    assert np.abs(compile_circuit(circuit) - contracted(gates, np.eye(r))).max() <= 1e-13
     assert np.abs(compile_circuit(circuit) - embedded_product(circuit)).max() < 1e-13
 
 
 def test_fourier_matrix_matches_the_one_shot_formula():
     for m in [*range(1, 301), 511, 512, 1000, 2048]:
         assert fourier_matrix(m).tobytes() == one_shot_fourier(m).tobytes(), m
+
+
+FFT_SIZES = [*range(1, 301), 1000, 4095]
+
+
+def fourier_columns(rng, m):
+    """Two random unit vectors of 2^k entries, 2^k >= m: a fourier gate's
+    local input."""
+    k = max(1, (m - 1).bit_length())
+    v = rng.standard_normal((2**k, 2)) + 1j * rng.standard_normal((2**k, 2))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def fourier_register(rng, v, m, t, inverse=False):
+    """A fourier gate of size m on qubits t, ..., t + k - 1 of a t + k qubit
+    register, and two columns of that register: the vectors v in every one
+    of its 2^t blocks, each times a random sign from {1, -1, i, -i}.  Those
+    signs scale F v exactly, so F v is the reference for every block.
+    Returns the gate (its adjoint when ``inverse``), the columns and the
+    (2^t, 2) signs."""
+    k = len(v).bit_length() - 1
+    signs = rng.choice([1, -1, 1j, -1j], (2**t, 2))
+    columns = (signs[:, None, :] * v).reshape(2 ** (t + k), 2)
+    return FourierGate(range(t, t + k), m, inverse), columns, signs
+
+
+def test_fourier_gate_fft_matches_the_dense_block():
+    rng = np.random.default_rng(2)
+    for m in FFT_SIZES:
+        v = fourier_columns(rng, m)
+        block = FourierGate(range(len(v).bit_length() - 1), m).matrix
+        for t in range(3):
+            # F' and its adjoint conj(F') alternate along m and along t
+            gate, columns, _ = fourier_register(rng, v, m, t, inverse=(m + t) % 2 == 1)
+            out = apply_circuit(Circuit(gate.wires[-1] + 1, [gate]), columns)
+            dense = apply_gates([(block.conj() if gate.inverse else block, gate.wires)], columns)
+            assert np.abs(out - dense).max() <= 1e-13, (m, t)
+            # the padding entries are not touched
+            padding = (a.reshape(2**t, -1, 2)[:, m:] for a in (out, columns))
+            assert next(padding).tobytes() == next(padding).tobytes()
+
+
+def exact_fourier_entries(m):
+    """omega^j / sqrt(m), omega = exp(-2 pi i / m), for j = 0, ..., m - 1, in
+    long double: products of mpmath's omega at 40 digits, each split into
+    a double and the double of its remainder."""
+    mpmath = pytest.importorskip("mpmath")
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    hi, lo = np.empty((2, m), dtype=complex)
+    with mpmath.workdps(40):
+        root = mpmath.expjpi(mpmath.mpf(-2) / m)
+        z = mpmath.mpc(1 / mpmath.sqrt(m))
+        for j in range(m):
+            hi[j] = complex(z)
+            lo[j] = complex(z - hi[j])
+            z *= root
+    return hi.astype(np.clongdouble) + lo
+
+
+def exact_fourier(m, x=None):
+    """F_m, or F_m x for the m rows of x, in long double."""
+    w = exact_fourier_entries(m)
+    if x is None:
+        return w[np.outer(np.arange(m), np.arange(m)) % m]
+    out = np.empty(x.shape, dtype=np.clongdouble)
+    for top in range(0, m, 256):  # 256 rows of F at a time
+        rows = np.arange(top, min(top + 256, m))
+        out[rows] = w[np.outer(rows, np.arange(m)) % m] @ x.astype(np.clongdouble)
+    return out
+
+
+def test_fourier_gate_fft_is_no_less_accurate_than_the_dense_block():
+    """Against F_m in long double, the FFT's largest error is at most the
+    dense product's.  At m = 2 both are one butterfly, two roundings each,
+    and either may land closer: there an error within one unit in the last
+    place of the largest entry counts as no larger."""
+    rng = np.random.default_rng(3)
+    for m in FFT_SIZES:
+        v = fourier_columns(rng, m)
+        block = FourierGate(range(len(v).bit_length() - 1), m).matrix
+        exact = exact_fourier(m, v[:m])
+        for t in range(3):
+            gate, columns, signs = fourier_register(rng, v, m, t)
+            want = signs[:, None, :] * exact
+            out = apply_circuit(Circuit(gate.wires[-1] + 1, [gate]), columns)
+            dense = apply_gates([(block, gate.wires)], columns)
+            errors = [
+                float(np.abs(a.reshape(2**t, -1, 2)[:, :m] - want).max()) for a in (out, dense)
+            ]
+            ulp = np.finfo(float).eps * float(np.abs(exact).max())
+            assert errors[0] <= (max(errors[1], ulp) if m == 2 else errors[1]), (m, t, errors)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(192), PovmFamily.cyclic(256), PovmFamily.dihedral_from_angle(96, 1.1)],
+    ids=lambda f: f.label(),
+)
+def test_structured_dilation_is_no_less_accurate_than_the_dense_fourier(family):
+    """The structured U against one built from an exact F_m, and against
+    one built from ``fourier_matrix``: at these sizes the dense F's own
+    error, 1.1e-14 to 1.9e-14, exceeds the 1e-14 to which
+    ``structured_golden.npz`` pins a dilation, so those arrays were stored
+    again from the FFT."""
+    dilated = structured_dilation(build_povm(family))
+    (fourier, low, _), *rest = dilated.factors
+    assert not fourier.inverse
+    r, size, m = 2**dilated.n_qubits, 2 ** len(low), fourier.m
+    exact = np.eye(r, dtype=np.clongdouble)
+    dense = np.eye(r, dtype=complex)
+    for top in range(0, r, size):  # I (x) F' on the low qubits: one F per orbit
+        rows = slice(top, top + m)
+        exact[rows, rows] = exact_fourier(m)
+        dense[rows, rows] = fourier_matrix(m)
+    if rest:  # the later factors round alike on both
+        rest = [(u, wires) for u, wires, _ in rest]
+        exact, dense = apply_gates(rest, exact.astype(complex)), apply_gates(rest, dense)
+    error = float(np.abs(dilated.matrix - exact).max())
+    dense_error = float(np.abs(dense - exact).max())
+    assert error <= 1e-15 and error <= dense_error / 10, (error, dense_error)
 
 
 def test_verify_cyclic_1024():
@@ -439,6 +582,17 @@ def test_distinct_points_memory_is_linear():
     # on the first two; checking all 2*10**6 candidate pairs of the third at
     # once takes about 160 MB
     assert max(peaks) < 8 * 2**20, peaks
+
+
+def test_validate_povm_on_coincident_points_keeps_no_pair_list():
+    # 2,000 rows of one vector: about 2 * 10**6 close pairs, which take
+    # about 320 MB traced, and about 2 s to walk in Python, if gathered
+    vectors = np.tile([[0.6, 0.8j]], (2000, 1)) / np.sqrt(1000)
+    povm = Povm(vectors, PovmFamily.cyclic(2000))
+    start = time.perf_counter()
+    assert validate_povm(povm).distinct_bloch_points == 1
+    assert time.perf_counter() - start < 1.0  # about 0.2 s on a 2-core VM
+    assert traced_peak(lambda: validate_povm(povm)) < 16 * 2**20
 
 
 def test_degenerate_ring_stops_at_its_first_close_pair():

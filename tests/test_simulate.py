@@ -376,6 +376,16 @@ def test_sample_frequencies_converge():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("probs", [[1.0], [0.25] * 5, [[0.25] * 4], 0.25, [[0.25], [0.25]]])
+def test_total_variation_needs_one_probability_per_outcome(probs):
+    counts = sample([0.25] * 4, 1000, 1)
+    # broadcast against the four frequencies, [1.0] would give 1.5
+    with pytest.raises(InvalidParameterError, match="shape"):
+        counts.total_variation(probs)
+    tv = counts.total_variation([0.25] * 4)
+    assert tv == 0.5 * np.abs(counts.frequencies() - 0.25).sum() <= 1
+
+
 def test_sample_validation():
     with pytest.raises(InvalidParameterError):
         sample([0.5, 0.6], 10)
