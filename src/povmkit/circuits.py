@@ -12,22 +12,19 @@ so no gate is ever embedded as a dense register-sized matrix.  The gates
 are the paper's elementary one- and two-qubit gates and a ``fourier``
 gate, F_m padded with an identity on an ascending run of qubits, which
 holds the size m of its transform and runs as an FFT; its dense matrix is
-built only when ``matrix`` is read.
+built each time ``matrix`` is read.
 
-``synthesize_circuit`` joins the gate lists of a structured dilation's
-factors, last factor first, into a circuit that compiles exactly to the
-dilation's adjoint, so running it and then reading the register in the
-computational basis realizes the measurement.  The inverse QFT, the
-four-orbit mixer circuit and the dihedral rotations, which carry the half
-swap, are derived apart from the matrices they compile to, so the
-circuit-to-dilation distance checks them.
+``synthesize_circuit(d)`` is ``dilation.structured_circuit(d.povm)``,
+which compiles exactly to the adjoint of the structured dilation d.  The
+inverse QFT, the four-orbit mixer circuit and the dihedral rotations,
+which carry the half swap, are derived apart from the matrices they
+compile to, so the circuit-to-dilation distance checks them.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,15 +36,13 @@ from .linalg import (
     SWAP_MATRIX,
     Fourier,
     _apply_in_place,
+    _halves,
     apply_gates,
     direct_sum,
     fourier_matrix,
     matrix_to_pairs,
     unitarity_residual,
 )
-
-if TYPE_CHECKING:
-    from .dilation import DilatedMeasurement
 
 
 # kind -> (qubits it acts on, 0 for any ascending run; its ``describe`` line)
@@ -72,8 +67,8 @@ class Gate:
     qubits and takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``:
     its matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
     ``inverse``.  That matrix is unitary by construction, so it is not
-    checked; it is built on first use and kept, as the dense reference:
-    a register applies the gate's ``operator``, an FFT.
+    checked; it is built on each read, as the dense reference: a register
+    applies the gate's ``operator``, an FFT.
     """
 
     m = None
@@ -115,13 +110,10 @@ class Gate:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:  # a fourier gate's, on first use
-            size = 2 ** len(self.wires)
-            f = fourier_matrix(self.m)
-            if self.m < size:
-                f = direct_sum(f, np.eye(size - self.m))
-            self._matrix = np.conjugate(f, out=f) if self.inverse else f
-        return self._matrix
+        if self.kind != "fourier":
+            return self._matrix
+        f = direct_sum(fourier_matrix(self.m), np.eye(2 ** len(self.wires) - self.m))
+        return np.conjugate(f, out=f) if self.inverse else f
 
     @property
     def operator(self):
@@ -135,22 +127,21 @@ class Gate:
     def _control(self) -> tuple[int, np.ndarray]:
         """A cu gate's control value and the 2x2 it applies; InvalidGateError
         unless the matrix is 0 off its diagonal 2x2 blocks and exactly I in one."""
-        r = self.matrix.tolist()  # Python numbers: a numpy call on a 2x2 costs about 1 us
-        if not any(r[0][2:] + r[1][2:] + r[2][:2] + r[3][:2]):
-            if r[0][:2] + r[1][:2] == [1, 0, 0, 1]:
-                return 1, self.matrix[2:, 2:]
-            if r[2][2:] + r[3][2:] == [1, 0, 0, 1]:
-                return 0, self.matrix[:2, :2]
+        blocks = _halves(self.matrix)
+        if isinstance(blocks, list) and blocks[0] is None:
+            return 1, self.matrix[2:, 2:]
+        if isinstance(blocks, list) and blocks[1] is None:
+            return 0, self.matrix[:2, :2]
         raise InvalidGateError("a cu matrix must be the identity on one control value")
 
     def adjoint(self) -> "Gate":
-        """The same kind on the same qubits, with the adjoint matrix if it is
-        built; a fourier gate also flips ``inverse``."""
+        """The same kind on the same qubits: a fourier gate with ``inverse``
+        flipped, any other with the adjoint matrix."""
         # the adjoint keeps every kind's form, so it is not validated again
         gate = copy.copy(self)
         if self.kind == "fourier":
             gate.inverse = not self.inverse
-        if self._matrix is not None:
+        else:
             gate._matrix = self._matrix.conj().T
         return gate
 
@@ -322,20 +313,13 @@ def orbit_mixer_adjoint_circuit(kind: str) -> Circuit:
     return Circuit(2, gates, label=f"{kind} mixer adjoint")
 
 
-def synthesize_circuit(dilated: DilatedMeasurement) -> Circuit:
-    """Gate factorization of a structured dilation's adjoint: the gate lists
-    of the dilation's factors, last factor first."""
-    if dilated.factors is None:
-        raise InvalidParameterError(
-            "gate factorizations exist only for structured dilations"
-        )
-    return _factor_circuit(dilated.n_qubits, dilated.factors, dilated.povm.family.label())
+def synthesize_circuit(dilated) -> Circuit:
+    """Gate factorization of a structured dilation's adjoint, from its povm."""
+    if dilated.method != "structured":
+        raise InvalidParameterError("gate factorizations exist only for structured dilations")
+    from .dilation import structured_circuit  # dilation imports this module
 
-
-def _factor_circuit(n_qubits: int, factors: list, label: str) -> Circuit:
-    """The gate lists of (local matrix, qubits, gates thunk) factors, last
-    factor first: a circuit compiling to the adjoint of their product."""
-    return Circuit(n_qubits, [g for _, _, gates in reversed(factors) for g in gates()], label)
+    return structured_circuit(dilated.povm)
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -12,9 +12,8 @@ form 2^t rings of m, and U applies the Fourier transform F_m, padded with
 an identity, on the low l - t qubits of its l, then the family's orbit
 mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
 holds what differs between families from the mixer on, half swap included.
-Both U and the gate circuit of ``circuits.synthesize_circuit`` are read
-from the same list of factors; ``structured_circuit`` reads the circuit
-from the factors alone, without U.
+``structured_dilation`` applies those factors in turn, and
+``structured_circuit`` joins their gate lists, last first, without U.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -23,7 +22,6 @@ of vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from .circuits import (
     ControlledGate,
     FourierGate,
     SingleQubitGate,
-    _factor_circuit,
     inverse_circuit,
     orbit_mixer_adjoint_circuit,
     qft_circuit,
@@ -97,17 +94,13 @@ class DilatedMeasurement:
 
     ``outcome_positions`` holds each outcome's computational basis index in
     the dilated register; the others, ``padding_positions`` in ascending
-    order, carry no probability.  ``factors`` lists a structured
-    dilation's factors in the order they apply, each as (local matrix,
-    or a ``linalg.Fourier`` for the Fourier factor, qubits, a thunk
-    building gates that compile to its adjoint).
+    order, carry no probability.
     """
 
     povm: Povm
     matrix: np.ndarray
     outcome_positions: np.ndarray
     method: str
-    factors: Optional[list] = None
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -226,8 +219,9 @@ _FACTOR_TABLE = {
 
 
 def _structured_factors(povm: Povm) -> tuple[int, int, list]:
-    """The orbit qubits t, the register's qubits l and the factors of the
-    family's row of the factor table, Fourier factor first."""
+    """The orbit qubits t, the register's qubits l and the family's factors in
+    the order they apply, Fourier factor first, each as (local matrix or a
+    ``linalg.Fourier``, qubits, a thunk building gates compiling to its adjoint)."""
     kind = povm.family.kind
     if kind not in _FACTOR_TABLE:
         raise InvalidParameterError(f"no structured dilation for kind {kind!r}")
@@ -257,14 +251,14 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     matrix = _apply_in_place([(u, qubits) for u, qubits, _ in factors], np.eye(r, dtype=complex))
     m = povm.n >> t
     positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
-    return DilatedMeasurement(povm, matrix, positions, "structured", factors)
+    return DilatedMeasurement(povm, matrix, positions, "structured")
 
 
 def structured_circuit(povm: Povm) -> Circuit:
-    """``synthesize_circuit(structured_dilation(povm))`` from the factors
-    alone: no r x r matrix is built."""
+    """The factors' gate lists, last factor first: a circuit compiling to the
+    adjoint of ``structured_dilation(povm)``, with no r x r matrix built."""
     _, l, factors = _structured_factors(povm)
-    return _factor_circuit(l, factors, povm.family.label())
+    return Circuit(l, [g for *_, gates in reversed(factors) for g in gates()], povm.family.label())
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

@@ -30,32 +30,19 @@ SWAP_MATRIX = np.array(
 )
 
 
-# rows of the Fourier matrix computed at a time
-_FOURIER_ROWS = 16
-
-
 def fourier_matrix(m: int) -> np.ndarray:
     """Return the m x m discrete Fourier matrix (negative exponent).
 
-    The matrix is symmetric, so each block of rows is computed only from
-    the diagonal rightward, as exp(-2i pi jk / m) / sqrt(m) one step at a
-    time, and copied into the transposed position too.  Entries (j, k) and
-    (k, j) take the same steps on the same jk, so they are equal, bit for
-    bit, to the one-shot formula over the whole matrix at half the exp
-    calls, and nothing but the result is m x m.
+    Computed as exp(-2i pi jk / m) / sqrt(m) one step at a time over the
+    whole matrix, so entries (j, k) and (k, j) are equal bit for bit.
     """
     if m < 1:
         raise InvalidDimensionError(f"fourier_matrix needs m >= 1, got {m}")
-    f = np.empty((m, m), dtype=complex)
     j = np.arange(m)
-    for top in range(0, m, _FOURIER_ROWS):
-        rows = slice(top, top + _FOURIER_ROWS)
-        block = -2j * np.pi * np.outer(j[rows], j[top:])
-        block /= m
-        np.exp(block, out=block)
-        block /= np.sqrt(m)
-        f[rows, top:] = block
-        f[top:, rows] = block.T
+    f = -2j * np.pi * np.outer(j, j)
+    f /= m
+    np.exp(f, out=f)
+    f /= np.sqrt(m)
     return f
 
 

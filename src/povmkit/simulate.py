@@ -97,6 +97,17 @@ def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
     return _fold(dilated, diagonal)
 
 
+def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.ndarray:
+    """``_register_probabilities``, ``_leak_checked``, then InvalidParameterError
+    if the dilation's vector rows are not its measurement's to DILATION_TOL:
+    a structured dilation reads only the family, not a rotation of it."""
+    probs = _leak_checked(*_register_probabilities(dilated, isometry, rho))
+    residual = dilated.embedding_residual()
+    if not residual <= DILATION_TOL:
+        raise InvalidParameterError(f"the dilation is {residual:.3e} from its measurement")
+    return probs
+
+
 def _leak_checked(probs: np.ndarray, leak) -> np.ndarray:
     """``probs``, or PaddingLeakError if ``leak`` exceeds LEAK_TOL anywhere."""
     leak = float(np.max(leak))
@@ -128,20 +139,19 @@ def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> 
 
 
 def dilation_probabilities(dilated: DilatedMeasurement, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities via the dilation matrix itself."""
+    """Outcome probabilities via the dilation matrix, which must embed the measurement."""
     rho = validate_density_matrix(rho)
-    isometry = dilated.matrix[:2].conj().T
-    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
+    return _checked_probabilities(dilated, dilated.matrix[:2].conj().T, rho)
 
 
 def circuit_probabilities(
     dilated: DilatedMeasurement, circuit: Circuit, rho: np.ndarray
 ) -> np.ndarray:
     """Outcome probabilities from running the circuit on rho, on the two
-    columns rho reaches, which are checked against the dilation adjoint."""
+    columns rho reaches, checked against the adjoint of a dilation that must
+    embed the measurement."""
     rho = validate_density_matrix(rho)
-    isometry = _checked_isometry(dilated, circuit)
-    return _leak_checked(*_register_probabilities(dilated, isometry, rho))
+    return _checked_probabilities(dilated, _checked_isometry(dilated, circuit), rho)
 
 
 # ---------------------------------------------------------------- sampling

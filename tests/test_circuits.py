@@ -189,12 +189,11 @@ def test_fourier_gate_matrix_is_the_padded_block(inverse):
             assert unitarity_residual(gate.matrix) <= 1e-13
 
 
-def test_fourier_gate_is_built_once_and_printed_without_matrix():
+def test_fourier_gate_is_printed_without_matrix():
     gate = FourierGate([1, 2], 3, inverse=True)
     assert gate.describe() == "fourier targets=[1, 2] m=3 inverse=True"
     assert gate.to_dict() == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
     assert gate._matrix is None  # neither printing builds the dense matrix
-    assert gate.matrix is gate.matrix
     assert Gate("fourier", (1, 2), m=3, inverse=True).to_dict() == gate.to_dict()
 
 
@@ -208,10 +207,8 @@ def test_fourier_gate_adjoint(m, inverse):
     back = adjoint.adjoint()
     assert back.to_dict() == gate.to_dict()
     assert back.matrix.tobytes() == gate.matrix.tobytes()
-    # a matrix already built is carried over, not built again
-    carried = gate.adjoint()
-    assert carried._matrix is not None and carried.inverse is not inverse
-    assert carried.matrix.tobytes() == gate.matrix.conj().T.tobytes()
+    # F' is symmetric bit for bit, so flipping ``inverse`` is its adjoint
+    assert adjoint.matrix.tobytes() == gate.matrix.conj().T.tobytes()
 
 
 @pytest.mark.parametrize(

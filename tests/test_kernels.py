@@ -30,7 +30,7 @@ from povmkit.circuits import (
     compile_circuit,
     synthesize_circuit,
 )
-from povmkit.dilation import structured_dilation
+from povmkit.dilation import _structured_factors, structured_dilation
 from povmkit.errors import DegenerateOrbitError, InvalidDimensionError, ZeroOperatorError
 from povmkit.families import (
     DISTINCT_POINT_TOL,
@@ -295,13 +295,14 @@ def dense(operator, wires):
 
 def test_golden_circuits_and_dilations_match_the_contracted_kernel():
     for family in golden_families():
-        dilated = structured_dilation(build_povm(family))
+        povm = build_povm(family)
+        dilated = structured_dilation(povm)
         circuit = synthesize_circuit(dilated)
         run = [dilated.matrix, compile_circuit(circuit), circuit_isometry(circuit)]
         # the reference: every factor and gate as a dense matrix through
         # ``contract``, applied to the identity, so neither the FFT, nor the
         # in-place phases, nor the split, nor the swap copy is taken
-        factors = [(dense(u, wires), wires) for u, wires, _ in dilated.factors]
+        factors = [(dense(u, wires), wires) for u, wires, _ in _structured_factors(povm)[2]]
         gates = [(g.matrix, g.wires) for g in circuit.gates]
         r = 2**dilated.n_qubits
         reference = [
@@ -447,8 +448,9 @@ def test_structured_dilation_is_no_less_accurate_than_the_dense_fourier(family):
     error, 1.1e-14 to 1.9e-14, exceeds the 1e-14 to which
     ``structured_golden.npz`` pins a dilation, so those arrays were stored
     again from the FFT."""
-    dilated = structured_dilation(build_povm(family))
-    (fourier, low, _), *rest = dilated.factors
+    povm = build_povm(family)
+    dilated = structured_dilation(povm)
+    (fourier, low, _), *rest = _structured_factors(povm)[2]
     assert not fourier.inverse
     r, size, m = 2**dilated.n_qubits, 2 ** len(low), fourier.m
     exact = np.eye(r, dtype=np.clongdouble)

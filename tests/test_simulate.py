@@ -34,6 +34,7 @@ from povmkit.families import (
     build_povm,
     cyclic_povm,
     platonic_povm,
+    rotate_povm,
 )
 from povmkit.linalg import distance_up_to_global_phase
 from povmkit.simulate import (
@@ -230,6 +231,23 @@ def test_circuit_mismatch_detection(rho):
     wrong = qft_circuit(2)  # forward transform instead of the adjoint
     with pytest.raises(CircuitMismatchError):
         circuit_probabilities(d, wrong, rho)
+
+
+def test_probabilities_refuse_a_dilation_of_another_measurement():
+    # a structured dilation reads only the family, so it embeds the
+    # unrotated ring: read through it, |0><0| gave [0.25] * 4
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    povm = rotate_povm(cyclic_povm(4), hadamard)
+    rho = np.diag([1.0, 0.0])
+    expected = analytic_probabilities(povm, rho)
+    assert np.abs(expected - [0.5, 0.25, 0.0, 0.25]).max() < 1e-15
+    d = structured_dilation(povm)
+    with pytest.raises(InvalidParameterError):
+        dilation_probabilities(d, rho)
+    with pytest.raises(InvalidParameterError):
+        circuit_probabilities(d, synthesize_circuit(d), rho)
+    generic = generic_completion(povm)
+    assert np.abs(dilation_probabilities(generic, rho) - expected).max() < 1e-12
 
 
 def _drop_last_gate(circuit):
