@@ -84,7 +84,6 @@ from .linalg import (
     direct_sum,
     distance_up_to_global_phase,
     embed_on_qubits,
-    fourier_matrix,
     unitarity_residual,
 )
 from .simulate import (
@@ -94,7 +93,6 @@ from .simulate import (
     analytic_probabilities,
     circuit_probabilities,
     dilation_probabilities,
-    fold_probabilities,
     random_density_matrices,
     random_density_matrix,
     random_pure_state,

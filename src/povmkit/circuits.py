@@ -11,8 +11,7 @@ at a time with ``linalg.apply_gates``, which takes each gate by its form,
 so no gate is ever embedded as a dense register-sized matrix.  The gates
 are the paper's elementary one- and two-qubit gates and a ``fourier``
 gate, F_m padded with an identity on an ascending run of qubits, which
-holds the size m of its transform and runs as an FFT; its dense matrix is
-built each time ``matrix`` is read.
+holds only the size m of its transform and runs as an FFT.
 
 ``synthesize_circuit(d)`` is ``dilation.structured_circuit(d.povm)``,
 which compiles exactly to the adjoint of the structured dilation d.  The
@@ -39,7 +38,6 @@ from .linalg import (
     _halves,
     apply_gates,
     direct_sum,
-    fourier_matrix,
     matrix_to_pairs,
     unitarity_residual,
 )
@@ -55,6 +53,9 @@ _KINDS = {
 }
 _FIXED = {"cnot": CNOT_MATRIX, "swap": SWAP_MATRIX}
 _I2 = np.eye(2)
+# F_2 as exp(-2i pi jk / 2) / sqrt(2): its entry (1, 1) has imaginary part
+# -8.7e-17, which the pinned QFT residuals carry
+_HADAMARD = np.array([[1, 1], [1, np.exp(-1j * np.pi)]]) / np.sqrt(2)
 
 
 class Gate:
@@ -64,11 +65,10 @@ class Gate:
     second qubit applied when the first reads the control value, ``cnot``
     and ``swap`` the fixed 4x4s.  A controlled identity reads as
     controlled on 1.  A ``fourier`` gate acts on an ascending run of k
-    qubits and takes no matrix but ``m``, 1 <= m <= 2^k, and ``inverse``:
-    its matrix is F' = F_m (+) I of size 2^k, or conj(F') = F'^dag when
-    ``inverse``.  That matrix is unitary by construction, so it is not
-    checked; it is built on each read, as the dense reference: a register
-    applies the gate's ``operator``, an FFT.
+    qubits and holds no matrix (``matrix`` is None), only ``m``,
+    1 <= m <= 2^k, and the bool ``inverse``: it applies F' = F_m (+) I of
+    size 2^k, or conj(F') = F'^dag when ``inverse``, as an FFT, unitary by
+    construction.
     """
 
     m = None
@@ -93,27 +93,22 @@ class Gate:
                 raise InvalidGateError(
                     f"a fourier gate on {n} qubits needs an integer m from 1 to {2**n}, got {m!r}"
                 )
-            self.m, self.inverse, self._matrix = int(m), bool(inverse), None
+            if not isinstance(inverse, (bool, np.bool_)):
+                raise InvalidGateError(f"a fourier gate's inverse must be a bool, got {inverse!r}")
+            self.m, self.inverse, self.matrix = int(m), bool(inverse), None
             return
         if m is not None or inverse:
             raise InvalidGateError("only a fourier gate takes m and inverse")
-        self._matrix = np.asarray(matrix, dtype=complex)
-        if self._matrix.shape != (2**n, 2**n):
+        self.matrix = np.asarray(matrix, dtype=complex)
+        if self.matrix.shape != (2**n, 2**n):
             raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
         if kind in _FIXED:
-            if not np.array_equal(self._matrix, _FIXED[kind]):
+            if not np.array_equal(self.matrix, _FIXED[kind]):
                 raise InvalidGateError(f"a {kind} gate has a fixed matrix")
-        elif not unitarity_residual(self._matrix) <= DEFAULT_TOL:
+        elif not unitarity_residual(self.matrix) <= DEFAULT_TOL:
             raise InvalidGateError("gate matrix must be unitary")
         if kind == "cu":
             self._control()  # raises unless the matrix has a cu's form
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.kind != "fourier":
-            return self._matrix
-        f = direct_sum(fourier_matrix(self.m), np.eye(2 ** len(self.wires) - self.m))
-        return np.conjugate(f, out=f) if self.inverse else f
 
     @property
     def operator(self):
@@ -142,7 +137,7 @@ class Gate:
         if self.kind == "fourier":
             gate.inverse = not self.inverse
         else:
-            gate._matrix = self._matrix.conj().T
+            gate.matrix = self.matrix.conj().T
         return gate
 
     def _fields(self) -> dict:
@@ -258,14 +253,13 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
 def qft_circuit(n_qubits: int) -> Circuit:
     """Standard Fourier transform circuit, exact to rounding.
 
-    Compiles to ``fourier_matrix(2**n_qubits)`` with no global phase slack.
+    Compiles to F_(2^n_qubits) with no global phase slack.
     """
     if n_qubits < 1:
         raise InvalidParameterError("qft needs at least one qubit")
-    hadamard = fourier_matrix(2)
     gates: list = []
     for i in range(n_qubits):
-        gates.append(SingleQubitGate(i, hadamard))
+        gates.append(SingleQubitGate(i, _HADAMARD))
         for j in range(i + 1, n_qubits):
             phase = np.exp(-2j * np.pi / 2 ** (j - i + 1))
             gates.append(ControlledGate(j, 1, i, np.diag([1.0, phase])))

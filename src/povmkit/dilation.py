@@ -46,6 +46,7 @@ from .families import (
     TETRAHEDRON,
     PlatonicConstants,
     Povm,
+    completeness_residual,
     platonic_constants,
 )
 from .linalg import (
@@ -270,8 +271,7 @@ def generic_completion(povm: Povm) -> DilatedMeasurement:
     complement.  The vector rows themselves are kept as given.
     """
     top = padded_measurement_matrix(povm)
-    gram = top @ top.conj().T
-    if not np.abs(gram - np.eye(2)).max() <= 1e-8:
+    if not completeness_residual(povm) <= 1e-8:
         raise NotIsometryError("vectors do not resolve the identity")
 
     q, _ = np.linalg.qr(top.conj().T, mode="complete")

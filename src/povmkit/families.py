@@ -88,7 +88,13 @@ class PovmFamily:
         """Dihedral family whose upper ring sits at polar angle ``theta``."""
         if not np.isfinite(theta):
             raise InvalidParameterError(f"polar angle must be finite, got {theta}")
-        return cls.dihedral(m, np.cos(theta / 2), np.sin(theta / 2))
+        alpha = np.cos(theta / 2)
+        if alpha < 0:
+            raise InvalidParameterError(
+                f"polar angle theta={theta} gives cos(theta / 2) = {alpha:.3g} < 0;"
+                " take theta in [-pi, pi]"
+            )
+        return cls.dihedral(m, alpha, np.sin(theta / 2))
 
     @classmethod
     def platonic(cls, kind: str) -> "PovmFamily":
@@ -173,7 +179,7 @@ class Povm:
     family: PovmFamily
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=complex)
+        vectors = np.array(self.vectors, dtype=complex)  # a copy: it is frozen below
         if vectors.ndim != 2 or vectors.shape[1] != 2:
             raise InvalidParameterError("vectors must form an (n, 2) array")
         vectors.setflags(write=False)

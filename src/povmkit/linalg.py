@@ -3,8 +3,9 @@
 Conventions used throughout the package:
 
 * matrices are numpy arrays with dtype complex128,
-* the discrete Fourier matrix uses the negative exponent: entry (j, k) is
-  exp(-2i pi j k / m) / sqrt(m),
+* the discrete Fourier transform F_m uses the negative exponent: entry
+  (j, k) is exp(-2i pi j k / m) / sqrt(m), as ``np.fft.fft`` with
+  ``norm="ortho"``, which is how ``apply_gates`` runs it,
 * in multi-qubit registers qubit 0 is the most significant bit of the basis
   index, so ``np.kron(a, b)`` puts ``a`` on the more significant qubits.
 """
@@ -28,22 +29,6 @@ CNOT_MATRIX = np.array(
 SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-
-def fourier_matrix(m: int) -> np.ndarray:
-    """Return the m x m discrete Fourier matrix (negative exponent).
-
-    Computed as exp(-2i pi jk / m) / sqrt(m) one step at a time over the
-    whole matrix, so entries (j, k) and (k, j) are equal bit for bit.
-    """
-    if m < 1:
-        raise InvalidDimensionError(f"fourier_matrix needs m >= 1, got {m}")
-    j = np.arange(m)
-    f = -2j * np.pi * np.outer(j, j)
-    f /= m
-    np.exp(f, out=f)
-    f /= np.sqrt(m)
-    return f
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

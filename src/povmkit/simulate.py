@@ -77,42 +77,30 @@ def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ni,...ij,nj->...n", v.conj(), rho, v).real
 
 
-def _fold(dilated: DilatedMeasurement, basis_probs: np.ndarray):
-    """Outcome probabilities and the largest padding probability.
-
-    Works along the last axis, so a batch of diagonals folds at once.  The
-    leak is never below 0, and a NaN anywhere in the padding shows in it.
-    """
-    probs = basis_probs[..., dilated.outcome_positions]
-    leak = basis_probs[..., dilated.padding_positions].max(axis=-1, initial=0.0)
-    return probs, leak
-
-
 def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
-    """``_fold`` of the diagonal of U (rho + 0) U^dag, from U's first two columns.
+    """Outcome probabilities and the largest padding probability of the
+    diagonal of U (rho + 0) U^dag, from U's first two columns.
 
     ``rho`` may carry leading batch axes; the results get the same ones.
+    The leak is never below 0, and a NaN anywhere in the padding shows in it.
     """
     diagonal = np.einsum("ia,...ab,ib->...i", isometry, rho, isometry.conj()).real
-    return _fold(dilated, diagonal)
+    leak = diagonal[..., dilated.padding_positions].max(axis=-1, initial=0.0)
+    return diagonal[..., dilated.outcome_positions], leak
 
 
 def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.ndarray:
-    """``_register_probabilities``, ``_leak_checked``, then InvalidParameterError
-    if the dilation's vector rows are not its measurement's to DILATION_TOL:
-    a structured dilation reads only the family, not a rotation of it."""
-    probs = _leak_checked(*_register_probabilities(dilated, isometry, rho))
-    residual = dilated.embedding_residual()
-    if not residual <= DILATION_TOL:
-        raise InvalidParameterError(f"the dilation is {residual:.3e} from its measurement")
-    return probs
-
-
-def _leak_checked(probs: np.ndarray, leak) -> np.ndarray:
-    """``probs``, or PaddingLeakError if ``leak`` exceeds LEAK_TOL anywhere."""
+    """``_register_probabilities``'s outcome probabilities; PaddingLeakError
+    if the leak exceeds LEAK_TOL anywhere, then InvalidParameterError if the
+    dilation's vector rows are not its measurement's to DILATION_TOL: a
+    structured dilation reads only the family, not a rotation of it."""
+    probs, leak = _register_probabilities(dilated, isometry, rho)
     leak = float(np.max(leak))
     if not leak <= LEAK_TOL:
         raise PaddingLeakError(f"padding basis states carry probability {leak:.3e}")
+    residual = dilated.embedding_residual()
+    if not residual <= DILATION_TOL:
+        raise InvalidParameterError(f"the dilation is {residual:.3e} from its measurement")
     return probs
 
 
@@ -126,16 +114,6 @@ def _checked_isometry(dilated: DilatedMeasurement, circuit: Circuit) -> np.ndarr
     if not distance <= MISMATCH_TOL:
         raise CircuitMismatchError(f"circuit is {distance:.3e} from the dilation adjoint")
     return isometry
-
-
-def fold_probabilities(dilated: DilatedMeasurement, basis_probs: np.ndarray) -> np.ndarray:
-    """Collapse register-basis probabilities onto measurement outcomes.
-
-    Raises PaddingLeakError when a padding basis state carries more than
-    LEAK_TOL probability, since a correct dilation never populates those
-    states.
-    """
-    return _leak_checked(*_fold(dilated, np.asarray(basis_probs, dtype=float)))
 
 
 def dilation_probabilities(dilated: DilatedMeasurement, rho: np.ndarray) -> np.ndarray:

@@ -6,12 +6,21 @@ import numpy as np
 
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
-from povmkit.linalg import CNOT_MATRIX, apply_gates
+from povmkit.linalg import CNOT_MATRIX, apply_gates, direct_sum
+
+
+def gate_matrix(gate) -> np.ndarray:
+    """A gate's dense local matrix.  A fourier gate holds none: its F' =
+    F_m (+) I from ``one_shot_fourier``, or conj(F') when ``inverse``."""
+    if gate.matrix is not None:
+        return gate.matrix
+    f = direct_sum(one_shot_fourier(gate.m), np.eye(2 ** len(gate.wires) - gate.m))
+    return f.conj() if gate.inverse else f
 
 
 def gate_unitary(gate, n_qubits: int) -> np.ndarray:
     """Full register unitary of one gate."""
-    return apply_gates([(gate.matrix, gate.wires)], np.eye(2**n_qubits, dtype=complex))
+    return apply_gates([(gate_matrix(gate), gate.wires)], np.eye(2**n_qubits, dtype=complex))
 
 
 def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:

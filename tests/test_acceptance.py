@@ -28,7 +28,7 @@ from povmkit.families import (
     platonic_povm,
     validate_povm,
 )
-from povmkit.linalg import distance_up_to_global_phase, fourier_matrix
+from povmkit.linalg import distance_up_to_global_phase
 from povmkit.simulate import (
     DEFAULT_SEED,
     analytic_probabilities,
@@ -36,6 +36,8 @@ from povmkit.simulate import (
     random_density_matrix,
     sample,
 )
+
+from helpers import one_shot_fourier
 
 STATES_PER_FAMILY = 100
 
@@ -237,7 +239,7 @@ def test_criterion_7_qft():
     worst = 0.0
     for l in (1, 2, 3, 4):
         compiled = compile_circuit(qft_circuit(l))
-        worst = max(worst, float(np.abs(compiled - fourier_matrix(2**l)).max()))
+        worst = max(worst, float(np.abs(compiled - one_shot_fourier(2**l)).max()))
     _report(7, "qft", worst <= 1e-10, f"worst deviation {worst:.2e}")
 
 

@@ -44,12 +44,11 @@ from povmkit.linalg import (
     CNOT_MATRIX,
     SWAP_MATRIX,
     direct_sum,
-    fourier_matrix,
     unitarity_residual,
 )
 from povmkit.simulate import analytic_probabilities, circuit_probabilities
 
-from helpers import gate_unitary
+from helpers import gate_matrix, gate_unitary, one_shot_fourier
 from test_golden import golden_families
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,11 +105,11 @@ def test_gate_validation():
     with pytest.raises(InvalidGateError):
         SwapGate(2, 2)
     with pytest.raises(InvalidGateError):
-        Gate("u", (0,), fourier_matrix(4))  # dim mismatch
+        Gate("u", (0,), one_shot_fourier(4))  # dim mismatch
     with pytest.raises(InvalidGateError):
         Gate("v", (0,), X)  # unknown kind
     with pytest.raises(InvalidGateError):
-        Gate("block", (0, 1), fourier_matrix(4))  # no dense kind: F_m is a fourier gate
+        Gate("block", (0, 1), one_shot_fourier(4))  # no dense kind: F_m is a fourier gate
     with pytest.raises(InvalidGateError):
         Gate("u", (0, 1), np.eye(4))  # u acts on one qubit
     with pytest.raises(InvalidGateError):
@@ -161,7 +160,7 @@ def _padded_block(m: int, inverse: bool) -> np.ndarray:
     """The dense block ``structured_dilation`` once emitted for a Fourier
     factor: the adjoint of F' = F_m (+) I, or of conj(F') (the cube's)."""
     size = 1 << max(1, (m - 1).bit_length())
-    fourier = fourier_matrix(m)
+    fourier = one_shot_fourier(m)
     if m < size:
         fourier = direct_sum(fourier, np.eye(size - m))
     if not inverse:
@@ -174,26 +173,29 @@ FOURIER_SIZES = [*range(1, 301), 1000]
 
 @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
 def test_fourier_gate_matrix_is_the_padded_block(inverse):
+    """A fourier gate holds no matrix but applies the padded block, which
+    ``helpers.gate_matrix`` builds bit for bit as the dense reference."""
     for m in FOURIER_SIZES:
         block = _padded_block(m, inverse)
         k = len(block).bit_length() - 1
         for t in range(3):
             gate = FourierGate(range(t, t + k), m, inverse)
-            assert gate.matrix.tobytes() == block.tobytes()
+            assert gate.matrix is None
+            assert gate_matrix(gate).tobytes() == block.tobytes()
             # on a t + k qubit register the gate's first two columns are the
             # block's, up to the rounding of the FFT that applies it
             want = np.zeros((2 ** (t + k), 2), dtype=complex)
             want[: len(block)] = block[:, :2]
             assert np.abs(circuit_isometry(Circuit(t + k, [gate])) - want).max() <= 1e-13
         if inverse:  # the forward matrix is its conjugate, with the same residual
-            assert unitarity_residual(gate.matrix) <= 1e-13
+            assert unitarity_residual(block) <= 1e-13
 
 
 def test_fourier_gate_is_printed_without_matrix():
     gate = FourierGate([1, 2], 3, inverse=True)
     assert gate.describe() == "fourier targets=[1, 2] m=3 inverse=True"
     assert gate.to_dict() == {"kind": "fourier", "targets": [1, 2], "m": 3, "inverse": True}
-    assert gate._matrix is None  # neither printing builds the dense matrix
+    assert gate.matrix is None  # a fourier gate holds only m and inverse
     assert Gate("fourier", (1, 2), m=3, inverse=True).to_dict() == gate.to_dict()
 
 
@@ -203,12 +205,14 @@ def test_fourier_gate_adjoint(m, inverse):
     adjoint = gate.adjoint()
     assert (adjoint.kind, adjoint.wires, adjoint.m) == ("fourier", (0, 1, 2), m)
     assert adjoint.inverse is not inverse
-    assert np.array_equal(adjoint.matrix, gate.matrix.conj().T)
+    assert adjoint.matrix is None
+    applied = [compile_circuit(Circuit(3, [g])) for g in (gate, adjoint)]
+    assert np.abs(applied[1] - applied[0].conj().T).max() <= 1e-15
     back = adjoint.adjoint()
     assert back.to_dict() == gate.to_dict()
-    assert back.matrix.tobytes() == gate.matrix.tobytes()
+    assert compile_circuit(Circuit(3, [back])).tobytes() == applied[0].tobytes()
     # F' is symmetric bit for bit, so flipping ``inverse`` is its adjoint
-    assert adjoint.matrix.tobytes() == gate.matrix.conj().T.tobytes()
+    assert gate_matrix(adjoint).tobytes() == gate_matrix(gate).conj().T.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -222,7 +226,7 @@ def test_fourier_gate_adjoint(m, inverse):
         lambda: FourierGate([0, 1], None),
         lambda: FourierGate([], 1),
         lambda: FourierGate([1, 1], 2),
-        lambda: Gate("fourier", (0, 1), fourier_matrix(4), m=4),  # no unchecked matrix
+        lambda: Gate("fourier", (0, 1), one_shot_fourier(4), m=4),  # no unchecked matrix
         lambda: Gate("u", (0,), X, m=2),  # only a fourier gate takes m
         lambda: Gate("u", (0,), X, inverse=True),
         lambda: FourierGate([0, 2], 3),  # not a run of qubits
@@ -232,6 +236,19 @@ def test_fourier_gate_adjoint(m, inverse):
 def test_fourier_gate_validation(make):
     with pytest.raises(InvalidGateError):
         make()
+
+
+@pytest.mark.parametrize("inverse", ["False", "", 1, 0, None, 1.0, np.int64(1)])
+def test_fourier_gate_inverse_must_be_a_bool(inverse):
+    # any truthy value once built the inverse transform
+    with pytest.raises(InvalidGateError, match="bool"):
+        FourierGate([0, 1], 3, inverse=inverse)
+
+
+@pytest.mark.parametrize("inverse", [False, True, np.False_, np.True_])
+def test_fourier_gate_takes_a_numpy_bool(inverse):
+    gate = FourierGate([0, 1], 3, inverse=inverse)
+    assert gate.inverse is bool(inverse)
 
 
 def test_fourier_gate_leaving_the_register():
@@ -255,7 +272,7 @@ def test_compile_empty_circuit_is_identity():
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_qft_circuit_compiles_to_fourier(l):
     c = qft_circuit(l)
-    assert np.abs(compile_circuit(c) - fourier_matrix(2**l)).max() < 1e-13
+    assert np.abs(compile_circuit(c) - one_shot_fourier(2**l)).max() < 1e-13
 
 
 def test_qft_gate_counts():
@@ -269,7 +286,7 @@ def test_inverse_circuit():
     c = qft_circuit(3)
     inv = inverse_circuit(c)
     assert np.abs(
-        compile_circuit(inv) - fourier_matrix(8).conj().T
+        compile_circuit(inv) - one_shot_fourier(8).conj().T
     ).max() < 1e-13
     back = inverse_circuit(inv)
     assert np.abs(compile_circuit(back) - compile_circuit(c)).max() < 1e-13
@@ -342,7 +359,7 @@ def test_gate_count_pins():
 def test_block_budget(family):
     d = structured_dilation(build_povm(family))
     c = synthesize_circuit(d)
-    # a fourier gate counts as the dense block its matrix is
+    # a fourier gate counts as the dense block F' it applies
     blocks = [g for g in c.gates if g.kind == "fourier"]
     assert len(blocks) <= 1
     for g in blocks:
@@ -461,7 +478,7 @@ def test_structured_circuit_is_the_synthesized_circuit(family):
     assert circuit.to_dict() == want.to_dict()
     for gate, wanted in zip(circuit.gates, want.gates):
         assert (gate.kind, gate.wires) == (wanted.kind, wanted.wires)
-        assert gate.matrix.tobytes() == wanted.matrix.tobytes()
+        assert gate_matrix(gate).tobytes() == gate_matrix(wanted).tobytes()
 
 
 def test_structured_circuit_builds_no_register_matrix():

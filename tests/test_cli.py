@@ -325,6 +325,16 @@ def test_invalid_input_exits_2(argv, capsys):
     assert len(err) < 160
 
 
+@pytest.mark.parametrize("theta", ["4", "3.2", "-4", "-3.2", "9"])
+def test_polar_angle_past_pi_is_named_in_its_error(theta, capsys):
+    # cos(theta / 2) < 0: once "seed amplitude alpha must be nonnegative",
+    # though no --alpha was given
+    assert cli.main(["verify", "dihedral", "-m", "3", "--theta", theta]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: polar angle theta={float(theta)}")
+    assert "alpha" not in err and out == ""
+
+
 @pytest.mark.parametrize("command", ["build", "verify", "simulate", "sample", "circuit"])
 def test_register_cap_comes_before_point_scan(command, monkeypatch, capsys):
     import povmkit.families

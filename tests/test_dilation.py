@@ -29,9 +29,9 @@ from povmkit.families import (
     dihedral_povm,
     platonic_povm,
 )
-from povmkit.linalg import direct_sum, fourier_matrix, unitarity_residual
+from povmkit.linalg import direct_sum, unitarity_residual
 
-from helpers import dihedral_coupling
+from helpers import dihedral_coupling, one_shot_fourier
 
 TCO_A = np.sqrt((3 + np.sqrt(3)) / 6)
 TCO_B = np.sqrt((3 - np.sqrt(3)) / 6)
@@ -83,7 +83,7 @@ def test_padded_measurement_matrix():
 
 def test_cyclic_dilation_is_padded_fourier():
     d = structured_dilation(cyclic_povm(3))
-    expected = direct_sum(fourier_matrix(3), np.eye(1))
+    expected = direct_sum(one_shot_fourier(3), np.eye(1))
     assert np.abs(d.matrix - expected).max() < 1e-14
     assert d.outcome_positions.tolist() == [0, 1, 2]
     assert d.padding_positions.tolist() == [3]
@@ -92,7 +92,7 @@ def test_cyclic_dilation_is_padded_fourier():
 
 def test_cyclic_power_of_two_has_no_padding():
     d = structured_dilation(cyclic_povm(4))
-    assert np.abs(d.matrix - fourier_matrix(4)).max() < 1e-14
+    assert np.abs(d.matrix - one_shot_fourier(4)).max() < 1e-14
     assert d.padding_positions.tolist() == []
     assert d.n_qubits == 2
 
@@ -101,7 +101,7 @@ def test_cyclic_power_of_two_has_no_padding():
 def test_cyclic_dilation_keeps_the_bits_of_the_kron_product(m):
     # the matrix is I_1 (x) F up to the FFT's rounding, and like that kron
     # product it holds no -0.0, which ``build`` would print
-    fourier = fourier_matrix(m)
+    fourier = one_shot_fourier(m)
     r = register_size(m)
     if m < r:
         fourier = direct_sum(fourier, np.eye(r - m))

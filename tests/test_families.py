@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmkit.errors import (
     DegenerateOrbitError,
@@ -19,6 +20,7 @@ from povmkit.families import (
     OCTAHEDRON,
     PLATONIC_KINDS,
     TETRAHEDRON,
+    Povm,
     PovmFamily,
     build_povm,
     cyclic_povm,
@@ -161,6 +163,20 @@ def test_dihedral_seed_whose_squares_overflow_is_invalid(alpha, beta):
 def test_dihedral_from_angle_rejects_non_finite_angle(theta):
     with pytest.raises(InvalidParameterError):
         PovmFamily.dihedral_from_angle(3, theta)
+
+
+@given(st.floats(-30.0, 30.0))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_dihedral_from_angle_refuses_exactly_the_angles_alpha_would_refuse(theta):
+    # an angle with cos(theta / 2) < 0 was refused only when the ring was
+    # built, by an error on alpha, a parameter the caller never gave
+    if np.cos(theta / 2) < 0:
+        with pytest.raises(InvalidParameterError, match="polar angle") as caught:
+            PovmFamily.dihedral_from_angle(3, theta)
+        assert "alpha" not in str(caught.value)
+    else:
+        family = PovmFamily.dihedral_from_angle(3, theta)
+        assert (family.alpha, family.beta) == (np.cos(theta / 2), np.sin(theta / 2))
 
 
 def test_dihedral_from_angle():
@@ -436,6 +452,15 @@ def test_build_povm_dispatch():
     assert build_povm(PovmFamily.platonic(ICOSAHEDRON)).n == 12
     with pytest.raises(InvalidParameterError):
         build_povm(PovmFamily(kind="hexagon"))
+
+
+def test_povm_leaves_the_callers_array_writable():
+    vectors = cyclic_povm(4).vectors.copy()
+    povm = Povm(vectors, PovmFamily.cyclic(4))
+    vectors[0, 0] = 5  # raised "assignment destination is read-only"
+    assert povm.vectors[0, 0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        povm.vectors[0, 0] = 5
 
 
 def test_povm_json_export():

@@ -30,10 +30,10 @@ per-family ladders, by::
     '
 
 Gates are compared by wires and matrix, not by kind, so a padded Fourier
-factor, stored when it was a dense gate and now a ``fourier`` gate, counts
-as equal when its matrix is.
+factor, stored when it was a dense gate and now a ``fourier`` gate, which
+holds no matrix, counts as equal when ``helpers.gate_matrix`` of it is.
 
-Those dilations were formed from the dense ``fourier_matrix``, whose own
+Those dilations were formed from a dense Fourier matrix, whose own
 error reaches 1.1e-14 to 1.9e-14 at m = 96, 192 and 256.  Once the Fourier
 factor ran as an FFT, within about 4e-17 of the exact F_m
 (``test_kernels.test_structured_dilation_is_no_less_accurate_than_the_dense_fourier``),
@@ -83,6 +83,8 @@ from povmkit.families import PLATONIC_KINDS, PovmFamily, build_povm
 from povmkit.linalg import apply_gates
 from povmkit.simulate import verify_family
 
+from helpers import gate_matrix
+
 GOLDEN = Path(__file__).parent / "data" / "structured_golden.npz"
 REPORTS = Path(__file__).parent / "data" / "verify_all_reports.json"
 
@@ -119,8 +121,9 @@ def test_structured_dilation_and_circuit_match_golden(golden, k):
     for i, g in enumerate(gates):
         assert g.wires == tuple(golden[f"{k}_merged_{i}_qubits"])
         want = golden[f"{k}_merged_{i}_matrix"]
-        assert g.matrix.shape == want.shape
-        assert np.abs(g.matrix - want).max() <= 1e-15
+        matrix = gate_matrix(g)
+        assert matrix.shape == want.shape
+        assert np.abs(matrix - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("k", range(len(FAMILIES)), ids=[f.label() for f in FAMILIES])

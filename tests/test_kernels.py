@@ -1,7 +1,7 @@
 """Equivalence tests: the local gate kernel (its FFT, its in-place
-phases, its split of block-diagonal gates and swaps), the half-computed
-Fourier matrix, the distinct-point sweep, the closed-form Bloch map and
-the guide-table sampler against the straightforward reference versions."""
+phases, its split of block-diagonal gates and swaps), the distinct-point
+sweep, the closed-form Bloch map and the guide-table sampler against the
+straightforward reference versions."""
 
 import sys
 import threading
@@ -52,7 +52,6 @@ from povmkit.linalg import (
     apply_gates,
     direct_sum,
     embed_on_qubits,
-    fourier_matrix,
 )
 from povmkit.simulate import (
     GUIDE_DENSITY,
@@ -62,7 +61,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
-from helpers import contract, one_shot_fourier
+from helpers import contract, gate_matrix, one_shot_fourier
 from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -107,7 +106,7 @@ def embedded_product(circuit):
     """Reference compile: the dense embedded gate matrices multiplied."""
     total = np.eye(2**circuit.n_qubits, dtype=complex)
     for gate in circuit.gates:
-        total = embed_on_qubits(gate.matrix, gate.wires, circuit.n_qubits) @ total
+        total = embed_on_qubits(gate_matrix(gate), gate.wires, circuit.n_qubits) @ total
     return total
 
 
@@ -289,7 +288,7 @@ def test_dense_gate_must_act_on_an_ascending_run(targets):
 def dense(operator, wires):
     """A gate's operator as the kernel's input, a Fourier as its dense matrix."""
     if isinstance(operator, Fourier):
-        return FourierGate(wires, operator.m, operator.inverse).matrix
+        return gate_matrix(FourierGate(wires, operator.m, operator.inverse))
     return operator
 
 
@@ -303,7 +302,7 @@ def test_golden_circuits_and_dilations_match_the_contracted_kernel():
         # ``contract``, applied to the identity, so neither the FFT, nor the
         # in-place phases, nor the split, nor the swap copy is taken
         factors = [(dense(u, wires), wires) for u, wires, _ in _structured_factors(povm)[2]]
-        gates = [(g.matrix, g.wires) for g in circuit.gates]
+        gates = [(gate_matrix(g), g.wires) for g in circuit.gates]
         r = 2**dilated.n_qubits
         reference = [
             contracted(factors, np.eye(r)),
@@ -320,7 +319,7 @@ def test_register_wide_block_compiles_to_its_product_with_the_identity(m):
     circuit = synthesize_circuit(structured_dilation(build_povm(PovmFamily.cyclic(m))))
     (gate,) = circuit.gates
     assert gate.wires == tuple(range(circuit.n_qubits))
-    expected = contracted([(gate.matrix, gate.wires)], np.eye(2**circuit.n_qubits))
+    expected = contracted([(gate_matrix(gate), gate.wires)], np.eye(2**circuit.n_qubits))
     assert np.abs(compile_circuit(circuit) - expected).max() <= 1e-13
 
 
@@ -335,14 +334,9 @@ def test_register_wide_first_gate_then_more_gates(seed):
     first = FourierGate(range(n), k, inverse=True)
     rest = random_circuit(rng, n, int(rng.integers(0, 5))).gates
     circuit = Circuit(n, [first] + rest)
-    gates = [(g.matrix, g.wires) for g in circuit.gates]
+    gates = [(gate_matrix(g), g.wires) for g in circuit.gates]
     assert np.abs(compile_circuit(circuit) - contracted(gates, np.eye(r))).max() <= 1e-13
     assert np.abs(compile_circuit(circuit) - embedded_product(circuit)).max() < 1e-13
-
-
-def test_fourier_matrix_matches_the_one_shot_formula():
-    for m in [*range(1, 301), 511, 512, 1000, 2048]:
-        assert fourier_matrix(m).tobytes() == one_shot_fourier(m).tobytes(), m
 
 
 FFT_SIZES = [*range(1, 301), 1000, 4095]
@@ -373,7 +367,7 @@ def test_fourier_gate_fft_matches_the_dense_block():
     rng = np.random.default_rng(2)
     for m in FFT_SIZES:
         v = fourier_columns(rng, m)
-        block = FourierGate(range(len(v).bit_length() - 1), m).matrix
+        block = gate_matrix(FourierGate(range(len(v).bit_length() - 1), m))
         for t in range(3):
             # F' and its adjoint conj(F') alternate along m and along t
             gate, columns, _ = fourier_register(rng, v, m, t, inverse=(m + t) % 2 == 1)
@@ -423,7 +417,7 @@ def test_fourier_gate_fft_is_no_less_accurate_than_the_dense_block():
     rng = np.random.default_rng(3)
     for m in FFT_SIZES:
         v = fourier_columns(rng, m)
-        block = FourierGate(range(len(v).bit_length() - 1), m).matrix
+        block = gate_matrix(FourierGate(range(len(v).bit_length() - 1), m))
         exact = exact_fourier(m, v[:m])
         for t in range(3):
             gate, columns, signs = fourier_register(rng, v, m, t)
@@ -444,8 +438,8 @@ def test_fourier_gate_fft_is_no_less_accurate_than_the_dense_block():
 )
 def test_structured_dilation_is_no_less_accurate_than_the_dense_fourier(family):
     """The structured U against one built from an exact F_m, and against
-    one built from ``fourier_matrix``: at these sizes the dense F's own
-    error, 1.1e-14 to 1.9e-14, exceeds the 1e-14 to which
+    one built from the dense ``helpers.one_shot_fourier``: at these sizes
+    the dense F's own error, 1.1e-14 to 1.9e-14, exceeds the 1e-14 to which
     ``structured_golden.npz`` pins a dilation, so those arrays were stored
     again from the FFT."""
     povm = build_povm(family)
@@ -458,7 +452,7 @@ def test_structured_dilation_is_no_less_accurate_than_the_dense_fourier(family):
     for top in range(0, r, size):  # I (x) F' on the low qubits: one F per orbit
         rows = slice(top, top + m)
         exact[rows, rows] = exact_fourier(m)
-        dense[rows, rows] = fourier_matrix(m)
+        dense[rows, rows] = one_shot_fourier(m)
     if rest:  # the later factors round alike on both
         rest = [(u, wires) for u, wires, _ in rest]
         exact, dense = apply_gates(rest, exact.astype(complex)), apply_gates(rest, dense)

@@ -1,4 +1,4 @@
-"""Oracle tests for the dense matrix helpers."""
+"""Oracle tests for the dense matrix helpers and the Fourier transform."""
 
 import warnings
 
@@ -11,36 +11,45 @@ from povmkit.linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
     SWAP_MATRIX,
+    Fourier,
+    apply_gates,
     direct_sum,
     distance_up_to_global_phase,
     embed_on_qubits,
-    fourier_matrix,
     unitarity_residual,
 )
 
-from helpers import old_distance_up_to_global_phase
+from helpers import old_distance_up_to_global_phase, one_shot_fourier
 
 W3 = complex(-0.5, -np.sqrt(3) / 2)  # exp(-2i pi/3), written out by hand
 
 
+def fourier(m: int) -> np.ndarray:
+    """The transform the package runs: ``apply_gates`` of ``Fourier(m)`` on
+    the identity of the fewest qubits that hold m, cut to its m x m block."""
+    k = max(m - 1, 1).bit_length()
+    out = apply_gates([(Fourier(m), range(k))], np.eye(2**k, dtype=complex))
+    return out[:m, :m]
+
+
 def test_fourier_trivial_size():
-    assert np.allclose(fourier_matrix(1), [[1.0]], atol=1e-15)
+    assert np.allclose(fourier(1), [[1.0]], atol=1e-15)
 
 
 def test_fourier_two():
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.abs(fourier_matrix(2) - expected).max() < 1e-15
+    assert np.abs(fourier(2) - expected).max() < 1e-15
 
 
 def test_fourier_three_entries():
     expected = np.array(
         [[1, 1, 1], [1, W3, W3**2], [1, W3**2, W3**4]], dtype=complex
     ) / np.sqrt(3)
-    assert np.abs(fourier_matrix(3) - expected).max() < 1e-14
+    assert np.abs(fourier(3) - expected).max() < 1e-14
 
 
 def test_fourier_four_uses_negative_exponent():
-    f = fourier_matrix(4)
+    f = fourier(4)
     # entry (1, 1) pins the sign convention
     assert abs(f[1, 1] - (-0.5j)) < 1e-15
     expected = 0.5 * np.array(
@@ -57,19 +66,22 @@ def test_fourier_four_uses_negative_exponent():
 @given(st.integers(min_value=1, max_value=32))
 @settings(max_examples=32, derandomize=True, deadline=None)
 def test_fourier_unitary(m):
-    assert unitarity_residual(fourier_matrix(m)) < 1e-12
+    assert unitarity_residual(fourier(m)) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12, 64, 100])
 def test_fourier_in_place_keeps_the_bits_of_the_plain_formula(m):
+    """The tests' dense F, ``helpers.one_shot_fourier``, is the plain formula."""
     jk = np.outer(np.arange(m), np.arange(m))
     plain = np.exp(-2j * np.pi * jk / m) / np.sqrt(m)
-    assert fourier_matrix(m).tobytes() == plain.tobytes()
+    assert one_shot_fourier(m).tobytes() == plain.tobytes()
 
 
 def test_fourier_rejects_nonpositive_size():
-    with pytest.raises(InvalidDimensionError):
-        fourier_matrix(0)
+    """F_m needs 1 <= m <= 2^k on its k qubits."""
+    for m in (0, -1, 5):
+        with pytest.raises(InvalidDimensionError):
+            apply_gates([(Fourier(m), [0, 1])], np.eye(4, dtype=complex))
 
 
 def test_direct_sum_blocks():
@@ -81,13 +93,14 @@ def test_direct_sum_blocks():
 
 
 def test_direct_sum_empty_block():
-    f = fourier_matrix(8)
+    f = one_shot_fourier(8)
     assert np.array_equal(direct_sum(f, np.eye(0)), f)
 
 
 def test_direct_sum_fourier_padding():
-    # 4x4 extension of the three-outcome Fourier block
-    got = direct_sum(fourier_matrix(3), np.eye(1))
+    # 4x4 extension of the three-outcome Fourier block, which the FFT on
+    # two qubits applies without touching basis state 3
+    got = direct_sum(one_shot_fourier(3), np.eye(1))
     s = np.sqrt(1 / 3)
     expected = s * np.array(
         [
@@ -100,6 +113,9 @@ def test_direct_sum_fourier_padding():
     )
     assert np.abs(got - expected).max() < 1e-14
     assert unitarity_residual(got) < 1e-14
+    run = apply_gates([(Fourier(3), [0, 1])], np.eye(4, dtype=complex))
+    assert np.abs(run - expected).max() < 1e-15
+    assert np.array_equal(run[3], [0, 0, 0, 1]) and np.array_equal(run[:, 3], [0, 0, 0, 1])
 
 
 def test_unitarity_residual_value():
@@ -107,7 +123,7 @@ def test_unitarity_residual_value():
     # adjoint(a) @ a = [[1, 1], [1, 2]] so the worst entry misses the identity by 1
     assert abs(unitarity_residual(a) - 1.0) < 1e-15
     assert not unitarity_residual(a) <= DEFAULT_TOL
-    assert unitarity_residual(fourier_matrix(5)) <= DEFAULT_TOL
+    assert unitarity_residual(fourier(5)) <= DEFAULT_TOL
 
 
 @pytest.mark.filterwarnings("error")
@@ -125,13 +141,13 @@ def test_unitarity_requires_square():
 
 
 def test_distance_ignores_global_phase():
-    f = fourier_matrix(4)
+    f = one_shot_fourier(4)
     assert distance_up_to_global_phase(f, np.exp(0.7j) * f) < 1e-12
     assert distance_up_to_global_phase(f, 1j * f) < 1e-12
 
 
 def test_distance_detects_real_difference():
-    f = fourier_matrix(2)
+    f = one_shot_fourier(2)
     g = np.array([[0, 1], [1, 0]], dtype=complex)
     assert distance_up_to_global_phase(f, g) > 0.2
 
@@ -206,7 +222,7 @@ def test_distance_equals_old_code_on_random_inputs():
     u = _random_unitary(rng, 16)
     # an F-ordered view, as the two-column circuit check passes
     _assert_same_distance(u[:, :2], u[:2].conj().T)
-    _assert_same_distance(fourier_matrix(256), fourier_matrix(256).conj())
+    _assert_same_distance(one_shot_fourier(256), one_shot_fourier(256).conj())
 
 
 def test_distance_equals_old_code_near_zero_trace():

@@ -12,6 +12,7 @@ from povmkit.bloch import validate_density_matrix
 from povmkit import circuits, simulate
 from povmkit.circuits import (
     Circuit,
+    ControlledGate,
     SingleQubitGate,
     SwapGate,
     circuit_isometry,
@@ -20,7 +21,12 @@ from povmkit.circuits import (
     synthesize_circuit,
 )
 from povmkit.cli import default_verify_matrix
-from povmkit.dilation import generic_completion, structured_dilation
+from povmkit.dilation import (
+    DilatedMeasurement,
+    generic_completion,
+    structured_circuit,
+    structured_dilation,
+)
 from povmkit.errors import (
     CircuitMismatchError,
     InvalidParameterError,
@@ -40,13 +46,13 @@ from povmkit.linalg import distance_up_to_global_phase
 from povmkit.simulate import (
     CIRCUIT_DISTANCE_TOL,
     DEFAULT_SEED,
+    DILATION_TOL,
     MISMATCH_TOL,
     SampleCounts,
     VerificationReport,
     analytic_probabilities,
     circuit_probabilities,
     dilation_probabilities,
-    fold_probabilities,
     random_density_matrices,
     random_density_matrix,
     random_pure_state,
@@ -351,14 +357,80 @@ def test_distinct_instances_compare_unequal():
         assert a == a
 
 
-def test_fold_reports_padding_leak():
+ZERO = np.diag([1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e-3, np.nan], ids=["leak-1e-6", "nan"])
+def test_dilation_probabilities_report_padding_leak(entry):
+    # cyclic 3 pads basis state 3, which row 0 of U now reaches: from |0><0|
+    # it carries |entry|^2.  Rows 0-1 are no longer the measurement's, and
+    # the leak is raised before that embedding error
     d = structured_dilation(cyclic_povm(3))
+    assert d.padding_positions.tolist() == [3]
+    d.matrix[0, 3] = entry
+    assert not d.embedding_residual() <= DILATION_TOL
     with pytest.raises(PaddingLeakError):
-        fold_probabilities(d, np.array([0.5, 0.25, 0.15, 0.10]))
+        dilation_probabilities(d, ZERO)
     with pytest.raises(PaddingLeakError):
-        fold_probabilities(d, np.array([0.5, 0.25, 0.25, np.nan]))
-    folded = fold_probabilities(d, np.array([0.5, 0.25, 0.25, 0.0]))
-    assert np.abs(folded - np.array([0.5, 0.25, 0.25])).max() == 0
+        dilation_probabilities(d, MIXED)
+
+
+def test_dilation_probabilities_report_a_leak_before_an_embedding_error():
+    d = structured_dilation(cyclic_povm(3))
+    d.matrix[0, 0] += 1e-6  # an outcome column of row 0 is no longer the measurement's
+    with pytest.raises(InvalidParameterError, match="from its measurement"):
+        dilation_probabilities(d, ZERO)
+    d.matrix[0, 3] = 1e-3
+    with pytest.raises(PaddingLeakError):
+        dilation_probabilities(d, ZERO)
+
+
+def _own_dilation(povm, circuit):
+    """The adjoint of the circuit's compiled matrix as a dilation of povm, so
+    that the circuit passes the two-column check against it."""
+    u = compile_circuit(circuit)
+    return DilatedMeasurement(povm, u.conj().T, np.arange(povm.n), "structured"), u
+
+
+@pytest.mark.filterwarnings("error")
+def test_circuit_probabilities_report_padding_leak():
+    povm = cyclic_povm(3)
+    circuit = structured_circuit(povm)
+    d, _ = _own_dilation(povm, circuit)
+    assert np.abs(circuit_probabilities(d, circuit, ZERO) - [1 / 3] * 3).max() < 1e-15
+    # then a rotation controlled by qubit 0 moves 3e-6 of basis state 2,
+    # which carries 1/3 from |0><0|, into the padding state 3
+    s = np.sqrt(3e-6)
+    rotation = np.array([[np.sqrt(1 - s * s), -s], [s, np.sqrt(1 - s * s)]])
+    tampered = Circuit(2, circuit.gates + [ControlledGate(0, 1, 1, rotation)])
+    d, u = _own_dilation(povm, tampered)
+    assert abs(abs(u[3, 0]) ** 2 - 1e-6) < 1e-15
+    # a unitary cannot move probability into the padding and keep its
+    # outcome rows: the leak is raised before that embedding error
+    assert d.embedding_residual() > DILATION_TOL
+    with pytest.raises(PaddingLeakError, match="1.000e-06"):
+        circuit_probabilities(d, tampered, ZERO)
+    with pytest.raises(PaddingLeakError):
+        circuit_probabilities(d, tampered, MIXED)
+
+
+@pytest.mark.filterwarnings("error")
+def test_circuit_probabilities_refuse_a_nan_in_the_padding():
+    """A NaN the circuit puts in the padding is in its own two columns, and
+    so fails the two-column check, which runs before the fold: a
+    CircuitMismatchError, where the dilation path raises PaddingLeakError."""
+    povm = cyclic_povm(3)
+    circuit = structured_circuit(povm)
+    nan_phase = ControlledGate(0, 1, 1, np.eye(2))
+    nan_phase.matrix = np.diag([1, 1, 1, np.nan]).astype(complex)  # only basis state 3
+    tampered = Circuit(2, circuit.gates + [nan_phase])
+    d, u = _own_dilation(povm, tampered)
+    assert np.isnan(u[3]).all() and np.isfinite(u[:3]).all()
+    with pytest.raises(CircuitMismatchError):
+        circuit_probabilities(d, tampered, ZERO)
+    with pytest.raises(PaddingLeakError):
+        dilation_probabilities(d, ZERO)
 
 
 # ---------------------------------------------------------------- sampling
