@@ -99,7 +99,9 @@ class Gate:
             return
         if m is not None or inverse:
             raise InvalidGateError("only a fourier gate takes m and inverse")
-        self.matrix = np.asarray(matrix, dtype=complex)
+        # a read-only copy, so that the matrix checked here is the one applied
+        self.matrix = np.array(matrix, dtype=complex)
+        self.matrix.setflags(write=False)
         if self.matrix.shape != (2**n, 2**n):
             raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
         if kind in _FIXED:
@@ -138,6 +140,7 @@ class Gate:
             gate.inverse = not self.inverse
         else:
             gate.matrix = self.matrix.conj().T
+            gate.matrix.setflags(write=False)
         return gate
 
     def _fields(self) -> dict:

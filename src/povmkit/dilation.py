@@ -62,8 +62,9 @@ from .linalg import (
 _SEED_ROWS = 2
 
 # Largest dilated register.  The dilation, and in verification the compiled
-# circuit and the residuals, are dense r x r complex matrices: at 12 qubits
-# each takes 256 MB, and every further qubit quadruples it.
+# circuit and the adjoint it is compared with, are dense r x r complex
+# matrices (the residuals read them in row blocks and form no other): at 12
+# qubits each takes 256 MB, and every further qubit quadruples it.
 MAX_QUBITS = 12
 
 

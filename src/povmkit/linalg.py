@@ -23,6 +23,10 @@ from .errors import InvalidDimensionError, PhaseUndefinedWarning
 # default tolerance for structural checks (unitarity, completeness, ...)
 DEFAULT_TOL = 1e-10
 
+# rows per block of the r x r residuals, so that neither forms an r x r
+# temporary; a register of up to 6 qubits is one block
+_BLOCK_ROWS = 64
+
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -46,8 +50,14 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def unitarity_residual(a: np.ndarray) -> float:
     """Worst entry-wise deviation of adjoint(a) @ a from the identity.
 
-    The product's diagonal is reduced by 1 in place, so no identity and no
-    difference array is formed.  NaN when ``a`` has a non-finite entry, so
+    The Gram adjoint(a) @ a is Hermitian, so only its upper block triangle
+    is formed, ``_BLOCK_ROWS`` rows at a time: rows i, ..., i + 63 from
+    column i on are adjoint(a[:, i:i + 64]) @ a[:, i:], and their diagonal
+    is reduced by 1 in place.  No r x r array is formed, and at r = 256
+    the blocks take 62.5% of the full product's flops.  An entry below the
+    diagonal is the conjugate of one above it, which the product may round
+    differently, so above 64 rows the result can differ from the full
+    product's in the last bit.  NaN when ``a`` has a non-finite entry, so
     that every ``<= tol`` check fails; the product is not formed, as
     inf * 0 in it would warn.
     """
@@ -56,9 +66,14 @@ def unitarity_residual(a: np.ndarray) -> float:
         raise InvalidDimensionError(f"unitarity check needs a square matrix, got {a.shape}")
     if not np.isfinite(a).all():
         return float("nan")
-    gram = a.conj().T @ a
-    gram.reshape(-1)[:: a.shape[0] + 1] -= 1  # the diagonal, in place
-    return float(np.abs(gram).max())
+    worst = 0.0
+    for i in range(0, a.shape[0], _BLOCK_ROWS):
+        gram = a[:, i : i + _BLOCK_ROWS].conj().T @ a[:, i:]
+        gram.reshape(-1)[:: gram.shape[1] + 1] -= 1  # the diagonal, in place
+        block = float(np.abs(gram).max())
+        if block > worst or block != block:  # a NaN stays, as in np.max
+            worst = block
+    return worst
 
 
 def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
@@ -72,7 +87,9 @@ def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     The trace vanishes when it is below 1e-15 max(1, |a|max |b|max n).  As
     |a|max |b|max <= ||a||_F ||b||_F, a trace at least twice that test's
     Frobenius form passes it, and the two max passes are made only when
-    the two ``vdot`` norms cannot settle it.
+    the two ``vdot`` norms cannot settle it.  An aligned a - phase b and
+    its ``abs`` are formed ``_BLOCK_ROWS`` rows at a time, so no temporary
+    of a's size is; the max is the whole difference's bit for bit.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -91,8 +108,14 @@ def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
                 stacklevel=2,
             )
             return float(np.abs(a - b).max())
-    diff = np.multiply(t / abs(t), b)
-    return float(np.abs(np.subtract(a, diff, out=diff)).max())
+    phase = t / abs(t)
+    worst = 0.0
+    for i in range(0, a.shape[0], _BLOCK_ROWS):
+        diff = np.multiply(phase, b[i : i + _BLOCK_ROWS])
+        block = float(np.abs(np.subtract(a[i : i + _BLOCK_ROWS], diff, out=diff)).max())
+        if block > worst or block != block:  # a NaN stays, as in np.max
+            worst = block
+    return worst
 
 
 def _check_targets(u: np.ndarray, targets: list, n_qubits: int) -> None:

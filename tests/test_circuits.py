@@ -126,6 +126,18 @@ def test_gate_validation():
         Gate("cu", (0, 1), np.kron(np.eye(2), S))  # S on the target whatever the control
 
 
+def test_gate_keeps_a_read_only_copy_of_its_matrix():
+    u = X.astype(complex)
+    gate = SingleQubitGate(0, u)
+    u[0, 1] = 2  # after the unitarity check: the gate must not see it
+    assert np.array_equal(gate.matrix, X)
+    assert np.array_equal(compile_circuit(Circuit(1, [gate])), X)
+    for g in (gate, gate.adjoint(), ControlledGate(0, 1, 1, S), CnotGate(0, 1)):
+        for matrix in (g.matrix, g.adjoint().matrix):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2
+
+
 def test_gate_is_one_class_with_a_kind():
     made = [
         (SingleQubitGate(1, X), "u", (1,)),

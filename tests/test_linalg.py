@@ -1,12 +1,15 @@
 """Oracle tests for the dense matrix helpers and the Fourier transform."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from povmkit.dilation import structured_dilation
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
+from povmkit.families import build_povm
 from povmkit.linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
@@ -20,6 +23,7 @@ from povmkit.linalg import (
 )
 
 from helpers import old_distance_up_to_global_phase, one_shot_fourier
+from test_golden import golden_families
 
 W3 = complex(-0.5, -np.sqrt(3) / 2)  # exp(-2i pi/3), written out by hand
 
@@ -269,6 +273,108 @@ def test_distance_equals_old_code_on_non_finite_entries(bad):
         (np.full((4, 4), bad), np.full((4, 4), bad)),
     ]:
         _assert_same_distance(x, y)
+
+
+# ---------------------------------------------------------------- residuals in row blocks
+
+
+def full_gram_residual(a: np.ndarray) -> float:
+    """``unitarity_residual`` as one r x r product: the reference."""
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+
+
+def _sample_matrices(rng, r):
+    z = _complex(rng, (r, r))
+    q = np.linalg.qr(z)[0]
+    return [z, q, q + 1e-9 * z]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 16, 31, 32, 33, 63, 64])
+def test_unitarity_residual_in_one_block_is_the_full_gram_formula(r):
+    rng = np.random.default_rng(r)
+    for a in _sample_matrices(rng, r):
+        assert unitarity_residual(a) == full_gram_residual(a)
+
+
+def test_unitarity_residual_of_every_golden_dilation_is_the_full_gram_formula():
+    # up to r = 256, four row blocks, with no last-bit difference
+    for family in golden_families():
+        d = structured_dilation(build_povm(family)).matrix
+        assert unitarity_residual(d) == full_gram_residual(d), family.label()
+
+
+@pytest.mark.parametrize("r", [63, 64, 65, 127, 128, 129, 300])
+def test_unitarity_residual_at_block_edges_is_within_ulps_of_the_full_gram(r):
+    # a Gram entry below the diagonal is read from its conjugate above it,
+    # which the product may round differently in the last bit
+    rng = np.random.default_rng(1000 + r)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        for a in _sample_matrices(rng, r):
+            want = full_gram_residual(a)
+            assert abs(unitarity_residual(a) - want) <= 4 * eps * max(1.0, want)
+
+
+@pytest.mark.parametrize("cols", [[298, 299], [127, 128], [63, 64]])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unitarity_residual_keeps_an_overflow_in_any_row_block(cols, sign):
+    # finite entries whose Gram entries on the two columns overflow, in the
+    # last row block, across two blocks, or across the first two
+    a = np.eye(300, dtype=complex)
+    a[np.ix_([0, 1], cols)] = [[1e200, 1e200], [1e200, sign * 1e200]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = unitarity_residual(a), full_gram_residual(a)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert not got <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("shape", [(63, 63), (65, 65), (129, 2), (128, 128), (300, 300)])
+def test_distance_in_row_blocks_equals_old_code(shape):
+    rng = np.random.default_rng(shape[0])
+    a = _complex(rng, shape)
+    _assert_same_distance(a, np.exp(0.3j) * a + 1e-3 * _complex(rng, shape))
+    _assert_same_distance(a, _complex(rng, shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_distance_with_a_non_finite_entry_in_the_last_row_block_equals_old_code(bad):
+    u = _random_unitary(np.random.default_rng(4097), 130)
+    spoiled = u.copy()
+    spoiled[-1, 5] = bad
+    for x, y in [(spoiled, u), (u, spoiled), (spoiled, spoiled)]:
+        _assert_same_distance(x, y)
+
+
+def test_distance_warns_on_a_vanishing_trace_across_row_blocks():
+    a = np.eye(130)
+    b = np.diag([1.0, -1.0] * 65)
+    (caught,) = _assert_same_distance(a, b)
+    assert caught[0] is PhaseUndefinedWarning
+    with pytest.warns(PhaseUndefinedWarning):
+        assert distance_up_to_global_phase(a, b) == 2.0
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "r, unitarity_bound, distance_bound", [(256, 0.75, 0.55), (1024, 0.25, 0.15)]
+)
+def test_residuals_form_no_r_by_r_temporary(r, unitarity_bound, distance_bound):
+    # peaks in r x r complex entries; one r x r pass takes 2.0 for the
+    # residual (the adjoint's copy, the product, its abs) and 1.5 for the
+    # distance (the difference, its abs)
+    a = one_shot_fourier(r)
+    b = np.exp(0.4j) * a
+    entries = 16 * r * r
+    assert _traced_peak(lambda: unitarity_residual(a)) <= unitarity_bound * entries
+    assert _traced_peak(lambda: distance_up_to_global_phase(a, b)) <= distance_bound * entries
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
