@@ -5,24 +5,34 @@ the order of application, so the compiled matrix is the product of the
 gate unitaries taken right to left.  Qubit 0 is the most significant bit
 of a basis index throughout.
 
-Each gate holds its small ``matrix`` and the ``wires`` it acts on;
+Each gate holds its small ``matrix`` and the ``wires`` it acts on, and
+is immutable.  When a gate is built, the kernel behind
+``linalg.apply_gates`` decides once the form in which it runs the gate
+(in-place phases, a split into halves or a swap copy, a dense product on
+a run of qubits, or an FFT), and the gate keeps that form privately;
 ``apply_circuit`` applies the gates to the columns of a register array one
-at a time with ``linalg.apply_gates``, which takes each gate by its form,
-so no gate is ever embedded as a dense register-sized matrix.  The gates
-are the paper's elementary one- and two-qubit gates and a ``fourier``
-gate, F_m padded with an identity on an ascending run of qubits, which
-holds only the size m of its transform and runs as an FFT.
+at a time by those forms, so no gate is ever embedded as a dense
+register-sized matrix, nor inspected again.  The gates are the paper's
+elementary one- and two-qubit gates and a ``fourier`` gate, F_m padded
+with an identity on an ascending run of qubits, which holds only the size
+m of its transform and runs as an FFT.
 
 ``synthesize_circuit(d)`` is ``dilation.structured_circuit(d.povm)``,
 which compiles exactly to the adjoint of the structured dilation d.  The
 inverse QFT, the four-orbit mixer circuit and the dihedral rotations,
 which carry the half swap, are derived apart from the matrices they
 compile to, so the circuit-to-dilation distance checks them.
+
+The gate lists that the structured circuits reuse are built once per
+process, when first asked for, and shared: the inverse QFT on each
+register size here, and each platonic solid's whole circuit in
+``dilation``.  Each call still returns a fresh ``Circuit`` with its own
+gate list, so a caller may edit it.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +46,8 @@ from .linalg import (
     Fourier,
     _apply_in_place,
     _halves,
-    apply_gates,
+    _kernel,
+    _register,
     direct_sum,
     matrix_to_pairs,
     unitarity_residual,
@@ -69,23 +80,24 @@ class Gate:
     1 <= m <= 2^k, and the bool ``inverse``: it applies F' = F_m (+) I of
     size 2^k, or conj(F') = F'^dag when ``inverse``, as an FFT, unitary by
     construction.
+
+    A gate is immutable, so circuits may share it.  The form in which
+    ``apply_gates`` runs it is fixed, privately, when it is built.
     """
 
-    m = None
-    inverse = False
+    __slots__ = ("kind", "wires", "matrix", "m", "inverse", "_kernel")
 
     def __init__(self, kind: str, wires, matrix=None, m=None, inverse: bool = False) -> None:
         if kind not in _KINDS:
             raise InvalidGateError(f"unknown gate kind {kind!r}")
-        self.kind = kind
-        self.wires = tuple(map(int, wires))
-        n, arity = len(self.wires), _KINDS[kind][0]
-        if not n or len(set(self.wires)) != n or (arity and n != arity):
-            raise InvalidGateError(f"a {kind} gate cannot act on qubits {self.wires}")
+        wires = tuple(map(int, wires))
+        n, arity = len(wires), _KINDS[kind][0]
+        if not n or len(set(wires)) != n or min(wires) < 0 or (arity and n != arity):
+            raise InvalidGateError(f"a {kind} gate cannot act on qubits {wires}")
         if kind == "fourier":
-            if self.wires != tuple(range(self.wires[0], self.wires[0] + n)):
+            if wires != tuple(range(wires[0], wires[0] + n)):
                 raise InvalidGateError(
-                    f"a fourier gate acts on an ascending run of qubits, not {self.wires}"
+                    f"a fourier gate acts on an ascending run of qubits, not {wires}"
                 )
             if matrix is not None:
                 raise InvalidGateError("a fourier gate's matrix is built from m")
@@ -95,22 +107,40 @@ class Gate:
                 )
             if not isinstance(inverse, (bool, np.bool_)):
                 raise InvalidGateError(f"a fourier gate's inverse must be a bool, got {inverse!r}")
-            self.m, self.inverse, self.matrix = int(m), bool(inverse), None
+            self._fix(kind, wires, None, int(m), bool(inverse))
             return
         if m is not None or inverse:
             raise InvalidGateError("only a fourier gate takes m and inverse")
         # a read-only copy, so that the matrix checked here is the one applied
-        self.matrix = np.array(matrix, dtype=complex)
-        self.matrix.setflags(write=False)
-        if self.matrix.shape != (2**n, 2**n):
+        matrix = np.array(matrix, dtype=complex)
+        matrix.setflags(write=False)
+        if matrix.shape != (2**n, 2**n):
             raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
         if kind in _FIXED:
-            if not np.array_equal(self.matrix, _FIXED[kind]):
+            if not np.array_equal(matrix, _FIXED[kind]):
                 raise InvalidGateError(f"a {kind} gate has a fixed matrix")
-        elif not unitarity_residual(self.matrix) <= DEFAULT_TOL:
+        elif not unitarity_residual(matrix) <= DEFAULT_TOL:
             raise InvalidGateError("gate matrix must be unitary")
         if kind == "cu":
-            self._control()  # raises unless the matrix has a cu's form
+            _cu_control(matrix)  # raises unless the matrix has a cu's form
+        self._fix(kind, wires, matrix, None, False)
+
+    def _fix(self, kind: str, wires: tuple, matrix, m, inverse: bool) -> None:
+        """Set the checked fields, then the kernel: the form in which
+        ``apply_gates`` runs the ``operator``."""
+        for name, value in zip(self.__slots__, (kind, wires, matrix, m, inverse)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_kernel", _kernel(self.operator, wires))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Gate is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a Gate is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the gate through its checks
+        return Gate, (self.kind, self.wires, self.matrix, self.m, self.inverse)
 
     @property
     def operator(self):
@@ -121,26 +151,17 @@ class Gate:
     def __repr__(self) -> str:
         return f"<Gate {self.describe()}>"
 
-    def _control(self) -> tuple[int, np.ndarray]:
-        """A cu gate's control value and the 2x2 it applies; InvalidGateError
-        unless the matrix is 0 off its diagonal 2x2 blocks and exactly I in one."""
-        blocks = _halves(self.matrix)
-        if isinstance(blocks, list) and blocks[0] is None:
-            return 1, self.matrix[2:, 2:]
-        if isinstance(blocks, list) and blocks[1] is None:
-            return 0, self.matrix[:2, :2]
-        raise InvalidGateError("a cu matrix must be the identity on one control value")
-
     def adjoint(self) -> "Gate":
         """The same kind on the same qubits: a fourier gate with ``inverse``
         flipped, any other with the adjoint matrix."""
         # the adjoint keeps every kind's form, so it is not validated again
-        gate = copy.copy(self)
+        gate = object.__new__(Gate)
         if self.kind == "fourier":
-            gate.inverse = not self.inverse
+            gate._fix(self.kind, self.wires, None, self.m, not self.inverse)
         else:
-            gate.matrix = self.matrix.conj().T
-            gate.matrix.setflags(write=False)
+            matrix = self.matrix.conj().T
+            matrix.setflags(write=False)
+            gate._fix(self.kind, self.wires, matrix, None, False)
         return gate
 
     def _fields(self) -> dict:
@@ -149,7 +170,7 @@ class Gate:
         if self.kind == "u":
             return {"target": q[0], "matrix": self.matrix}
         if self.kind == "cu":
-            value, u = self._control()
+            value, u = _cu_control(self.matrix)
             return {"control": q[0], "control_value": value, "target": q[1], "matrix": u}
         if self.kind == "cnot":
             return {"control": q[0], "target": q[1]}
@@ -224,15 +245,33 @@ class Circuit:
         }
 
 
+def _cu_control(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """A cu gate's control value and the 2x2 it applies; InvalidGateError
+    unless the matrix is 0 off its diagonal 2x2 blocks and exactly I in one."""
+    blocks = _halves(matrix)
+    if isinstance(blocks, tuple) and blocks[0] is None:
+        return 1, matrix[2:, 2:]
+    if isinstance(blocks, tuple) and blocks[1] is None:
+        return 0, matrix[:2, :2]
+    raise InvalidGateError("a cu matrix must be the identity on one control value")
+
+
+def _kernels(circuit: Circuit):
+    """Each gate's form: the one a ``Gate`` fixed when it was built, and for
+    any other object with an ``operator`` and ``wires``, the form of that pair."""
+    for g in circuit.gates:
+        yield g._kernel if isinstance(g, Gate) else _kernel(g.operator, g.wires)
+
+
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the gates, in list order, to every column of an (r, c) array."""
-    return apply_gates(((g.operator, g.wires) for g in circuit.gates), state)
+    return _apply_in_place(_kernels(circuit), _register(state))
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
     """The circuit's full register unitary: the gates applied to the identity."""
     state = np.eye(2**circuit.n_qubits, dtype=complex)
-    return _apply_in_place(((g.operator, g.wires) for g in circuit.gates), state)
+    return _apply_in_place(_kernels(circuit), state)
 
 
 def circuit_isometry(circuit: Circuit) -> np.ndarray:
@@ -243,7 +282,7 @@ def circuit_isometry(circuit: Circuit) -> np.ndarray:
     for a ``fourier`` gate.
     """
     state = np.eye(2**circuit.n_qubits, 2, dtype=complex)
-    return _apply_in_place(((g.operator, g.wires) for g in circuit.gates), state)
+    return _apply_in_place(_kernels(circuit), state)
 
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
@@ -269,6 +308,14 @@ def qft_circuit(n_qubits: int) -> Circuit:
     for i in range(n_qubits // 2):
         gates.append(SwapGate(i, n_qubits - 1 - i))
     return Circuit(n_qubits, gates, label=f"qft({n_qubits})")
+
+
+@functools.cache
+def _inverse_qft_gates(n_qubits: int) -> tuple:
+    """The inverse QFT's gates, built once per register size: the whole
+    circuit of a cyclic ring of 2^n_qubits outcomes, so at most
+    ``MAX_QUBITS`` sizes."""
+    return tuple(inverse_circuit(qft_circuit(n_qubits)).gates)
 
 
 def _mixer_splitting(kind: str) -> tuple[float, float, float, float]:

@@ -13,7 +13,10 @@ an identity, on the low l - t qubits of its l, then the family's orbit
 mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
 holds what differs between families from the mixer on, half swap included.
 ``structured_dilation`` applies those factors in turn, and
-``structured_circuit`` joins their gate lists, last first, without U.
+``structured_circuit`` joins their gate lists, last first, without U.  A
+platonic solid's register is fixed, so its factors' kernels and its gates
+are built once per kind and shared; a ring's are built on each call, but
+for the inverse QFT of a cyclic ring that fills its register.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -21,6 +24,7 @@ of vectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +35,8 @@ from .circuits import (
     ControlledGate,
     FourierGate,
     SingleQubitGate,
-    inverse_circuit,
+    _inverse_qft_gates,
     orbit_mixer_adjoint_circuit,
-    qft_circuit,
 )
 from .errors import InvalidParameterError, NotIsometryError
 from .families import (
@@ -43,16 +46,19 @@ from .families import (
     DODECAHEDRON,
     ICOSAHEDRON,
     OCTAHEDRON,
+    PLATONIC_KINDS,
     TETRAHEDRON,
     PlatonicConstants,
     Povm,
     completeness_residual,
     platonic_constants,
+    platonic_povm,
 )
 from .linalg import (
     CNOT_MATRIX,
     Fourier,
     _apply_in_place,
+    _kernel,
     direct_sum,
     matrix_to_pairs,
     unitarity_residual as _unitarity_residual,
@@ -233,11 +239,35 @@ def _structured_factors(povm: Povm) -> tuple[int, int, list]:
     m = povm.n >> t
     low = tuple(range(t, l))
     if m == r:  # unpadded on the whole register: the inverse QFT circuit
-        gates = lambda: inverse_circuit(qft_circuit(l)).gates
+        gates = lambda: _inverse_qft_gates(l)
     else:
         gates = lambda: [FourierGate(low, m, inverse=not conjugate)]
     # F' = F_m (+) I on the low qubits, or conj(F') for the cube
     return t, l, [(Fourier(m, conjugate), low, gates), *mixer(povm.family, l)]
+
+
+def _built(povm: Povm) -> tuple:
+    """The orbit qubits t, the register's qubits l, the factors' kernels in
+    the order they apply, and a thunk for the circuit's gates, last factor
+    first: a solid's shared, a ring's built for this call."""
+    if povm.family.kind in PLATONIC_KINDS:
+        return _solid(povm.family.kind)
+    t, l, factors = _structured_factors(povm)
+    return t, l, (_kernel(u, qubits) for u, qubits, _ in factors), lambda: _gates(factors)
+
+
+@functools.cache
+def _solid(kind: str) -> tuple:
+    """``_built`` for a platonic solid, built once per kind: its register is
+    fixed, so every call would build the same."""
+    t, l, factors = _structured_factors(platonic_povm(kind))
+    gates = _gates(factors)
+    return t, l, tuple(_kernel(u, qubits) for u, qubits, _ in factors), lambda: gates
+
+
+def _gates(factors: list) -> tuple:
+    """The factors' gate lists joined, last factor first."""
+    return tuple(g for *_, gates in reversed(factors) for g in gates())
 
 
 def structured_dilation(povm: Povm) -> DilatedMeasurement:
@@ -248,9 +278,9 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     column's orbit blocks, the rest by their forms.  The n outcomes form
     2^t orbits of m; outcome m u + j sits on basis state (r / 2^t) u + j.
     """
-    t, l, factors = _structured_factors(povm)
+    t, l, kernels, _ = _built(povm)
     r = 1 << l
-    matrix = _apply_in_place([(u, qubits) for u, qubits, _ in factors], np.eye(r, dtype=complex))
+    matrix = _apply_in_place(kernels, np.eye(r, dtype=complex))
     m = povm.n >> t
     positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
     return DilatedMeasurement(povm, matrix, positions, "structured")
@@ -258,9 +288,10 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
 
 def structured_circuit(povm: Povm) -> Circuit:
     """The factors' gate lists, last factor first: a circuit compiling to the
-    adjoint of ``structured_dilation(povm)``, with no r x r matrix built."""
-    _, l, factors = _structured_factors(povm)
-    return Circuit(l, [g for *_, gates in reversed(factors) for g in gates()], povm.family.label())
+    adjoint of ``structured_dilation(povm)``, with no r x r matrix built.
+    A solid's gates, and the inverse QFT's, are shared between calls."""
+    _, l, _, gates = _built(povm)
+    return Circuit(l, list(gates()), povm.family.label())
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

@@ -15,6 +15,7 @@ ascending, with phase factor exp(-2*pi*1j*j/m).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,8 +144,10 @@ class PlatonicConstants:
     rescale: float
 
 
+@functools.cache
 def platonic_constants(kind: str) -> PlatonicConstants:
-    """Closed-form amplitudes for the requested solid."""
+    """Closed-form amplitudes for the requested solid, computed once per
+    kind; an unknown kind raises, and is not cached."""
     if kind in (TETRAHEDRON, CUBE, OCTAHEDRON):
         alpha = np.sqrt((3 + np.sqrt(3)) / 6)
         beta = np.sqrt((3 - np.sqrt(3)) / 6)

@@ -24,7 +24,8 @@ from .errors import InvalidDimensionError, PhaseUndefinedWarning
 DEFAULT_TOL = 1e-10
 
 # rows per block of the r x r residuals, so that neither forms an r x r
-# temporary; a register of up to 6 qubits is one block
+# temporary; a register of up to 6 qubits is one block.  The distance takes
+# _BLOCK_ROWS r entries per block, so an (r, 2) pair is one block.
 _BLOCK_ROWS = 64
 
 CNOT_MATRIX = np.array(
@@ -89,7 +90,9 @@ def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
     Frobenius form passes it, and the two max passes are made only when
     the two ``vdot`` norms cannot settle it.  An aligned a - phase b and
     its ``abs`` are formed ``_BLOCK_ROWS`` rows at a time, so no temporary
-    of a's size is; the max is the whole difference's bit for bit.
+    of a's size is; the max is the whole difference's bit for bit.  A block
+    holds ``_BLOCK_ROWS`` r entries: 64 rows of an r x r pair, and all of an
+    (r, 2) one.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -110,24 +113,33 @@ def distance_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> float:
             return float(np.abs(a - b).max())
     phase = t / abs(t)
     worst = 0.0
-    for i in range(0, a.shape[0], _BLOCK_ROWS):
-        diff = np.multiply(phase, b[i : i + _BLOCK_ROWS])
-        block = float(np.abs(np.subtract(a[i : i + _BLOCK_ROWS], diff, out=diff)).max())
+    rows = max(1, _BLOCK_ROWS * a.shape[0] // a.shape[1])
+    for i in range(0, a.shape[0], rows):
+        diff = np.multiply(phase, b[i : i + rows])
+        block = float(np.abs(np.subtract(a[i : i + rows], diff, out=diff)).max())
         if block > worst or block != block:  # a NaN stays, as in np.max
             worst = block
     return worst
 
 
-def _check_targets(u: np.ndarray, targets: list, n_qubits: int) -> None:
+def _check_targets(u: np.ndarray, targets) -> None:
+    """InvalidDimensionError unless u is 2^k x 2^k on k distinct qubits, none
+    negative; whether they fit a register is checked where it is known."""
     k = len(targets)
     if u.shape != (2**k, 2**k):
         raise InvalidDimensionError(
             f"matrix shape {u.shape} does not act on {k} qubit(s)"
         )
     if len(set(targets)) != k:
-        raise InvalidDimensionError(f"duplicate target qubits in {targets}")
-    if any(q < 0 or q >= n_qubits for q in targets):
-        raise InvalidDimensionError(f"targets {targets} outside register of {n_qubits}")
+        raise InvalidDimensionError(f"duplicate target qubits in {list(targets)}")
+    if any(q < 0 for q in targets):
+        raise InvalidDimensionError(f"negative target qubit in {list(targets)}")
+
+
+def _check_register(targets, top: int, n_qubits: int) -> None:
+    """InvalidDimensionError unless the highest target ``top`` is in the register."""
+    if top >= n_qubits:
+        raise InvalidDimensionError(f"targets {list(targets)} outside register of {n_qubits}")
 
 
 def embed_on_qubits(u: np.ndarray, targets, n_qubits: int) -> np.ndarray:
@@ -139,7 +151,8 @@ def embed_on_qubits(u: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     targets = list(targets)
-    _check_targets(u, targets, n_qubits)
+    _check_targets(u, targets)
+    _check_register(targets, max(targets, default=-1), n_qubits)
     k = len(targets)
     r = 2**n_qubits
     order = targets + [q for q in range(n_qubits) if q not in targets]
@@ -167,10 +180,10 @@ def _halves(u: np.ndarray):
     e = u.ravel().tolist()  # Python numbers: numpy calls on a 4x4 cost about 1 us each
     if e[2] or e[3] or e[6] or e[7] or e[8] or e[9] or e[12] or e[13]:
         return _SWAP if e == _SWAP_ENTRIES else None
-    return [
+    return (
         None if e[0] == e[5] == 1 and not (e[1] or e[4]) else u[:2, :2],
         None if e[10] == e[15] == 1 and not (e[11] or e[14]) else u[2:, 2:],
-    ]
+    )
 
 
 def _apply_halves(blocks, targets: list, state: np.ndarray, spare: np.ndarray):
@@ -217,15 +230,14 @@ class Fourier(NamedTuple):
     inverse: bool = False
 
 
-def _run_start(targets: list, n_qubits: int) -> int:
-    """The first qubit of targets that are an ascending run of qubits q, ...,
-    q + k - 1 in the register; InvalidDimensionError otherwise."""
-    q, k = targets[0], len(targets)
-    if targets != list(range(q, q + k)) or q < 0 or q + k > n_qubits:
+def _check_run(targets: tuple) -> None:
+    """InvalidDimensionError unless targets are an ascending run of qubits
+    q, ..., q + k - 1 with q >= 0."""
+    q = targets[0] if targets else -1
+    if q < 0 or targets != tuple(range(q, q + len(targets))):
         raise InvalidDimensionError(
-            f"a dense or fourier gate must act on an ascending run of qubits, got {targets}"
+            f"a dense or fourier gate must act on an ascending run of qubits, got {list(targets)}"
         )
-    return q
 
 
 def _phases(u: np.ndarray):
@@ -234,7 +246,53 @@ def _phases(u: np.ndarray):
     diagonal = np.diagonal(u)
     if np.count_nonzero(u) != np.count_nonzero(diagonal):
         return None
-    return [(x, v) for x, v in enumerate(diagonal.tolist()) if v != 1]
+    return tuple((x, v) for x, v in enumerate(diagonal.tolist()) if v != 1)
+
+
+# the forms ``_apply_in_place`` runs a gate by
+_FFT, _PHASES, _HALVES, _DENSE = "fft", "phases", "halves", "dense"
+
+
+class _Kernel(NamedTuple):
+    """A gate as ``_apply_in_place`` runs it: its ``form``, the form's
+    ``data``, its ``targets`` and the highest of them, ``top``."""
+
+    form: str
+    data: object
+    targets: tuple
+    top: int
+
+
+def _kernel(u, targets) -> _Kernel:
+    """The form in which ``apply_gates`` runs u on targets, decided once:
+
+    * ``_FFT`` for a ``Fourier`` on an ascending run of k qubits with
+      m <= 2^k, the ``Fourier`` its data;
+    * ``_PHASES`` for a matrix 0 off its diagonal, with ``_phases`` as data;
+    * ``_HALVES`` for a 4x4 that ``_halves`` splits, with its blocks or
+      ``_SWAP``;
+    * ``_DENSE`` for any other matrix on an ascending run of qubits.
+
+    InvalidDimensionError for anything else.  A gate's kernel is built with
+    the gate; ``_apply_in_place`` checks only that ``top`` fits its register.
+    """
+    targets = tuple(targets)
+    top = max(targets, default=-1)
+    if isinstance(u, Fourier):
+        _check_run(targets)
+        if not 1 <= u.m <= 1 << len(targets):
+            raise InvalidDimensionError(f"F_{u.m} does not fit on {len(targets)} qubit(s)")
+        return _Kernel(_FFT, u, targets, top)
+    u = np.asarray(u, dtype=complex)
+    _check_targets(u, targets)
+    phases = _phases(u)
+    if phases is not None:
+        return _Kernel(_PHASES, phases, targets, top)
+    blocks = _halves(u) if len(targets) == 2 else None
+    if blocks is not None:
+        return _Kernel(_HALVES, blocks, targets, top)
+    _check_run(targets)
+    return _Kernel(_DENSE, u, targets, top)
 
 
 def _multiply_phases(phases, targets: list, state: np.ndarray) -> None:
@@ -255,7 +313,8 @@ def apply_gates(gates, state: np.ndarray) -> np.ndarray:
     ``state`` is an (r, c) array with r = 2**n, which is left alone; each
     matrix acts on its listed target qubits as in ``embed_on_qubits``, so
     the result equals the product of the embedded matrices times ``state``
-    without forming any r x r matrix.  Each gate is applied by its form:
+    without forming any r x r matrix.  ``_kernel`` decides each gate's form,
+    and the gate is applied by it:
 
     * a ``Fourier`` in place of a matrix runs ``np.fft.fft`` (``ifft`` when
       ``inverse``), orthonormal, in place along its run's axis of the
@@ -274,41 +333,41 @@ def apply_gates(gates, state: np.ndarray) -> np.ndarray:
     A spare buffer of the state's size is allocated at the first gate that
     is not applied in place, and reused.
     """
+    state = _register(state)
+    return _apply_in_place((_kernel(u, targets) for u, targets in gates), state)
+
+
+def _register(state: np.ndarray) -> np.ndarray:
+    """A C-ordered complex copy of a (2**n, c) register array."""
     state = np.array(state, dtype=complex, order="C")
     if state.ndim != 2 or state.shape[0] < 1 or state.shape[0] & (state.shape[0] - 1):
         raise InvalidDimensionError(f"register array must be (2**n, c), got {state.shape}")
-    return _apply_in_place(gates, state)
+    return state
 
 
-def _apply_in_place(gates, state: np.ndarray) -> np.ndarray:
-    """``apply_gates`` on a C-ordered complex (2**n, c) array, which it
-    overwrites: for callers that have just allocated ``state``."""
+def _apply_in_place(kernels, state: np.ndarray) -> np.ndarray:
+    """``apply_gates`` of ``_kernel`` forms on a C-ordered complex (2**n, c)
+    array, which it overwrites: for callers that have just allocated
+    ``state``, and hold their gates' kernels."""
     n_qubits = state.shape[0].bit_length() - 1
     spare = None
-    for u, targets in gates:
-        targets = list(targets)
-        if isinstance(u, Fourier):
-            q, k = _run_start(targets, n_qubits), len(targets)
-            if not 1 <= u.m <= 1 << k:
-                raise InvalidDimensionError(f"F_{u.m} does not fit on {k} qubit(s)")
-            view = state.reshape(1 << q, 1 << k, -1)[:, : u.m]
-            (np.fft.ifft if u.inverse else np.fft.fft)(view, axis=1, norm="ortho", out=view)
+    for form, data, targets, top in kernels:
+        _check_register(targets, top, n_qubits)
+        if form == _FFT:
+            view = state.reshape(1 << targets[0], 1 << len(targets), -1)[:, : data.m]
+            (np.fft.ifft if data.inverse else np.fft.fft)(view, axis=1, norm="ortho", out=view)
             continue
-        u = np.asarray(u, dtype=complex)
-        _check_targets(u, targets, n_qubits)
-        phases = _phases(u)
-        if phases is not None:
-            _multiply_phases(phases, targets, state)
+        if form == _PHASES:
+            _multiply_phases(data, targets, state)
             continue
         if spare is None:
             spare = np.empty_like(state)
-        blocks = _halves(u) if len(targets) == 2 else None
-        if blocks is not None:
-            state, spare = _apply_halves(blocks, targets, state, spare)
+        if form == _HALVES:
+            state, spare = _apply_halves(data, targets, state, spare)
             continue
-        q, k = _run_start(targets, n_qubits), len(targets)
+        q, k = targets[0], len(targets)
         shape = (1 << q, 1 << k, state.size >> (q + k))
-        np.matmul(u, state.reshape(shape), out=spare.reshape(shape))
+        np.matmul(data, state.reshape(shape), out=spare.reshape(shape))
         state, spare = spare, state
     return state
 

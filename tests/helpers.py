@@ -1,12 +1,33 @@
 """Dense reference matrices that only the tests need."""
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
+from povmkit import circuits, dilation
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
 from povmkit.linalg import CNOT_MATRIX, apply_gates, direct_sum
+
+
+class RawGate(NamedTuple):
+    """Any matrix on ``wires``, unchecked, which no gate kind holds: a dense
+    unitary on a run of qubits, or one with a NaN entry.  A circuit runs it
+    as ``apply_gates`` runs the pair (operator, wires)."""
+
+    wires: tuple
+    matrix: np.ndarray
+
+    @property
+    def operator(self):
+        return self.matrix
+
+
+def clear_shared_gates() -> None:
+    """Empty the caches of shared gates, so that the next call builds them."""
+    for cached in (circuits._inverse_qft_gates, dilation._solid):
+        cached.cache_clear()
 
 
 def gate_matrix(gate) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Oracle tests for gate synthesis and circuit compilation."""
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from povmkit import circuits
+from povmkit import circuits, dilation, linalg
 from povmkit.circuits import (
     Circuit,
     CnotGate,
@@ -15,6 +16,7 @@ from povmkit.circuits import (
     Gate,
     SingleQubitGate,
     SwapGate,
+    apply_circuit,
     circuit_isometry,
     compile_circuit,
     format_circuit,
@@ -43,12 +45,14 @@ from povmkit.families import (
 from povmkit.linalg import (
     CNOT_MATRIX,
     SWAP_MATRIX,
+    _kernel,
+    apply_gates,
     direct_sum,
     unitarity_residual,
 )
-from povmkit.simulate import analytic_probabilities, circuit_probabilities
+from povmkit.simulate import analytic_probabilities, circuit_probabilities, verify_family
 
-from helpers import gate_matrix, gate_unitary, one_shot_fourier
+from helpers import clear_shared_gates, gate_matrix, gate_unitary, one_shot_fourier
 from test_golden import golden_families
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -105,6 +109,8 @@ def test_gate_validation():
     with pytest.raises(InvalidGateError):
         SwapGate(2, 2)
     with pytest.raises(InvalidGateError):
+        SingleQubitGate(-1, X)  # no register has a qubit -1
+    with pytest.raises(InvalidGateError):
         Gate("u", (0,), one_shot_fourier(4))  # dim mismatch
     with pytest.raises(InvalidGateError):
         Gate("v", (0,), X)  # unknown kind
@@ -122,6 +128,11 @@ def test_gate_validation():
         Gate("swap", (0, 1), np.eye(4))
     with pytest.raises(InvalidGateError):
         Gate("cu", (0, 1), np.kron(X, X))  # not the identity on either control value
+    # the same on wires that are not an ascending run: the cu form is
+    # checked before the kernel, which takes a dense 4x4 only on a run
+    for wires in [(1, 0), (0, 2)]:
+        with pytest.raises(InvalidGateError):
+            Gate("cu", wires, np.kron(X, X))
     with pytest.raises(InvalidGateError):
         Gate("cu", (0, 1), np.kron(np.eye(2), S))  # S on the target whatever the control
 
@@ -386,6 +397,7 @@ def test_block_budget(family):
 def test_synthesis_checks_no_matrix_wider_than_two_qubits(family, monkeypatch):
     # the Fourier factor is unitary by construction, so no r x r check remains
     d = structured_dilation(build_povm(family))
+    clear_shared_gates()  # so that every gate is built, and checked, again
     widths = []
 
     def spy(a):
@@ -506,3 +518,102 @@ def test_structured_circuit_builds_no_register_matrix():
     assert [g.describe() for g in circuit.gates] == [
         "fourier targets=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] m=4095 inverse=True"
     ]
+
+
+# ---------------------------------------------------------------- shared gates
+
+
+def test_gates_are_immutable():
+    gates = [
+        SingleQubitGate(0, X),
+        ControlledGate(0, 1, 1, S),
+        CnotGate(0, 1),
+        SwapGate(0, 1),
+        FourierGate([0, 1], 3),
+    ]
+    for gate in gates:
+        for name in ("kind", "wires", "matrix", "m", "inverse", "_kernel", "label"):
+            with pytest.raises(AttributeError):
+                setattr(gate, name, None)
+            with pytest.raises(AttributeError):
+                delattr(gate, name)
+        adjoint = gate.adjoint()
+        assert (adjoint.kind, adjoint.wires) == (gate.kind, gate.wires)
+        assert np.array_equal(gate_matrix(adjoint), gate_matrix(gate).conj().T)
+        with pytest.raises(AttributeError):
+            adjoint.wires = (1, 0)
+        assert adjoint.adjoint().describe() == gate.describe()
+        for copied in (copy.copy(gate), copy.deepcopy(gate)):
+            assert copied.to_dict() == gate.to_dict()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: qft_circuit(3), lambda: orbit_mixer_adjoint_circuit(DODECAHEDRON)]
+    + [lambda k=kind: structured_circuit(platonic_povm(k)) for kind in PLATONIC_KINDS]
+    + [lambda: structured_circuit(cyclic_povm(16))],
+)
+def test_a_returned_circuit_does_not_reach_the_shared_gates(build):
+    first = build()
+    want = [g.describe() for g in first.gates]
+    first.gates.append(SingleQubitGate(0, X))
+    first.gates[0] = SwapGate(0, 1)
+    first.gates.reverse()
+    again = build()
+    assert again.gates is not first.gates
+    assert [g.describe() for g in again.gates] == want
+
+
+def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
+    families = [PovmFamily.cyclic(16), PovmFamily.cyclic(256)]
+    families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+    for family in families:
+        verify_family(family, n_states=2)
+    built = []
+    init = Gate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    for family in families:
+        assert verify_family(family, n_states=2).passed
+    assert built == []
+    # a dihedral ring still builds its three gates, whose kernels the
+    # builds fix, on every call
+    verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
+    assert sorted(built) == ["cu", "cu", "fourier"]
+
+
+def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
+    families = [PovmFamily.cyclic(m) for m in (5, 16, 256)]
+    families += [PovmFamily.dihedral(5, 0.6, 0.8)]
+    families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+    circuits_ = [structured_circuit(build_povm(f)) for f in families]
+    circuits_ += [qft_circuit(4), inverse_circuit(qft_circuit(3))]
+    for family in families[1:3] + families[4:]:  # warm the shared structures
+        verify_family(family, n_states=2)
+    classified = []
+
+    def spy(u, targets):
+        classified.append(type(u).__name__)
+        return _kernel(u, targets)
+
+    for module in (linalg, circuits, dilation):
+        monkeypatch.setattr(module, "_kernel", spy)
+    for circuit in circuits_:
+        state = np.eye(2**circuit.n_qubits, 3)
+        assert np.abs(compile_circuit(circuit)[:, :3] - apply_circuit(circuit, state)).max() < 1e-15
+        circuit_isometry(circuit)
+    assert classified == []
+    # a solid's dilation factors are classified once, with its gates
+    for kind in PLATONIC_KINDS:
+        verify_family(PovmFamily.platonic(kind), n_states=2)
+    assert classified == []
+    # a cyclic ring's Fourier factor depends on m, so each dilation
+    # classifies it; a raw matrix given to apply_gates is classified too
+    verify_family(PovmFamily.cyclic(16), n_states=2)
+    assert classified == ["Fourier"]
+    apply_gates([(X, [0])], np.eye(2))
+    assert classified == ["Fourier", "ndarray"]

@@ -478,3 +478,11 @@ def test_povm_json_export():
 def test_cyclic_family_json():
     data = cyclic_povm(3).to_dict()
     assert data["family"] == {"kind": CYCLIC, "m": 3}
+
+
+@pytest.mark.parametrize("kind", PLATONIC_KINDS)
+def test_platonic_constants_are_computed_once_per_kind(kind):
+    first = platonic_constants(kind)
+    assert platonic_constants(kind) is first
+    # the same expressions, so the values are those of a fresh evaluation
+    assert platonic_constants.__wrapped__(kind) == first

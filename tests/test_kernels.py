@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -61,7 +60,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
-from helpers import contract, gate_matrix, one_shot_fourier
+from helpers import RawGate, contract, gate_matrix, one_shot_fourier
 from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -71,13 +70,6 @@ def random_unitary(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class DenseGate(namedtuple("DenseGate", "wires matrix")):
-    """Any unitary on an ascending run of qubits, which ``apply_gates`` takes
-    though no gate kind holds one."""
-
-    operator = property(lambda self: self.matrix)
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -98,7 +90,7 @@ def random_circuit(rng, n_qubits, n_gates):
         else:  # a dense matrix on a random ascending run of qubits
             k = int(rng.integers(1, min(n_qubits, 3) + 1))
             q = int(rng.integers(n_qubits - k + 1))
-            gates.append(DenseGate(tuple(range(q, q + k)), random_unitary(rng, 2**k)))
+            gates.append(RawGate(tuple(range(q, q + k)), random_unitary(rng, 2**k)))
     return Circuit(n_qubits, gates)
 
 

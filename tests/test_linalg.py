@@ -422,3 +422,13 @@ def test_embed_validates_targets():
         embed_on_qubits(CNOT_MATRIX, [0, 0], 2)
     with pytest.raises(InvalidDimensionError):
         embed_on_qubits(CNOT_MATRIX, [0], 2)
+
+
+@pytest.mark.parametrize("r", [256, 4096])
+def test_two_column_distance_is_the_one_pass_formula(r):
+    # a block holds 64 r entries, so an (r, 2) pair is one pass
+    rng = np.random.default_rng(r)
+    a = _complex(rng, (r, 2))
+    b = np.exp(0.7j) * a + 1e-3 * _complex(rng, (r, 2))
+    t = np.vdot(b, a)
+    assert distance_up_to_global_phase(a, b) == float(np.abs(a - (t / abs(t)) * b).max())

@@ -60,6 +60,8 @@ from povmkit.simulate import (
     verify_family,
 )
 
+from helpers import RawGate
+
 MIXED = np.eye(2) / 2
 PLUS = np.full((2, 2), 0.5)
 
@@ -422,8 +424,8 @@ def test_circuit_probabilities_refuse_a_nan_in_the_padding():
     CircuitMismatchError, where the dilation path raises PaddingLeakError."""
     povm = cyclic_povm(3)
     circuit = structured_circuit(povm)
-    nan_phase = ControlledGate(0, 1, 1, np.eye(2))
-    nan_phase.matrix = np.diag([1, 1, 1, np.nan]).astype(complex)  # only basis state 3
+    # a gate is checked when built, so the NaN comes in an unchecked one
+    nan_phase = RawGate((0, 1), np.diag([1, 1, 1, np.nan]).astype(complex))  # only basis state 3
     tampered = Circuit(2, circuit.gates + [nan_phase])
     d, u = _own_dilation(povm, tampered)
     assert np.isnan(u[3]).all() and np.isfinite(u[:3]).all()
