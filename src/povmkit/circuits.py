@@ -23,16 +23,14 @@ inverse QFT, the four-orbit mixer circuit and the dihedral rotations,
 which carry the half swap, are derived apart from the matrices they
 compile to, so the circuit-to-dilation distance checks them.
 
-The gate lists that the structured circuits reuse are built once per
-process, when first asked for, and shared: the inverse QFT on each
-register size here, and each platonic solid's whole circuit in
-``dilation``.  Each call still returns a fresh ``Circuit`` with its own
-gate list, so a caller may edit it.
+Each family's structured circuit is built once, when first asked for,
+and its gates are shared through the cache in ``dilation``.  Each call
+still returns a fresh ``Circuit`` with its own gate list, so a caller may
+edit it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,14 +306,6 @@ def qft_circuit(n_qubits: int) -> Circuit:
     for i in range(n_qubits // 2):
         gates.append(SwapGate(i, n_qubits - 1 - i))
     return Circuit(n_qubits, gates, label=f"qft({n_qubits})")
-
-
-@functools.cache
-def _inverse_qft_gates(n_qubits: int) -> tuple:
-    """The inverse QFT's gates, built once per register size: the whole
-    circuit of a cyclic ring of 2^n_qubits outcomes, so at most
-    ``MAX_QUBITS`` sizes."""
-    return tuple(inverse_circuit(qft_circuit(n_qubits)).gates)
 
 
 def _mixer_splitting(kind: str) -> tuple[float, float, float, float]:

@@ -79,12 +79,8 @@ def family_from_args(args) -> PovmFamily:
         given = "given --theta, " if kind == "dihedral" else ""
         raise InvalidParameterError(f"{given}the {kind} family takes no {', '.join(ignored)}")
     if kind == "cyclic":
-        if args.m is None:
-            raise InvalidParameterError("the cyclic family needs -m")
         return PovmFamily.cyclic(args.m)
     if kind == "dihedral":
-        if args.m is None:
-            raise InvalidParameterError("the dihedral family needs -m")
         if args.theta is not None:
             return PovmFamily.dihedral_from_angle(args.m, args.theta)
         if args.alpha is None or args.beta is None:

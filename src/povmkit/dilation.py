@@ -13,10 +13,9 @@ an identity, on the low l - t qubits of its l, then the family's orbit
 mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
 holds what differs between families from the mixer on, half swap included.
 ``structured_dilation`` applies those factors in turn, and
-``structured_circuit`` joins their gate lists, last first, without U.  A
-platonic solid's register is fixed, so its factors' kernels and its gates
-are built once per kind and shared; a ring's are built on each call, but
-for the inverse QFT of a cyclic ring that fills its register.
+``structured_circuit`` joins their gate lists, last first, without U.  The
+family alone decides the factors, so their kernels and gates are built
+once per family, when first asked for, and kept in one bounded cache.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -35,8 +34,9 @@ from .circuits import (
     ControlledGate,
     FourierGate,
     SingleQubitGate,
-    _inverse_qft_gates,
+    inverse_circuit,
     orbit_mixer_adjoint_circuit,
+    qft_circuit,
 )
 from .errors import InvalidParameterError, NotIsometryError
 from .families import (
@@ -46,13 +46,11 @@ from .families import (
     DODECAHEDRON,
     ICOSAHEDRON,
     OCTAHEDRON,
-    PLATONIC_KINDS,
     TETRAHEDRON,
     PlatonicConstants,
     Povm,
     completeness_residual,
     platonic_constants,
-    platonic_povm,
 )
 from .linalg import (
     CNOT_MATRIX,
@@ -187,11 +185,10 @@ def _dihedral_factor(alpha: float, beta: complex, l: int) -> tuple:
     j, [[a, -b*], [b, a]], whose rows the swap exchanges.  The gates are
     the two controlled rotations, written out as adjoints.
     """
-    beta = complex(beta)
     bc = beta.conjugate()
     even = np.array([[alpha, beta], [bc, -alpha]])
     odd = np.array([[beta, alpha], [alpha, -bc]])
-    return direct_sum(even, odd), (l - 1, 0), lambda: [
+    return direct_sum(even, odd), (l - 1, 0), [
         ControlledGate(l - 1, 1, 0, np.array([[bc, alpha], [alpha, -beta]])),
         ControlledGate(l - 1, 0, 0, np.array([[alpha, beta], [bc, -alpha]])),
     ]
@@ -202,23 +199,25 @@ def _orbit_mixer_factors(family, l: int) -> list:
     CNOT(l - 1 -> t - 1); a 4x4 mixer has its own circuit."""
     mixer = orbit_mixer(family.kind)
     if len(mixer) == 2:
-        factor = (mixer, (0,), lambda: [SingleQubitGate(0, mixer.conj().T)])
+        factor = (mixer, (0,), [SingleQubitGate(0, mixer.conj().T)])
     else:
-        factor = (mixer, (0, 1), lambda: orbit_mixer_adjoint_circuit(family.kind).gates)
+        factor = (mixer, (0, 1), orbit_mixer_adjoint_circuit(family.kind).gates)
     t = len(factor[1])
-    return [factor, (CNOT_MATRIX, (l - 1, t - 1), lambda: [CnotGate(l - 1, t - 1)])]
+    return [factor, (CNOT_MATRIX, (l - 1, t - 1), [CnotGate(l - 1, t - 1)])]
 
 
-_TETRAHEDRON_PHASE = (
-    np.diag([1, 1, 1, -1j]), (0, 1), lambda: [ControlledGate(0, 1, 1, np.diag([1.0, 1.0j]))]
-)
+def _tetrahedron_factors(family, l: int) -> list:
+    """A controlled phase on the top two qubits, then the mixer factors."""
+    phase = ControlledGate(0, 1, 1, np.diag([1.0, 1.0j]))
+    return [(np.diag([1, 1, 1, -1j]), (0, 1), [phase]), *_orbit_mixer_factors(family, l)]
+
 
 # kind -> (orbit qubits t, conjugated Fourier factor, the factors after it of
 # (family, l), the half swap last)
 _FACTOR_TABLE = {
     CYCLIC: (0, False, lambda f, l: []),
     DIHEDRAL: (1, False, lambda f, l: [_dihedral_factor(f.alpha, f.beta, l)]),
-    TETRAHEDRON: (1, False, lambda f, l: [_TETRAHEDRON_PHASE, *_orbit_mixer_factors(f, l)]),
+    TETRAHEDRON: (1, False, _tetrahedron_factors),
     CUBE: (1, True, _orbit_mixer_factors),
     OCTAHEDRON: (1, False, _orbit_mixer_factors),
     DODECAHEDRON: (2, False, _orbit_mixer_factors),
@@ -226,48 +225,41 @@ _FACTOR_TABLE = {
 }
 
 
-def _structured_factors(povm: Povm) -> tuple[int, int, list]:
+def _structured_factors(family) -> tuple[int, int, list]:
     """The orbit qubits t, the register's qubits l and the family's factors in
     the order they apply, Fourier factor first, each as (local matrix or a
-    ``linalg.Fourier``, qubits, a thunk building gates compiling to its adjoint)."""
-    kind = povm.family.kind
-    if kind not in _FACTOR_TABLE:
-        raise InvalidParameterError(f"no structured dilation for kind {kind!r}")
-    t, conjugate, mixer = _FACTOR_TABLE[kind]
-    r = register_size(povm.n)
-    l = r.bit_length() - 1
-    m = povm.n >> t
+    ``linalg.Fourier``, qubits, the gates compiling to its adjoint)."""
+    if family.kind not in _FACTOR_TABLE:
+        raise InvalidParameterError(f"no structured dilation for kind {family.kind!r}")
+    t, conjugate, mixer = _FACTOR_TABLE[family.kind]
+    n = family.n_outcomes
+    l = register_size(n).bit_length() - 1
+    m = n >> t
     low = tuple(range(t, l))
-    if m == r:  # unpadded on the whole register: the inverse QFT circuit
-        gates = lambda: _inverse_qft_gates(l)
+    if m == 1 << l:  # unpadded on the whole register: the inverse QFT circuit
+        gates = inverse_circuit(qft_circuit(l)).gates
     else:
-        gates = lambda: [FourierGate(low, m, inverse=not conjugate)]
+        gates = [FourierGate(low, m, inverse=not conjugate)]
     # F' = F_m (+) I on the low qubits, or conj(F') for the cube
-    return t, l, [(Fourier(m, conjugate), low, gates), *mixer(povm.family, l)]
+    return t, l, [(Fourier(m, conjugate), low, gates), *mixer(family, l)]
 
 
-def _built(povm: Povm) -> tuple:
+# Families whose structured builds are kept.  ``verify --all`` asks for 17
+# families, the ``large`` benchmark workload for 5 inputs after 3 warm-ups
+# and ``sample-stream`` for 4, so 64 keeps every family of a run; a full
+# cache of the largest builds (12-qubit rings) holds about 0.5 MB.
+_BUILDS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_BUILDS_KEPT)
+def _build(family, family_repr: str) -> tuple:
     """The orbit qubits t, the register's qubits l, the factors' kernels in
-    the order they apply, and a thunk for the circuit's gates, last factor
-    first: a solid's shared, a ring's built for this call."""
-    if povm.family.kind in PLATONIC_KINDS:
-        return _solid(povm.family.kind)
-    t, l, factors = _structured_factors(povm)
-    return t, l, (_kernel(u, qubits) for u, qubits, _ in factors), lambda: _gates(factors)
-
-
-@functools.cache
-def _solid(kind: str) -> tuple:
-    """``_built`` for a platonic solid, built once per kind: its register is
-    fixed, so every call would build the same."""
-    t, l, factors = _structured_factors(platonic_povm(kind))
-    gates = _gates(factors)
-    return t, l, tuple(_kernel(u, qubits) for u, qubits, _ in factors), lambda: gates
-
-
-def _gates(factors: list) -> tuple:
-    """The factors' gate lists joined, last factor first."""
-    return tuple(g for *_, gates in reversed(factors) for g in gates())
+    the order they apply and the circuit's gates, last factor first.  The
+    key holds the ``repr`` too: equal families whose beta differs in the
+    sign of a zero print different gate matrices."""
+    t, l, factors = _structured_factors(family)
+    kernels = tuple(_kernel(u, qubits) for u, qubits, _ in factors)
+    return t, l, kernels, tuple(g for *_, gates in reversed(factors) for g in gates)
 
 
 def structured_dilation(povm: Povm) -> DilatedMeasurement:
@@ -278,7 +270,7 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     column's orbit blocks, the rest by their forms.  The n outcomes form
     2^t orbits of m; outcome m u + j sits on basis state (r / 2^t) u + j.
     """
-    t, l, kernels, _ = _built(povm)
+    t, l, kernels, _ = _build(povm.family, repr(povm.family))
     r = 1 << l
     matrix = _apply_in_place(kernels, np.eye(r, dtype=complex))
     m = povm.n >> t
@@ -289,9 +281,9 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
 def structured_circuit(povm: Povm) -> Circuit:
     """The factors' gate lists, last factor first: a circuit compiling to the
     adjoint of ``structured_dilation(povm)``, with no r x r matrix built.
-    A solid's gates, and the inverse QFT's, are shared between calls."""
-    _, l, _, gates = _built(povm)
-    return Circuit(l, list(gates()), povm.family.label())
+    The gates are shared between calls for the same family."""
+    _, l, _, gates = _build(povm.family, repr(povm.family))
+    return Circuit(l, list(gates), povm.family.label())
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

@@ -66,23 +66,43 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+# The parameters each ring takes, a solid none, and the conversion that
+# fixes each one's type.
+_PARAMETERS = {CYCLIC: ("m",), DIHEDRAL: ("m", "alpha", "beta")}
+_CONVERSIONS = (("m", functools.partial(_integer, name="m")), ("alpha", float), ("beta", complex))
+
+
 @dataclass(frozen=True)
 class PovmFamily:
-    """Identifies one measurement family and its parameters."""
+    """Identifies one measurement family and its parameters;
+    InvalidParameterError for one missing, ill-typed or ignored."""
 
     kind: str
     m: Optional[int] = None
     alpha: Optional[float] = None
     beta: Optional[complex] = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in FAMILY_KINDS:
+            return  # an unknown kind fails where it is used
+        for name, convert in _CONVERSIONS:
+            value = getattr(self, name)
+            if (name in _PARAMETERS.get(self.kind, ())) != (value is not None):
+                verb = "needs" if value is None else "takes no"
+                raise InvalidParameterError(f"the {self.kind} family {verb} {name}")
+            try:
+                if value is not None:
+                    object.__setattr__(self, name, convert(value))
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+
     @classmethod
     def cyclic(cls, m: int) -> "PovmFamily":
-        return cls(kind=CYCLIC, m=_integer(m, "m"))
+        return cls(kind=CYCLIC, m=m)
 
     @classmethod
     def dihedral(cls, m: int, alpha: float, beta: complex) -> "PovmFamily":
-        m = _integer(m, "m")
-        return cls(kind=DIHEDRAL, m=m, alpha=float(alpha), beta=complex(beta))
+        return cls(kind=DIHEDRAL, m=m, alpha=alpha, beta=beta)
 
     @classmethod
     def dihedral_from_angle(cls, m: int, theta: float) -> "PovmFamily":

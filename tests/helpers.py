@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from povmkit import circuits, dilation
+from povmkit import dilation
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
 from povmkit.linalg import CNOT_MATRIX, apply_gates, direct_sum
@@ -25,9 +25,9 @@ class RawGate(NamedTuple):
 
 
 def clear_shared_gates() -> None:
-    """Empty the caches of shared gates, so that the next call builds them."""
-    for cached in (circuits._inverse_qft_gates, dilation._solid):
-        cached.cache_clear()
+    """Empty the cache of structured builds, so that the next call builds
+    every factor and gate again."""
+    dilation._build.cache_clear()
 
 
 def gate_matrix(gate) -> np.ndarray:
@@ -52,7 +52,7 @@ def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
     dilation's dihedral factor is this coupling followed by the half swap,
     a cnot on the same qubits, which a second cnot undoes.
     """
-    matrix, qubits, _ = _dihedral_factor(alpha, beta, r.bit_length() - 1)
+    matrix, qubits, _ = _dihedral_factor(alpha, complex(beta), r.bit_length() - 1)
     return apply_gates([(matrix, qubits), (CNOT_MATRIX, qubits)], np.eye(r, dtype=complex))
 
 

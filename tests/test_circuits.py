@@ -1,6 +1,7 @@
 """Oracle tests for gate synthesis and circuit compilation."""
 
 import copy
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from povmkit.circuits import (
     qft_circuit,
     synthesize_circuit,
 )
+from povmkit.cli import default_verify_matrix
 from povmkit.dilation import (
     generic_completion,
     orbit_mixer,
@@ -551,7 +553,8 @@ def test_gates_are_immutable():
     "build",
     [lambda: qft_circuit(3), lambda: orbit_mixer_adjoint_circuit(DODECAHEDRON)]
     + [lambda k=kind: structured_circuit(platonic_povm(k)) for kind in PLATONIC_KINDS]
-    + [lambda: structured_circuit(cyclic_povm(16))],
+    + [lambda m=m: structured_circuit(cyclic_povm(m)) for m in (5, 16)]
+    + [lambda: structured_circuit(dihedral_povm(5, 0.6, 0.8))],
 )
 def test_a_returned_circuit_does_not_reach_the_shared_gates(build):
     first = build()
@@ -565,7 +568,8 @@ def test_a_returned_circuit_does_not_reach_the_shared_gates(build):
 
 
 def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
-    families = [PovmFamily.cyclic(16), PovmFamily.cyclic(256)]
+    families = [PovmFamily.cyclic(m) for m in (5, 16, 256)]
+    families += [PovmFamily.dihedral(5, 0.6, 0.8)]
     families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
     for family in families:
         verify_family(family, n_states=2)
@@ -580,8 +584,11 @@ def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
     for family in families:
         assert verify_family(family, n_states=2).passed
     assert built == []
-    # a dihedral ring still builds its three gates, whose kernels the
-    # builds fix, on every call
+    # a family's first build makes its gates, a dihedral ring's three here,
+    # and fixes their kernels; the next call builds none
+    clear_shared_gates()
+    verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
+    assert sorted(built) == ["cu", "cu", "fourier"]
     verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
     assert sorted(built) == ["cu", "cu", "fourier"]
 
@@ -592,7 +599,7 @@ def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
     families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
     circuits_ = [structured_circuit(build_povm(f)) for f in families]
     circuits_ += [qft_circuit(4), inverse_circuit(qft_circuit(3))]
-    for family in families[1:3] + families[4:]:  # warm the shared structures
+    for family in families:  # warm the shared structures
         verify_family(family, n_states=2)
     classified = []
 
@@ -607,13 +614,39 @@ def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
         assert np.abs(compile_circuit(circuit)[:, :3] - apply_circuit(circuit, state)).max() < 1e-15
         circuit_isometry(circuit)
     assert classified == []
-    # a solid's dilation factors are classified once, with its gates
-    for kind in PLATONIC_KINDS:
-        verify_family(PovmFamily.platonic(kind), n_states=2)
+    # a family's dilation factors are classified once, with its gates
+    for family in families:
+        verify_family(family, n_states=2)
     assert classified == []
-    # a cyclic ring's Fourier factor depends on m, so each dilation
-    # classifies it; a raw matrix given to apply_gates is classified too
-    verify_family(PovmFamily.cyclic(16), n_states=2)
-    assert classified == ["Fourier"]
+    # a raw matrix given to apply_gates is classified on every call
     apply_gates([(X, [0])], np.eye(2))
-    assert classified == ["Fourier", "ndarray"]
+    apply_gates([(X, [0])], np.eye(2))
+    assert classified == ["ndarray", "ndarray"]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["plus-zero-first", "minus-zero-first"])
+def test_families_equal_but_for_a_zero_sign_keep_their_own_circuits(order):
+    # equal and hashed alike, but the sign of beta's zero imaginary part
+    # reaches the printed gate matrices, which == on floats does not see
+    families = [PovmFamily.dihedral(8, 0.6, 0.8 + 0j), PovmFamily.dihedral(8, 0.6, complex(0.8, -0.0))]
+    families = families[::order]
+    assert families[0] == families[1] and hash(families[0]) == hash(families[1])
+    povms = [build_povm(f) for f in families]
+    shared = [json.dumps(structured_circuit(p).to_dict()["gates"]) for p in povms]
+    fresh = []
+    for povm in povms:
+        clear_shared_gates()
+        fresh.append(json.dumps(structured_circuit(povm).to_dict()["gates"]))
+    assert shared == fresh
+    assert shared[0] != shared[1]
+
+
+def test_the_cache_of_builds_stays_within_its_bound():
+    grid = default_verify_matrix()
+    clear_shared_gates()
+    fresh = [verify_family(f, seed=7).to_dict() for f in grid]
+    extra = dilation._BUILDS_KEPT + 8
+    for i in range(extra):  # distinct families, which evict the grid's builds
+        verify_family(PovmFamily.dihedral_from_angle(3 + i % 4, 0.5 + i / extra), n_states=1)
+    assert dilation._build.cache_info().currsize == dilation._BUILDS_KEPT
+    assert [verify_family(f, seed=7).to_dict() for f in grid] == fresh

@@ -284,6 +284,10 @@ def test_output_to_file(tmp_path):
         ["simulate", "tetrahedron", "--theta", "1"],
         ["sample", "cube", "--alpha", "0.6", "--beta", "0.8", "--shots", "10"],
         ["build", "octahedron", "-m", "3"],
+        # a ring without -m, which the family itself refuses
+        ["verify", "cyclic"],
+        ["verify", "dihedral", "--theta", "1"],
+        ["circuit", "dihedral", "--alpha", "0.6", "--beta", "0.8"],
     ],
     ids=[
         "theta-nan",
@@ -313,6 +317,9 @@ def test_output_to_file(tmp_path):
         "simulate-platonic-with-theta",
         "sample-platonic-with-alpha-beta",
         "build-platonic-with-m",
+        "cyclic-without-m",
+        "theta-without-m",
+        "alpha-beta-without-m",
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -267,6 +267,46 @@ def test_outcome_count_of_unknown_kind():
         PovmFamily(kind="cuboctahedron").n_outcomes
 
 
+# ---------------------------------------------------------------- family fields
+
+
+def test_a_ring_needs_its_parameters():
+    for kind, fields in ((CYCLIC, {}), (DIHEDRAL, {"m": 4}), (DIHEDRAL, {"m": 4, "alpha": 0.6})):
+        with pytest.raises(InvalidParameterError, match="needs"):
+            PovmFamily(kind, **fields)
+
+
+def test_a_ring_size_given_as_a_float_is_invalid():
+    with pytest.raises(InvalidParameterError, match="m must be an integer"):
+        PovmFamily(CYCLIC, 4.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1j, 0.8), ("x", 0.8), (0.6, "x"), (0.6, [0.8])])
+def test_a_seed_that_does_not_convert_is_invalid(alpha, beta):
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        PovmFamily(DIHEDRAL, 4, alpha, beta)
+
+
+@pytest.mark.parametrize("fields", [{"m": 3}, {"alpha": 0.6}, {"beta": 0.8}])
+def test_a_solid_takes_no_ring_parameter(fields):
+    for kind in PLATONIC_KINDS:
+        with pytest.raises(InvalidParameterError, match="takes no"):
+            PovmFamily(kind, **fields)
+
+
+def test_a_cyclic_family_takes_no_seed():
+    with pytest.raises(InvalidParameterError, match="takes no alpha"):
+        PovmFamily(CYCLIC, 4, alpha=0.6)
+
+
+def test_the_constructor_converts_what_the_classmethods_did():
+    family = PovmFamily(DIHEDRAL, np.int64(4), np.float64(0.6), 0.8)
+    assert family == PovmFamily.dihedral(4, 0.6, 0.8)
+    assert repr(family) == repr(PovmFamily.dihedral(4, 0.6, 0.8))
+    assert [type(v) for v in (family.m, family.alpha, family.beta)] == [int, float, complex]
+    assert PovmFamily(CUBE) == PovmFamily.platonic(CUBE)
+
+
 # ---------------------------------------------------------------- platonic vectors
 
 

@@ -293,7 +293,7 @@ def test_golden_circuits_and_dilations_match_the_contracted_kernel():
         # the reference: every factor and gate as a dense matrix through
         # ``contract``, applied to the identity, so neither the FFT, nor the
         # in-place phases, nor the split, nor the swap copy is taken
-        factors = [(dense(u, wires), wires) for u, wires, _ in _structured_factors(povm)[2]]
+        factors = [(dense(u, wires), wires) for u, wires, _ in _structured_factors(family)[2]]
         gates = [(gate_matrix(g), g.wires) for g in circuit.gates]
         r = 2**dilated.n_qubits
         reference = [
@@ -436,7 +436,7 @@ def test_structured_dilation_is_no_less_accurate_than_the_dense_fourier(family):
     again from the FFT."""
     povm = build_povm(family)
     dilated = structured_dilation(povm)
-    (fourier, low, _), *rest = _structured_factors(povm)[2]
+    (fourier, low, _), *rest = _structured_factors(family)[2]
     assert not fourier.inverse
     r, size, m = 2**dilated.n_qubits, 2 ** len(low), fourier.m
     exact = np.eye(r, dtype=np.clongdouble)
