@@ -6,13 +6,16 @@ gate unitaries taken right to left.  Qubit 0 is the most significant bit
 of a basis index throughout.
 
 Each gate holds its small ``matrix`` and the ``wires`` it acts on, and
-is immutable.  When a gate is built, the kernel behind
-``linalg.apply_gates`` decides once the form in which it runs the gate
-(in-place phases, a split into halves or a swap copy, a dense product on
-a run of qubits, or an FFT), and the gate keeps that form privately;
-``apply_circuit`` applies the gates to the columns of a register array one
-at a time by those forms, so no gate is ever embedded as a dense
-register-sized matrix, nor inspected again.  The gates are the paper's
+is immutable.  Every gate, an adjoint included, is built by the one
+constructor.  There the kernel classifier behind ``linalg.apply_gates``
+decides once the form in which it runs the gate (in-place phases, a split
+into halves or a swap copy, a dense product on a run of qubits, or an
+FFT), and so checks the wires, the matrix's size and a fourier gate's run
+and m; the gate keeps that form privately, and checks only what the form
+does not show: its kind, unitarity and fixed matrices.  ``apply_circuit``
+applies the gates to the columns of a register array one at a time by
+those forms, so no gate is ever embedded as a dense register-sized
+matrix, nor inspected again.  The gates are the paper's
 elementary one- and two-qubit gates and a ``fourier`` gate, F_m padded
 with an identity on an ascending run of qubits, which holds only the size
 m of its transform and runs as an FFT.
@@ -32,10 +35,11 @@ edit it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidGateError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidGateError, InvalidParameterError
 from .families import DODECAHEDRON, ICOSAHEDRON
 from .linalg import (
     CNOT_MATRIX,
@@ -67,6 +71,7 @@ _I2 = np.eye(2)
 _HADAMARD = np.array([[1, 1], [1, np.exp(-1j * np.pi)]]) / np.sqrt(2)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Gate:
     """A unitary ``matrix`` on the ``wires`` qubits, the first most significant.
 
@@ -79,62 +84,56 @@ class Gate:
     size 2^k, or conj(F') = F'^dag when ``inverse``, as an FFT, unitary by
     construction.
 
-    A gate is immutable, so circuits may share it.  The form in which
-    ``apply_gates`` runs it is fixed, privately, when it is built.
+    A gate is immutable, so circuits may share it.  Every gate, an adjoint
+    too, is checked once, here: the classifier that fixes the form in which
+    ``apply_gates`` runs it checks the wires, the matrix's size and m; the
+    gate checks the rest.
     """
 
-    __slots__ = ("kind", "wires", "matrix", "m", "inverse", "_kernel")
+    kind: str
+    wires: tuple
+    matrix: Optional[np.ndarray] = None
+    m: Optional[int] = None
+    inverse: bool = False
+    _kernel: tuple = field(init=False)  # the form ``apply_gates`` runs it by
 
-    def __init__(self, kind: str, wires, matrix=None, m=None, inverse: bool = False) -> None:
+    def __post_init__(self) -> None:
+        kind = self.kind
         if kind not in _KINDS:
             raise InvalidGateError(f"unknown gate kind {kind!r}")
-        wires = tuple(map(int, wires))
-        n, arity = len(wires), _KINDS[kind][0]
-        if not n or len(set(wires)) != n or min(wires) < 0 or (arity and n != arity):
+        wires = tuple(map(int, self.wires))
+        arity = _KINDS[kind][0]
+        if arity and len(wires) != arity:
             raise InvalidGateError(f"a {kind} gate cannot act on qubits {wires}")
+        matrix, m, inverse = self.matrix, self.m, self.inverse
         if kind == "fourier":
-            if wires != tuple(range(wires[0], wires[0] + n)):
-                raise InvalidGateError(
-                    f"a fourier gate acts on an ascending run of qubits, not {wires}"
-                )
             if matrix is not None:
                 raise InvalidGateError("a fourier gate's matrix is built from m")
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= 2**n:
-                raise InvalidGateError(
-                    f"a fourier gate on {n} qubits needs an integer m from 1 to {2**n}, got {m!r}"
-                )
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise InvalidGateError(f"a fourier gate needs an integer m, got {m!r}")
             if not isinstance(inverse, (bool, np.bool_)):
                 raise InvalidGateError(f"a fourier gate's inverse must be a bool, got {inverse!r}")
-            self._fix(kind, wires, None, int(m), bool(inverse))
-            return
-        if m is not None or inverse:
-            raise InvalidGateError("only a fourier gate takes m and inverse")
-        # a read-only copy, so that the matrix checked here is the one applied
-        matrix = np.array(matrix, dtype=complex)
-        matrix.setflags(write=False)
-        if matrix.shape != (2**n, 2**n):
-            raise InvalidGateError(f"gate matrix must be {2**n}x{2**n}")
-        if kind in _FIXED:
-            if not np.array_equal(matrix, _FIXED[kind]):
-                raise InvalidGateError(f"a {kind} gate has a fixed matrix")
-        elif not unitarity_residual(matrix) <= DEFAULT_TOL:
+            m, inverse = int(m), bool(inverse)
+            operator = Fourier(m, inverse)
+        else:
+            if m is not None or inverse:
+                raise InvalidGateError("only a fourier gate takes m and inverse")
+            # a read-only copy, so that the matrix checked here is the one applied
+            matrix = operator = np.array(matrix, dtype=complex)
+            matrix.setflags(write=False)
+        try:
+            kernel = _kernel(operator, wires)
+        except InvalidDimensionError as exc:
+            raise InvalidGateError(f"a {kind} gate on qubits {wires}: {exc}") from None
+        if kind in _FIXED and not np.array_equal(matrix, _FIXED[kind]):
+            raise InvalidGateError(f"a {kind} gate has a fixed matrix")
+        if kind in ("u", "cu") and not unitarity_residual(matrix) <= DEFAULT_TOL:
             raise InvalidGateError("gate matrix must be unitary")
         if kind == "cu":
             _cu_control(matrix)  # raises unless the matrix has a cu's form
-        self._fix(kind, wires, matrix, None, False)
-
-    def _fix(self, kind: str, wires: tuple, matrix, m, inverse: bool) -> None:
-        """Set the checked fields, then the kernel: the form in which
-        ``apply_gates`` runs the ``operator``."""
-        for name, value in zip(self.__slots__, (kind, wires, matrix, m, inverse)):
+        for name, value in zip(("wires", "matrix", "m", "inverse"), (wires, matrix, m, inverse)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_kernel", _kernel(self.operator, wires))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a Gate is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a Gate is immutable: cannot delete {name!r}")
+        object.__setattr__(self, "_kernel", kernel)
 
     def __reduce__(self):
         # copy and pickle rebuild the gate through its checks
@@ -152,15 +151,9 @@ class Gate:
     def adjoint(self) -> "Gate":
         """The same kind on the same qubits: a fourier gate with ``inverse``
         flipped, any other with the adjoint matrix."""
-        # the adjoint keeps every kind's form, so it is not validated again
-        gate = object.__new__(Gate)
         if self.kind == "fourier":
-            gate._fix(self.kind, self.wires, None, self.m, not self.inverse)
-        else:
-            matrix = self.matrix.conj().T
-            matrix.setflags(write=False)
-            gate._fix(self.kind, self.wires, matrix, None, False)
-        return gate
+            return Gate(self.kind, self.wires, m=self.m, inverse=not self.inverse)
+        return Gate(self.kind, self.wires, self.matrix.conj().T)
 
     def _fields(self) -> dict:
         """The printed fields after ``kind``, in order."""

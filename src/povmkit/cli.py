@@ -29,7 +29,7 @@ from .dilation import (
     structured_dilation,
 )
 from .errors import DegenerateOrbitError, InvalidParameterError, PovmKitError
-from .families import FAMILY_KINDS, PLATONIC_KINDS, PovmFamily, build_povm
+from .families import DIHEDRAL, FAMILY_KINDS, PLATONIC_KINDS, PovmFamily, build_povm
 from .simulate import (
     DEFAULT_SEED,
     analytic_probabilities,
@@ -58,41 +58,20 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _family_flags(args) -> list[str]:
-    """The family parameters given, as their flags."""
-    flags = (("m", "-m"), ("alpha", "--alpha"), ("beta", "--beta"), ("theta", "--theta"))
-    return [flag for name, flag in flags if getattr(args, name) is not None]
-
-
 def family_from_args(args) -> PovmFamily:
-    """The family the arguments name; InvalidParameterError for a missing
-    parameter, and for one the family would ignore."""
+    """The family the arguments name.  The family itself refuses a missing
+    parameter and one it would ignore; only ``--theta``, which it does not
+    hold, is checked here."""
     kind = args.family
     if kind is None:
         raise InvalidParameterError("a family is required unless --all is given")
-    if kind == "dihedral":
-        takes = ("-m", "--theta") if args.theta is not None else ("-m", "--alpha", "--beta")
-    else:
-        takes = ("-m",) if kind == "cyclic" else ()
-    ignored = [flag for flag in _family_flags(args) if flag not in takes]
-    if ignored:
-        given = "given --theta, " if kind == "dihedral" else ""
-        raise InvalidParameterError(f"{given}the {kind} family takes no {', '.join(ignored)}")
-    if kind == "cyclic":
-        return PovmFamily.cyclic(args.m)
-    if kind == "dihedral":
-        if args.theta is not None:
-            return PovmFamily.dihedral_from_angle(args.m, args.theta)
-        if args.alpha is None or args.beta is None:
-            raise InvalidParameterError(
-                "the dihedral family needs --theta, or --alpha and --beta"
-            )
-        try:
-            beta = complex(args.beta.strip())
-        except ValueError as exc:
-            raise InvalidParameterError(f"cannot parse --beta {args.beta!r}") from exc
-        return PovmFamily.dihedral(args.m, args.alpha, beta)
-    return PovmFamily.platonic(kind)
+    if args.theta is None:
+        return PovmFamily(kind, args.m, args.alpha, args.beta)
+    if kind != DIHEDRAL:
+        raise InvalidParameterError(f"the {kind} family takes no theta")
+    if args.alpha is not None or args.beta is not None:
+        raise InvalidParameterError("given theta, the dihedral family takes no alpha or beta")
+    return PovmFamily.dihedral_from_angle(args.m, args.theta)
 
 
 def dilated_family_from_args(args) -> PovmFamily:
@@ -160,7 +139,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.all and (args.family is not None or _family_flags(args)):
+    family_args = (args.family, args.m, args.alpha, args.beta, args.theta)
+    if args.all and any(value is not None for value in family_args):
         raise InvalidParameterError(
             "--all verifies the standard grid and takes no family arguments"
         )

@@ -252,11 +252,9 @@ _BUILDS_KEPT = 64
 
 
 @functools.lru_cache(maxsize=_BUILDS_KEPT)
-def _build(family, family_repr: str) -> tuple:
+def _build(family) -> tuple:
     """The orbit qubits t, the register's qubits l, the factors' kernels in
-    the order they apply and the circuit's gates, last factor first.  The
-    key holds the ``repr`` too: equal families whose beta differs in the
-    sign of a zero print different gate matrices."""
+    the order they apply and the circuit's gates, last factor first."""
     t, l, factors = _structured_factors(family)
     kernels = tuple(_kernel(u, qubits) for u, qubits, _ in factors)
     return t, l, kernels, tuple(g for *_, gates in reversed(factors) for g in gates)
@@ -270,7 +268,7 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     column's orbit blocks, the rest by their forms.  The n outcomes form
     2^t orbits of m; outcome m u + j sits on basis state (r / 2^t) u + j.
     """
-    t, l, kernels, _ = _build(povm.family, repr(povm.family))
+    t, l, kernels, _ = _build(povm.family)
     r = 1 << l
     matrix = _apply_in_place(kernels, np.eye(r, dtype=complex))
     m = povm.n >> t
@@ -282,7 +280,7 @@ def structured_circuit(povm: Povm) -> Circuit:
     """The factors' gate lists, last factor first: a circuit compiling to the
     adjoint of ``structured_dilation(povm)``, with no r x r matrix built.
     The gates are shared between calls for the same family."""
-    _, l, _, gates = _build(povm.family, repr(povm.family))
+    _, l, _, gates = _build(povm.family)
     return Circuit(l, list(gates), povm.family.label())
 
 

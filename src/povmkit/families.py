@@ -66,16 +66,36 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``float(value)`` of a value that is not complex: ``float`` drops a
+    numpy complex's imaginary part with only a warning."""
+    if np.iscomplexobj(value):
+        raise TypeError
+    return float(value)
+
+
+def _converted(name: str, convert, value):
+    """``convert(value) + 0``, which makes a zero's sign positive, so that
+    equal parameters have the same bits; InvalidParameterError unless it
+    converts."""
+    try:
+        return convert(value) + 0
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 # The parameters each ring takes, a solid none, and the conversion that
 # fixes each one's type.
 _PARAMETERS = {CYCLIC: ("m",), DIHEDRAL: ("m", "alpha", "beta")}
-_CONVERSIONS = (("m", functools.partial(_integer, name="m")), ("alpha", float), ("beta", complex))
+_CONVERSIONS = (("m", functools.partial(_integer, name="m")), ("alpha", _real), ("beta", complex))
 
 
 @dataclass(frozen=True)
 class PovmFamily:
-    """Identifies one measurement family and its parameters;
-    InvalidParameterError for one missing, ill-typed or ignored."""
+    """Identifies one measurement family and its parameters, each converted
+    and checked once, here; InvalidParameterError for one missing,
+    ill-typed or ignored, and for a dihedral seed that is not finite and
+    normalized with alpha >= 0."""
 
     kind: str
     m: Optional[int] = None
@@ -90,11 +110,19 @@ class PovmFamily:
             if (name in _PARAMETERS.get(self.kind, ())) != (value is not None):
                 verb = "needs" if value is None else "takes no"
                 raise InvalidParameterError(f"the {self.kind} family {verb} {name}")
-            try:
-                if value is not None:
-                    object.__setattr__(self, name, convert(value))
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+            if value is not None:
+                object.__setattr__(self, name, _converted(name, convert, value))
+        if self.kind != DIHEDRAL:
+            return
+        alpha, beta = self.alpha, self.beta
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            raise InvalidParameterError("seed amplitudes must be finite")
+        if alpha < 0:
+            raise InvalidParameterError("seed amplitude alpha must be nonnegative")
+        # a component above 2 squares to more than 4; a huge one would overflow
+        large = max(alpha, abs(beta.real), abs(beta.imag)) > 2
+        if large or abs(alpha**2 + abs(beta) ** 2 - 1) > 1e-10:
+            raise InvalidParameterError("seed must satisfy alpha^2 + |beta|^2 = 1")
 
     @classmethod
     def cyclic(cls, m: int) -> "PovmFamily":
@@ -107,6 +135,7 @@ class PovmFamily:
     @classmethod
     def dihedral_from_angle(cls, m: int, theta: float) -> "PovmFamily":
         """Dihedral family whose upper ring sits at polar angle ``theta``."""
+        theta = _converted("theta", _real, theta)
         if not np.isfinite(theta):
             raise InvalidParameterError(f"polar angle must be finite, got {theta}")
         alpha = np.cos(theta / 2)
@@ -242,13 +271,15 @@ def _phases(m: int) -> np.ndarray:
 
 def cyclic_povm(m: int) -> Povm:
     """m equally weighted outcomes on the Bloch equator."""
+    family = PovmFamily.cyclic(m)
+    m = family.m
     if m < 2:
         raise InvalidParameterError("cyclic family needs m >= 2")
     vectors = np.empty((m, 2), dtype=complex)
     vectors[:, 0] = 1.0
     vectors[:, 1] = _phases(m)
     vectors *= np.sqrt(1 / m)
-    return Povm(vectors, PovmFamily.cyclic(m))
+    return Povm(vectors, family)
 
 
 def _sweep(points: np.ndarray):
@@ -351,18 +382,10 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
     distinct Bloch points do not define a usable measurement of this kind
     and raise DegenerateOrbitError.
     """
+    family = PovmFamily.dihedral(m, alpha, beta)
+    m, alpha, beta = family.m, family.alpha, family.beta
     if m < 2:
         raise InvalidParameterError("dihedral family needs m >= 2")
-    alpha = float(alpha)
-    beta = complex(beta)
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise InvalidParameterError("seed amplitudes must be finite")
-    if alpha < 0:
-        raise InvalidParameterError("seed amplitude alpha must be nonnegative")
-    # a component above 2 squares to more than 4; a huge one would overflow
-    large = max(alpha, abs(beta.real), abs(beta.imag)) > 2
-    if large or abs(alpha**2 + abs(beta) ** 2 - 1) > 1e-10:
-        raise InvalidParameterError("seed must satisfy alpha^2 + |beta|^2 = 1")
     if alpha < DISTINCT_POINT_TOL or abs(beta) < DISTINCT_POINT_TOL:
         raise DegenerateOrbitError("polar seed collapses both rings to the poles")
 
@@ -374,7 +397,7 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
     vectors[m:, 1] = alpha * phases
     vectors *= np.sqrt(1 / m)
 
-    povm = Povm(vectors, PovmFamily.dihedral(m, alpha, beta))
+    povm = Povm(vectors, family)
     if not _all_distinct(povm.bloch_points()):
         raise DegenerateOrbitError(
             "seed yields fewer than 2m distinct Bloch points"

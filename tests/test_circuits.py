@@ -113,6 +113,8 @@ def test_gate_validation():
     with pytest.raises(InvalidGateError):
         SingleQubitGate(-1, X)  # no register has a qubit -1
     with pytest.raises(InvalidGateError):
+        Gate("swap", (-1, 0), SWAP_MATRIX)
+    with pytest.raises(InvalidGateError):
         Gate("u", (0,), one_shot_fourier(4))  # dim mismatch
     with pytest.raises(InvalidGateError):
         Gate("v", (0,), X)  # unknown kind
@@ -238,6 +240,30 @@ def test_fourier_gate_adjoint(m, inverse):
     assert compile_circuit(Circuit(3, [back])).tobytes() == applied[0].tobytes()
     # F' is symmetric bit for bit, so flipping ``inverse`` is its adjoint
     assert gate_matrix(adjoint).tobytes() == gate_matrix(gate).conj().T.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [SingleQubitGate(1, X), ControlledGate(0, 0, 1, S), CnotGate(1, 0), SwapGate(0, 2)]
+    + [FourierGate([0, 1], 3), FourierGate([0, 1, 2], 8, inverse=True)],
+    ids=["u", "cu", "cnot", "swap", "fourier", "inverse-fourier"],
+)
+def test_an_adjoint_is_built_through_the_checks(gate, monkeypatch):
+    # the adjoint is a second gate, so it takes every check the first took
+    checked = []
+    post_init = Gate.__post_init__
+
+    def counting(self):
+        checked.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    adjoint = gate.adjoint()
+    assert checked == [gate.kind] and adjoint.kind == gate.kind
+    if gate.kind in ("u", "cu"):  # a matrix the check refuses is refused in the adjoint too
+        monkeypatch.setattr(circuits, "unitarity_residual", lambda a: 1.0)
+        with pytest.raises(InvalidGateError, match="unitary"):
+            gate.adjoint()
 
 
 @pytest.mark.parametrize(
@@ -625,9 +651,10 @@ def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["plus-zero-first", "minus-zero-first"])
-def test_families_equal_but_for_a_zero_sign_keep_their_own_circuits(order):
-    # equal and hashed alike, but the sign of beta's zero imaginary part
-    # reaches the printed gate matrices, which == on floats does not see
+def test_families_equal_but_for_a_zero_sign_are_one_family(order):
+    # the family turns beta's -0.0 imaginary part into +0.0, so the two are
+    # one family, with one build and one printed circuit; the circuits are
+    # compared as text, because == on floats does not see a zero's sign
     families = [PovmFamily.dihedral(8, 0.6, 0.8 + 0j), PovmFamily.dihedral(8, 0.6, complex(0.8, -0.0))]
     families = families[::order]
     assert families[0] == families[1] and hash(families[0]) == hash(families[1])
@@ -638,7 +665,7 @@ def test_families_equal_but_for_a_zero_sign_keep_their_own_circuits(order):
         clear_shared_gates()
         fresh.append(json.dumps(structured_circuit(povm).to_dict()["gates"]))
     assert shared == fresh
-    assert shared[0] != shared[1]
+    assert shared[0] == shared[1]
 
 
 def test_the_cache_of_builds_stays_within_its_bound():

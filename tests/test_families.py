@@ -138,6 +138,10 @@ def test_dihedral_seed_validation():
         dihedral_povm(3, -0.6, 0.8)
     with pytest.raises(InvalidParameterError):
         dihedral_povm(1, 0.6, 0.8)
+    with pytest.raises(InvalidParameterError):
+        dihedral_povm(3, "x", 0.8)
+    with pytest.raises(InvalidParameterError):
+        dihedral_povm(3, 0.6, None)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +166,14 @@ def test_dihedral_seed_whose_squares_overflow_is_invalid(alpha, beta):
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_dihedral_from_angle_rejects_non_finite_angle(theta):
     with pytest.raises(InvalidParameterError):
+        PovmFamily.dihedral_from_angle(3, theta)
+
+
+@pytest.mark.parametrize("theta", [object(), 1j, np.complex128(1.0), "x", None])
+@pytest.mark.filterwarnings("error")
+def test_an_angle_that_does_not_convert_is_invalid(theta):
+    # float() of a numpy complex drops its imaginary part with only a warning
+    with pytest.raises(InvalidParameterError, match="theta must be a number"):
         PovmFamily.dihedral_from_angle(3, theta)
 
 
@@ -193,8 +205,10 @@ def test_dihedral_from_angle():
         PovmFamily.cyclic,
         lambda m: PovmFamily.dihedral(m, 0.6, 0.8),
         lambda m: PovmFamily.dihedral_from_angle(m, 1.0),
+        lambda m: cyclic_povm(m).family,
+        lambda m: dihedral_povm(m, 0.6, 0.8).family,
     ],
-    ids=["cyclic", "dihedral", "dihedral-from-angle"],
+    ids=["cyclic", "dihedral", "dihedral-from-angle", "cyclic-povm", "dihedral-povm"],
 )
 def test_ring_size_must_be_an_integer(make):
     # int() would truncate 3.9 to a valid ring size and parse "5"
@@ -281,7 +295,11 @@ def test_a_ring_size_given_as_a_float_is_invalid():
         PovmFamily(CYCLIC, 4.0)
 
 
-@pytest.mark.parametrize("alpha, beta", [(1j, 0.8), ("x", 0.8), (0.6, "x"), (0.6, [0.8])])
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(1j, 0.8), ("x", 0.8), (0.6, "x"), (0.6, [0.8]), (np.complex128(0.6 + 0.5j), 0.8)],
+)
+@pytest.mark.filterwarnings("error")
 def test_a_seed_that_does_not_convert_is_invalid(alpha, beta):
     with pytest.raises(InvalidParameterError, match="must be a number"):
         PovmFamily(DIHEDRAL, 4, alpha, beta)
