@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidGateError, InvalidParameterError
-from .families import DODECAHEDRON, ICOSAHEDRON
+from .families import DODECAHEDRON, ICOSAHEDRON, _integer
 from .linalg import (
     CNOT_MATRIX,
     DEFAULT_TOL,
@@ -101,7 +101,7 @@ class Gate:
         kind = self.kind
         if kind not in _KINDS:
             raise InvalidGateError(f"unknown gate kind {kind!r}")
-        wires = tuple(map(int, self.wires))
+        wires = tuple(_integer(q, "a qubit index", InvalidGateError) for q in self.wires)
         arity = _KINDS[kind][0]
         if arity and len(wires) != arity:
             raise InvalidGateError(f"a {kind} gate cannot act on qubits {wires}")
@@ -109,11 +109,10 @@ class Gate:
         if kind == "fourier":
             if matrix is not None:
                 raise InvalidGateError("a fourier gate's matrix is built from m")
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-                raise InvalidGateError(f"a fourier gate needs an integer m, got {m!r}")
+            m = _integer(m, "a fourier gate's m", InvalidGateError)
             if not isinstance(inverse, (bool, np.bool_)):
                 raise InvalidGateError(f"a fourier gate's inverse must be a bool, got {inverse!r}")
-            m, inverse = int(m), bool(inverse)
+            inverse = bool(inverse)
             operator = Fourier(m, inverse)
         else:
             if m is not None or inverse:

@@ -61,12 +61,16 @@ def _emit(args, text: str) -> None:
 def family_from_args(args) -> PovmFamily:
     """The family the arguments name.  The family itself refuses a missing
     parameter and one it would ignore; only ``--theta``, which it does not
-    hold, is checked here."""
+    hold, is checked here, and ``--beta``'s text parsed, which it refuses."""
     kind = args.family
     if kind is None:
         raise InvalidParameterError("a family is required unless --all is given")
     if args.theta is None:
-        return PovmFamily(kind, args.m, args.alpha, args.beta)
+        try:
+            beta = None if args.beta is None else complex(args.beta)
+        except ValueError:
+            raise InvalidParameterError(f"beta must be a number, got {args.beta!r}") from None
+        return PovmFamily(kind, args.m, args.alpha, beta)
     if kind != DIHEDRAL:
         raise InvalidParameterError(f"the {kind} family takes no theta")
     if args.alpha is not None or args.beta is not None:

@@ -16,6 +16,7 @@ ascending, with phase factor exp(-2*pi*1j*j/m).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,21 +49,16 @@ PLATONIC_OUTCOMES = {
 }
 FAMILY_KINDS = (CYCLIC, DIHEDRAL) + PLATONIC_KINDS
 
-# Bloch points closer than this are treated as the same vertex.
+# Bloch points closer than this, in Euclidean distance, are treated as the
+# same vertex.
 DISTINCT_POINT_TOL = 1e-8
-# Sort key of the distinct-point sweep.  The direction lies off every
-# coordinate axis and plane, so a ring rotated into a coordinate plane does
-# not share one key; its 1-norm is below 1, so no finite row's key overflows.
-_SWEEP_DIRECTION = np.array([0.5377, 0.3182, 0.7806]) / 2
-# Candidate pairs the sweep checks at once; bounds its temporaries when many
-# points share a key.
-_SWEEP_CHUNK = 1 << 15
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; InvalidParameterError unless integral."""
+def _integer(value, name: str, error=InvalidParameterError) -> int:
+    """``value`` as a Python int; ``error`` unless it is a Python or numpy
+    integer, which a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -77,11 +73,14 @@ def _real(value) -> float:
 def _converted(name: str, convert, value):
     """``convert(value) + 0``, which makes a zero's sign positive, so that
     equal parameters have the same bits; InvalidParameterError unless it
-    converts."""
+    converts.  Text never does, though ``float`` and ``complex`` parse it."""
     try:
-        return convert(value) + 0
+        converted = convert(value) + 0
+        if not isinstance(value, (str, bytes)):
+            return converted
     except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise InvalidParameterError(f"{name} must be a number, got {value!r}")
 
 
 # The parameters each ring takes, a solid none, and the conversion that
@@ -282,105 +281,33 @@ def cyclic_povm(m: int) -> Povm:
     return Povm(vectors, family)
 
 
-def _sweep(points: np.ndarray):
-    """The finite rows' indices in order of their projection on
-    _SWEEP_DIRECTION, those keys in that order, and the reach: two rows
-    within DISTINCT_POINT_TOL of each other have keys closer than it."""
-    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
-    rows = points[finite]
-    key = rows @ _SWEEP_DIRECTION
-    order = np.argsort(key, kind="stable")
-    # Two points within the tolerance have keys closer than |d|_1 times the
-    # tolerance plus the rounding of both keys (at most 3 eps |d|_1 max|p|
-    # each); the reach is twice that, so no window misses a close pair.
-    scale = float(np.abs(rows).max()) if len(rows) else 0.0
-    reach = 2 * _SWEEP_DIRECTION.sum() * (
-        DISTINCT_POINT_TOL + 8 * np.finfo(float).eps * scale
-    )
-    return finite[order], key[order], reach
+def _ring_separation(m: int, alpha: float, beta: complex) -> float:
+    """Smallest Euclidean distance between the 2m Bloch points of the
+    dihedral seed (alpha, beta), in closed form.
 
-
-def _close_pairs(points: np.ndarray):
-    """Yield the index pairs (i, j) of rows within DISTINCT_POINT_TOL of
-    each other in max-norm, as two arrays per batch of candidates.
-
-    A row with a NaN or an infinity is never close.  The pairs are found by
-    a sort-and-sweep: the finite rows are sorted by their ``_sweep`` key,
-    each row's window holds the rows whose key can be that close, and only
-    those candidate pairs take the max-norm test, about _SWEEP_CHUNK at a
-    time.  That costs O(n log n) unless many points share a key.
+    The upper ring lies at height z = alpha^2 - |beta|^2 with radius
+    rho = 2 alpha |beta| and azimuths arg(beta) - 2 pi j / m; the lower
+    ring at -z, with azimuths -arg(beta) - 2 pi j / m.  Neighbours in a
+    ring are 2 rho sin(pi / m) apart.  Across the rings the closest pair is
+    turned by delta, the distance from 2 arg(beta) to the nearest multiple
+    of 2 pi / m.
     """
-    points = np.asarray(points, dtype=float)
-    index, key, reach = _sweep(points)
-    # sorted row a is a candidate partner of the rows a + 1 .. a + counts[a]
-    counts = np.searchsorted(key, key + reach, side="right")
-    counts -= np.arange(1, len(key) + 1)
-    total = int(counts.sum())
-    if not total:
-        return
-    # split the sorted rows into runs of about _SWEEP_CHUNK candidates
-    cuts = np.searchsorted(
-        np.cumsum(counts), np.arange(_SWEEP_CHUNK, total, _SWEEP_CHUNK), side="right"
-    )
-    bounds = [0, *cuts.tolist(), len(key)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        c = counts[lo:hi]
-        first = np.repeat(np.arange(lo, hi), c)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
-        i, j = index[first], index[second]
-        close = np.abs(points[i] - points[j]).max(axis=1) < DISTINCT_POINT_TOL
-        yield i[close], j[close]
-
-
-def _all_distinct(points: np.ndarray) -> bool:
-    """Whether the greedy scan of ``_distinct_points`` keeps every point.
-
-    Exactly when no two points are close: of the close pairs, the one whose
-    later point comes first has a representative as its earlier point, so
-    that later point is dropped.  The sweep stops after the first run of
-    candidates that holds a close pair.
-    """
-    return not any(len(i) for i, _ in _close_pairs(points))
-
-
-def _distinct_points(points: np.ndarray) -> int:
-    """Number of representatives a greedy scan keeps.
-
-    Scanning in order, a point is a new representative unless an earlier
-    representative lies within DISTINCT_POINT_TOL of it in max-norm.  A
-    point with no earlier close point is one; the sweep marks the others,
-    and only those are scanned, in index order, each against the
-    representatives among the rows in its key window.  A later point
-    close to it is marked, so not yet a representative when it is read.
-    No pair is kept, so memory stays linear in the points.
-    """
-    points = np.asarray(points, dtype=float)
-    is_rep = np.ones(len(points), dtype=bool)
-    for i, j in _close_pairs(points):
-        is_rep[np.maximum(i, j)] = False
-    marked = np.flatnonzero(~is_rep)
-    if not len(marked):
-        return len(points)
-    index, key, reach = _sweep(points)
-    lo = np.searchsorted(key, key - reach, side="left")
-    hi = np.searchsorted(key, key + reach, side="right")
-    position = np.empty(len(points), dtype=np.intp)
-    position[index] = np.arange(len(index))
-    for i in marked.tolist():
-        window = index[lo[position[i]] : hi[position[i]]]
-        reps = window[is_rep[window]]
-        close = np.abs(points[reps] - points[i]).max(axis=1) < DISTINCT_POINT_TOL
-        is_rep[i] = not close.any()
-    return int(is_rep.sum())
+    size = abs(beta)
+    z, rho = alpha**2 - size**2, 2 * alpha * size
+    step = 2 * math.pi / m
+    offset = 2 * math.atan2(beta.imag, beta.real) % step
+    delta = min(offset, step - offset)
+    within = 2 * rho * math.sin(math.pi / m)
+    return min(within, math.hypot(2 * z, 2 * rho * math.sin(delta / 2)))
 
 
 def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
     """Two mirrored rings of m outcomes seeded by the pair (alpha, beta).
 
     The seed must be normalized (alpha^2 + |beta|^2 = 1) with alpha real
-    and nonnegative.  Seeds that collapse the two rings onto fewer than 2m
-    distinct Bloch points do not define a usable measurement of this kind
-    and raise DegenerateOrbitError.
+    and nonnegative.  Seeds that bring two of the 2m Bloch points within
+    DISTINCT_POINT_TOL of each other do not define a usable measurement of
+    this kind and raise DegenerateOrbitError before any vector is built.
     """
     family = PovmFamily.dihedral(m, alpha, beta)
     m, alpha, beta = family.m, family.alpha, family.beta
@@ -388,6 +315,8 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
         raise InvalidParameterError("dihedral family needs m >= 2")
     if alpha < DISTINCT_POINT_TOL or abs(beta) < DISTINCT_POINT_TOL:
         raise DegenerateOrbitError("polar seed collapses both rings to the poles")
+    if _ring_separation(m, alpha, beta) < DISTINCT_POINT_TOL:
+        raise DegenerateOrbitError("seed yields fewer than 2m distinct Bloch points")
 
     phases = _phases(m)
     vectors = np.empty((2 * m, 2), dtype=complex)
@@ -396,13 +325,7 @@ def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
     vectors[m:, 0] = beta
     vectors[m:, 1] = alpha * phases
     vectors *= np.sqrt(1 / m)
-
-    povm = Povm(vectors, family)
-    if not _all_distinct(povm.bloch_points()):
-        raise DegenerateOrbitError(
-            "seed yields fewer than 2m distinct Bloch points"
-        )
-    return povm
+    return Povm(vectors, family)
 
 
 def platonic_povm(kind: str) -> Povm:
@@ -451,7 +374,6 @@ class PovmValidation:
 
     completeness_residual: float
     norm_spread: float
-    distinct_bloch_points: int
 
 
 def completeness_residual(povm: Povm) -> float:
@@ -465,4 +387,4 @@ def validate_povm(povm: Povm) -> PovmValidation:
     residual = completeness_residual(povm)
     norms = np.linalg.norm(povm.vectors, axis=1) ** 2
     spread = float(norms.max() - norms.min())
-    return PovmValidation(residual, spread, _distinct_points(povm.bloch_points()))
+    return PovmValidation(residual, spread)

@@ -56,6 +56,14 @@ def dihedral_coupling(alpha: float, beta: complex, r: int) -> np.ndarray:
     return apply_gates([(matrix, qubits), (CNOT_MATRIX, qubits)], np.eye(r, dtype=complex))
 
 
+def closest_pair_distance(points: np.ndarray) -> float:
+    """Smallest Euclidean distance between two rows, over all pairs: the
+    O(n^2) reference for ``families._ring_separation``."""
+    gaps = np.linalg.norm(points[:, None] - points[None], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    return float(gaps.min())
+
+
 def one_shot_fourier(m: int) -> np.ndarray:
     """The Fourier matrix by the one-shot formula, each step over all m x m."""
     f = -2j * np.pi * np.outer(np.arange(m), np.arange(m))

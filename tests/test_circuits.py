@@ -141,6 +141,30 @@ def test_gate_validation():
         Gate("cu", (0, 1), np.kron(np.eye(2), S))  # S on the target whatever the control
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SingleQubitGate(1.7, X),
+        lambda: SingleQubitGate(1.0, X),
+        lambda: SingleQubitGate(True, X),
+        lambda: SwapGate(0, np.float64(1)),
+        lambda: FourierGate([0.2, 1.9], 3),
+        lambda: FourierGate([0, True], 3),
+        lambda: Gate("cnot", ("0", 1), CNOT_MATRIX),
+    ],
+    ids=["float", "whole-float", "bool", "numpy-float", "fourier-floats", "fourier-bool", "text"],
+)
+def test_a_wire_that_is_not_an_integer_is_invalid(make):
+    # int() read 1.7 and True as qubit 1, and [0.2, 1.9] as the run (0, 1)
+    with pytest.raises(InvalidGateError, match="qubit index must be an integer"):
+        make()
+
+
+def test_a_numpy_integer_wire_is_a_python_int():
+    gate = CnotGate(np.int64(0), np.uint8(1))
+    assert gate.wires == (0, 1) and all(type(q) is int for q in gate.wires)
+
+
 def test_gate_keeps_a_read_only_copy_of_its_matrix():
     u = X.astype(complex)
     gate = SingleQubitGate(0, u)

@@ -269,6 +269,9 @@ def test_output_to_file(tmp_path):
         ["verify", "dihedral", "-m", "3", "--alpha", "1e200", "--beta", "0.5"],
         ["simulate", "dihedral", "-m", "3", "--alpha", "0.5", "--beta", "1e200"],
         ["bloch", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "1e200j"],
+        # --beta text that does not parse as a complex number
+        ["verify", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "x"],
+        ["bloch", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "0.8+"],
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
@@ -304,6 +307,8 @@ def test_output_to_file(tmp_path):
         "verify-alpha-overflow",
         "simulate-beta-overflow",
         "bloch-imaginary-beta-overflow",
+        "beta-not-a-number",
+        "beta-half-a-complex",
         "bloch-out-of-memory",
         "verify-out-of-memory",
         "all-with-family",
@@ -346,10 +351,10 @@ def test_polar_angle_past_pi_is_named_in_its_error(theta, capsys):
 def test_register_cap_comes_before_point_scan(command, monkeypatch, capsys):
     import povmkit.families
 
-    def no_scan(points):
-        raise AssertionError("the distinct-point scan ran")
+    def no_scan(m, alpha, beta):
+        raise AssertionError("the degeneracy check ran")
 
-    monkeypatch.setattr(povmkit.families, "_close_pairs", no_scan)
+    monkeypatch.setattr(povmkit.families, "_ring_separation", no_scan)
     argv = [command, "dihedral", "-m", "5000", "--theta", "1"]
     if command == "sample":
         argv += ["--shots", "10"]

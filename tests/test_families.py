@@ -15,6 +15,7 @@ from povmkit.families import (
     CUBE,
     CYCLIC,
     DIHEDRAL,
+    DISTINCT_POINT_TOL,
     DODECAHEDRON,
     ICOSAHEDRON,
     OCTAHEDRON,
@@ -30,6 +31,8 @@ from povmkit.families import (
     rotate_povm,
     validate_povm,
 )
+
+from helpers import closest_pair_distance
 
 # closed forms recomputed here, independently of the package
 TCO_A = np.sqrt((3 + np.sqrt(3)) / 6)
@@ -116,7 +119,7 @@ def test_dihedral_complex_seed():
     beta = 0.8 * np.exp(0.3j)
     p = dihedral_povm(5, 0.6, beta)
     assert completeness_residual(p) < 1e-12
-    assert validate_povm(p).distinct_bloch_points == 10
+    assert closest_pair_distance(p.bloch_points()) > DISTINCT_POINT_TOL
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.0, 1.0)])
@@ -129,6 +132,32 @@ def test_dihedral_equatorial_seed_is_degenerate():
     s = np.sqrt(0.5)
     with pytest.raises(DegenerateOrbitError):
         dihedral_povm(2, s, s)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5])
+@pytest.mark.parametrize("case", ["across", "within"])
+def test_degeneracy_band(case, ratio):
+    # seeds whose Euclidean closest pair lies at ratio * DISTINCT_POINT_TOL:
+    # "across", points 0 and m of an aligned ring pair near the equator,
+    # which differ in z only; "within", neighbours 0 and 1 of a near-polar
+    # ring of 1000, whose alpha and |beta| stay above the tolerance.  The
+    # max-norm sweep this check replaced refused both at 0.5 and 0.99, and
+    # "within" at 1.01 too: its chords run in every direction, and one at
+    # 45 degrees has a max-norm of 0.71 times its length.
+    tol = DISTINCT_POINT_TOL
+    if case == "across":
+        family = PovmFamily.dihedral_from_angle(4, np.arccos(ratio * tol / 2))
+        pair = (0, 4)
+    else:
+        chord = 2 * np.sin(np.pi / 1000)  # of the unit circle, between neighbours
+        family = PovmFamily.dihedral_from_angle(1000, np.arcsin(ratio * tol / chord))
+        pair = (0, 1)
+    if ratio < 1:
+        with pytest.raises(DegenerateOrbitError, match="fewer than 2m distinct"):
+            build_povm(family)
+    else:
+        points = build_povm(family).bloch_points()[list(pair)]
+        assert np.linalg.norm(points[1] - points[0]) == pytest.approx(ratio * tol, rel=1e-6)
 
 
 def test_dihedral_seed_validation():
@@ -169,7 +198,7 @@ def test_dihedral_from_angle_rejects_non_finite_angle(theta):
         PovmFamily.dihedral_from_angle(3, theta)
 
 
-@pytest.mark.parametrize("theta", [object(), 1j, np.complex128(1.0), "x", None])
+@pytest.mark.parametrize("theta", [object(), 1j, np.complex128(1.0), "x", None, "1.0"])
 @pytest.mark.filterwarnings("error")
 def test_an_angle_that_does_not_convert_is_invalid(theta):
     # float() of a numpy complex drops its imaginary part with only a warning
@@ -297,7 +326,14 @@ def test_a_ring_size_given_as_a_float_is_invalid():
 
 @pytest.mark.parametrize(
     "alpha, beta",
-    [(1j, 0.8), ("x", 0.8), (0.6, "x"), (0.6, [0.8]), (np.complex128(0.6 + 0.5j), 0.8)],
+    [(1j, 0.8), ("x", 0.8), (0.6, "x"), (0.6, [0.8]), (np.complex128(0.6 + 0.5j), 0.8)]
+    # text that float and complex would parse, as m never was: "5" is no ring size
+    + [
+        pytest.param("0.6", 0.8, id="text-alpha"),
+        pytest.param(0.6, "0.8", id="text-beta"),
+        pytest.param(b"0.6", 0.8, id="bytes-alpha"),
+        pytest.param(0.6, "0.8+0j", id="complex-text-beta"),
+    ],
 )
 @pytest.mark.filterwarnings("error")
 def test_a_seed_that_does_not_convert_is_invalid(alpha, beta):
@@ -495,7 +531,6 @@ def test_validate_povm_fields():
     v = validate_povm(platonic_povm(TETRAHEDRON))
     assert v.completeness_residual < 1e-12
     assert v.norm_spread < 1e-12
-    assert v.distinct_bloch_points == 4
 
 
 def test_family_labels():

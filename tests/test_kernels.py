@@ -1,12 +1,12 @@
 """Equivalence tests: the local gate kernel (its FFT, its in-place
-phases, its split of block-diagonal gates and swaps), the distinct-point
-sweep, the closed-form Bloch map and the guide-table sampler against the
-straightforward reference versions."""
+phases, its split of block-diagonal gates and swaps), the closed-form
+dihedral closest pair, the closed-form Bloch map and the guide-table
+sampler against the straightforward reference versions."""
 
 import sys
 import threading
-import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,11 +36,8 @@ from povmkit.families import (
     PLATONIC_KINDS,
     Povm,
     PovmFamily,
-    _all_distinct,
-    _distinct_points,
+    _ring_separation,
     build_povm,
-    rotate_povm,
-    validate_povm,
 )
 from povmkit.linalg import (
     CNOT_MATRIX,
@@ -60,7 +57,7 @@ from povmkit.simulate import (
     sample,
     verify_family,
 )
-from helpers import RawGate, contract, gate_matrix, one_shot_fourier
+from helpers import RawGate, closest_pair_distance, contract, gate_matrix, one_shot_fourier
 from test_golden import golden_families
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -100,15 +97,6 @@ def embedded_product(circuit):
     for gate in circuit.gates:
         total = embed_on_qubits(gate_matrix(gate), gate.wires, circuit.n_qubits) @ total
     return total
-
-
-def greedy_distinct_points(points, tol=DISTINCT_POINT_TOL):
-    """Reference scan: keep a point unless an earlier kept point is close."""
-    reps = np.empty((0, points.shape[1]))
-    for p in points:
-        if not (np.abs(p - reps).max(axis=1) < tol).any():
-            reps = np.vstack([reps, p])
-    return len(reps)
 
 
 # ---------------------------------------------------------------- gate kernel
@@ -459,87 +447,43 @@ def test_verify_cyclic_1024():
     assert report.n_qubits == 10
 
 
-# ---------------------------------------------------------------- point scan
+# ---------------------------------------------------------------- ring separation
 
 
-def sweep_orthogonal_basis():
-    """Two unit vectors orthogonal to the sweep direction and each other."""
-    d = povmkit.families._SWEEP_DIRECTION
-    u = np.cross(d, [1.0, 0, 0])
-    u /= np.linalg.norm(u)
-    w = np.cross(d, u)
-    return u, w / np.linalg.norm(w)
-
-
-def point_layout(rng, n):
-    """n points in one of the layouts that stress the distinct-point sweep."""
-    layout = rng.integers(5)
-    if layout == 0:
-        return rng.uniform(-1, 1, (n, 3))
-    if layout == 1:
-        # two rings parallel to a coordinate plane: each ring's points
-        # share one coordinate
-        m = max(n // 2, 1)
-        angles = 2 * np.pi * np.arange(m) / m
-        ring = np.stack([np.cos(angles), np.sin(angles), np.zeros(m)], axis=1)
-        theta = rng.uniform(0, np.pi)
-        rings = np.concatenate([ring * np.sin(theta), ring * np.sin(theta)])
-        rings[:m, 2], rings[m:, 2] = np.cos(theta), -np.cos(theta)
-        return np.roll(rings, rng.integers(3), axis=1)[:n]
-    if layout == 2:
-        # a dihedral family turned by H: its rings lie in planes x = const
-        m = max(n // 2, 2)
-        family = PovmFamily.dihedral_from_angle(m, rng.uniform(0.1, 3.0))
-        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        return rotate_povm(build_povm(family), h).bloch_points()[:n]
-    if layout == 3:
-        # points that differ only orthogonally to the sweep direction, so
-        # their keys agree up to rounding
-        u, w = sweep_orthogonal_basis()
-        steps = rng.integers(-3, 4, (n, 2)) * rng.choice([0.4, 0.7, 1.0, 1.5])
-        steps *= DISTINCT_POINT_TOL
-        return rng.uniform(-1, 1, 3) + steps[:, :1] * u + steps[:, 1:] * w
-    # large coordinates, up to 1e300, shared by many rows that then differ
-    # in the small coordinates, within the tolerance or not: the keys round
-    # by far more than the tolerance
-    points = rng.uniform(-1, 1, (n, 3))
-    huge = rng.uniform(-1, 1, 3) * rng.choice([1e9, 1e300])
-    rows = rng.integers(n, size=n) if n else []
-    points[rows, rng.integers(3)] = rng.choice(huge, len(rows))
-    return points
+def ring_family(rng):
+    """A dihedral ring of 2 to 300 points from one of three seed regimes:
+    near the equator at a phase that aligns the two rings, so that points
+    of different rings come close; near a pole, so that neighbours in a
+    ring come close; or uniform."""
+    m = int(rng.integers(2, 301))
+    regime = rng.integers(3)
+    if regime == 0:
+        theta = np.pi / 2 + rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -5)
+        phase = np.pi * rng.integers(2 * m) / m  # 2 arg(beta) a multiple of 2 pi / m
+        phase += rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -5)
+    elif regime == 1:
+        theta = 10 ** rng.uniform(-7, -2)  # alpha and |beta| stay above the tolerance
+        theta = rng.choice([theta, np.pi - theta])
+        phase = rng.uniform(-np.pi, np.pi)
+    else:
+        theta, phase = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
+    return PovmFamily.dihedral(m, np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phase))
 
 
 @given(SEEDS)
 @settings(max_examples=100, derandomize=True, deadline=None)
-def test_distinct_points_matches_greedy_scan(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(0, rng.choice([20, 200, 601])))
-    points = point_layout(rng, n)
-    n = len(points)
-    if n:
-        # near-duplicates just inside and just outside the tolerance, chains
-        # of them, exact repeats and rows with a NaN or an infinity
-        for _ in range(int(rng.integers(0, n // 2 + 1))):
-            i, j = rng.integers(n, size=2)
-            scale = rng.choice([0.0, 0.3, 0.9, 1.1, 2.5]) * DISTINCT_POINT_TOL
-            points[i] = points[j] + scale * rng.choice([-1.0, 1.0], 3)
-        for i in rng.integers(n, size=int(rng.integers(0, 4))):
-            points[i, rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
-    with np.errstate(invalid="ignore"):  # inf - inf in the reference
-        expected = greedy_distinct_points(points)
-    assert _distinct_points(points) == expected
-    assert _all_distinct(points) == (expected == n)
-
-
-def test_distinct_points_greedy_order_on_a_chain():
-    # b is close to a and c, but a and c are apart: the greedy scan keeps a
-    # and c, a transitive grouping would keep one
-    step = 0.6 * DISTINCT_POINT_TOL
-    points = np.array([[0.0, 0, 0], [step, 0, 0], [2 * step, 0, 0]])
-    assert _distinct_points(points) == greedy_distinct_points(points) == 2
-    # a gap of exactly the tolerance is not close
-    points = np.array([[0.0, 0, 0], [DISTINCT_POINT_TOL, 0, 0]])
-    assert _distinct_points(points) == greedy_distinct_points(points) == 2
+def test_ring_separation_matches_closest_pair(seed):
+    family = ring_family(np.random.default_rng(seed))
+    separation = _ring_separation(family.m, family.alpha, family.beta)
+    try:
+        points = build_povm(family).bloch_points()
+        assert separation >= DISTINCT_POINT_TOL
+    except DegenerateOrbitError:
+        assert separation < DISTINCT_POINT_TOL
+        # the refused ring's points all the same, with no pair too close
+        with mock.patch.object(povmkit.families, "DISTINCT_POINT_TOL", 0.0):
+            points = build_povm(family).bloch_points()
+    assert abs(separation - closest_pair_distance(points)) < 1e-12
 
 
 def traced_peak(fn):
@@ -552,39 +496,9 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_distinct_points_memory_is_linear():
-    uniform = np.random.default_rng(0).uniform(-1, 1, (20_000, 3))
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    # both rings of the turned family lie in planes x = const
-    turned = rotate_povm(build_povm(PovmFamily.dihedral_from_angle(4096, 1.1)), h)
-    # every key equal up to rounding: each row is a candidate of every other
-    u, w = sweep_orthogonal_basis()
-    angles = np.random.default_rng(1).uniform(0, 2 * np.pi, 2000)
-    circle = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * w
-    peaks = [
-        traced_peak(lambda: _distinct_points(uniform)),
-        traced_peak(lambda: validate_povm(turned)),
-        traced_peak(lambda: _distinct_points(circle)),
-    ]
-    # an all-pairs scan in blocks of 128 rows takes about 140 MB and 60 MB
-    # on the first two; checking all 2*10**6 candidate pairs of the third at
-    # once takes about 160 MB
-    assert max(peaks) < 8 * 2**20, peaks
-
-
-def test_validate_povm_on_coincident_points_keeps_no_pair_list():
-    # 2,000 rows of one vector: about 2 * 10**6 close pairs, which take
-    # about 320 MB traced, and about 2 s to walk in Python, if gathered
-    vectors = np.tile([[0.6, 0.8j]], (2000, 1)) / np.sqrt(1000)
-    povm = Povm(vectors, PovmFamily.cyclic(2000))
-    start = time.perf_counter()
-    assert validate_povm(povm).distinct_bloch_points == 1
-    assert time.perf_counter() - start < 1.0  # about 0.2 s on a 2-core VM
-    assert traced_peak(lambda: validate_povm(povm)) < 16 * 2**20
-
-
 def test_degenerate_ring_stops_at_its_first_close_pair():
-    # a near-polar seed: about 477,000 close pairs, 80 MB to gather them all
+    # a near-polar seed with about 477,000 close pairs, which took 80 MB to
+    # gather; its closest pair is known before any vector is built
     family = PovmFamily.dihedral_from_angle(2000, 3e-8)
 
     def build():

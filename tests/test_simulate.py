@@ -698,10 +698,10 @@ def test_verify_rejects_bad_seed_and_state_count(kwargs):
 def test_verify_checks_register_cap_before_building(monkeypatch):
     import povmkit.families
 
-    def no_scan(points):
-        raise AssertionError("the distinct-point scan ran")
+    def no_scan(m, alpha, beta):
+        raise AssertionError("the degeneracy check ran")
 
-    monkeypatch.setattr(povmkit.families, "_close_pairs", no_scan)
+    monkeypatch.setattr(povmkit.families, "_ring_separation", no_scan)
     with pytest.raises(InvalidParameterError):
         verify_family(PovmFamily.dihedral_from_angle(5000, 1.0), n_states=1)
 
@@ -716,18 +716,18 @@ def test_verify_runs_no_point_scan_after_building(monkeypatch, family):
     import povmkit.simulate
 
     events = []
-    scan = povmkit.families._close_pairs
+    scan = povmkit.families._ring_separation
 
-    def logged_scan(points):
+    def logged_scan(m, alpha, beta):
         events.append("scan")
-        return scan(points)
+        return scan(m, alpha, beta)
 
     def logged_build(f):
         povm = build_povm(f)
         events.append("built")
         return povm
 
-    monkeypatch.setattr(povmkit.families, "_close_pairs", logged_scan)
+    monkeypatch.setattr(povmkit.families, "_ring_separation", logged_scan)
     monkeypatch.setattr(povmkit.simulate, "build_povm", logged_build)
     assert verify_family(family, n_states=3).passed
     # the dihedral ring is still checked for degeneracy while it is built
