@@ -61,16 +61,12 @@ def _emit(args, text: str) -> None:
 def family_from_args(args) -> PovmFamily:
     """The family the arguments name.  The family itself refuses a missing
     parameter and one it would ignore; only ``--theta``, which it does not
-    hold, is checked here, and ``--beta``'s text parsed, which it refuses."""
+    hold, is checked here."""
     kind = args.family
     if kind is None:
         raise InvalidParameterError("a family is required unless --all is given")
     if args.theta is None:
-        try:
-            beta = None if args.beta is None else complex(args.beta)
-        except ValueError:
-            raise InvalidParameterError(f"beta must be a number, got {args.beta!r}") from None
-        return PovmFamily(kind, args.m, args.alpha, beta)
+        return PovmFamily(kind, args.m, args.alpha, args.beta)
     if kind != DIHEDRAL:
         raise InvalidParameterError(f"the {kind} family takes no theta")
     if args.alpha is not None or args.beta is not None:
@@ -291,7 +287,7 @@ def _add_family_arguments(sub: argparse.ArgumentParser, required: bool = True) -
         "--alpha", type=float, default=None, help="dihedral seed amplitude (real)"
     )
     sub.add_argument(
-        "--beta", default=None, help="dihedral seed amplitude, e.g. 0.8 or 0.5+0.3j"
+        "--beta", type=complex, default=None, help="dihedral seed amplitude, e.g. 0.8 or 0.5+0.3j"
     )
     sub.add_argument(
         "--theta",
@@ -308,8 +304,16 @@ def _add_output_arguments(sub: argparse.ArgumentParser, formats: tuple) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommands' too, whose usage errors raise, so that
+    ``main`` prints each as one ``error:`` line."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="povmkit",
         description="Symmetric single-qubit measurements, dilations and circuits.",
     )
@@ -359,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DegenerateOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,11 @@ state (padded with zeros into the larger register) then reproduces the
 measurement statistics, with the zero-started columns never firing.
 
 ``structured_dilation`` follows one recipe for every family: the outcomes
-form 2^t rings of m, and U applies the Fourier transform F_m, padded with
-an identity, on the low l - t qubits of its l, then the family's orbit
-mixer, then for t > 0 the half swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE``
-holds what differs between families from the mixer on, half swap included.
+form 2^t rings of m, the shape ``PovmFamily.orbits`` states, and U applies
+the Fourier transform F_m, padded with an identity, on the low l - t
+qubits of its l, then the family's orbit mixer, then for t > 0 the half
+swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE`` holds what differs between
+families from the mixer on, half swap included.
 ``structured_dilation`` applies those factors in turn, and
 ``structured_circuit`` joins their gate lists, last first, without U.  The
 family alone decides the factors, so their kernels and gates are built
@@ -212,36 +213,36 @@ def _tetrahedron_factors(family, l: int) -> list:
     return [(np.diag([1, 1, 1, -1j]), (0, 1), [phase]), *_orbit_mixer_factors(family, l)]
 
 
-# kind -> (orbit qubits t, conjugated Fourier factor, the factors after it of
-# (family, l), the half swap last)
+# kind -> (conjugated Fourier factor, the factors after it of (family, l),
+# the half swap last)
 _FACTOR_TABLE = {
-    CYCLIC: (0, False, lambda f, l: []),
-    DIHEDRAL: (1, False, lambda f, l: [_dihedral_factor(f.alpha, f.beta, l)]),
-    TETRAHEDRON: (1, False, _tetrahedron_factors),
-    CUBE: (1, True, _orbit_mixer_factors),
-    OCTAHEDRON: (1, False, _orbit_mixer_factors),
-    DODECAHEDRON: (2, False, _orbit_mixer_factors),
-    ICOSAHEDRON: (2, False, _orbit_mixer_factors),
+    CYCLIC: (False, lambda f, l: []),
+    DIHEDRAL: (False, lambda f, l: [_dihedral_factor(f.alpha, f.beta, l)]),
+    TETRAHEDRON: (False, _tetrahedron_factors),
+    CUBE: (True, _orbit_mixer_factors),
+    OCTAHEDRON: (False, _orbit_mixer_factors),
+    DODECAHEDRON: (False, _orbit_mixer_factors),
+    ICOSAHEDRON: (False, _orbit_mixer_factors),
 }
 
 
-def _structured_factors(family) -> tuple[int, int, list]:
-    """The orbit qubits t, the register's qubits l and the family's factors in
-    the order they apply, Fourier factor first, each as (local matrix or a
+def _structured_factors(family) -> tuple[int, list]:
+    """The register's qubits l and the family's factors in the order they
+    apply, Fourier factor first, each as (local matrix or a
     ``linalg.Fourier``, qubits, the gates compiling to its adjoint)."""
     if family.kind not in _FACTOR_TABLE:
         raise InvalidParameterError(f"no structured dilation for kind {family.kind!r}")
-    t, conjugate, mixer = _FACTOR_TABLE[family.kind]
-    n = family.n_outcomes
-    l = register_size(n).bit_length() - 1
-    m = n >> t
+    conjugate, mixer = _FACTOR_TABLE[family.kind]
+    count, m = family.orbits
+    t = count.bit_length() - 1  # the orbit qubits
+    l = register_size(count * m).bit_length() - 1
     low = tuple(range(t, l))
     if m == 1 << l:  # unpadded on the whole register: the inverse QFT circuit
         gates = inverse_circuit(qft_circuit(l)).gates
     else:
         gates = [FourierGate(low, m, inverse=not conjugate)]
     # F' = F_m (+) I on the low qubits, or conj(F') for the cube
-    return t, l, [(Fourier(m, conjugate), low, gates), *mixer(family, l)]
+    return l, [(Fourier(m, conjugate), low, gates), *mixer(family, l)]
 
 
 # Families whose structured builds are kept.  ``verify --all`` asks for 17
@@ -253,11 +254,11 @@ _BUILDS_KEPT = 64
 
 @functools.lru_cache(maxsize=_BUILDS_KEPT)
 def _build(family) -> tuple:
-    """The orbit qubits t, the register's qubits l, the factors' kernels in
-    the order they apply and the circuit's gates, last factor first."""
-    t, l, factors = _structured_factors(family)
+    """The register's qubits l, the factors' kernels in the order they apply
+    and the circuit's gates, last factor first."""
+    l, factors = _structured_factors(family)
     kernels = tuple(_kernel(u, qubits) for u, qubits, _ in factors)
-    return t, l, kernels, tuple(g for *_, gates in reversed(factors) for g in gates)
+    return l, kernels, tuple(g for *_, gates in reversed(factors) for g in gates)
 
 
 def structured_dilation(povm: Povm) -> DilatedMeasurement:
@@ -265,14 +266,14 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
 
     U is the factors applied, in order, to one r x r identity by
     ``apply_gates``: the Fourier factor as an in-place FFT of each
-    column's orbit blocks, the rest by their forms.  The n outcomes form
-    2^t orbits of m; outcome m u + j sits on basis state (r / 2^t) u + j.
+    column's orbit blocks, the rest by their forms.  Outcome m u + j, the
+    j-th of orbit u, sits on basis state (r / count) u + j.
     """
-    t, l, kernels, _ = _build(povm.family)
+    l, kernels, _ = _build(povm.family)
     r = 1 << l
     matrix = _apply_in_place(kernels, np.eye(r, dtype=complex))
-    m = povm.n >> t
-    positions = ((r >> t) * np.arange(1 << t)[:, None] + np.arange(m)).ravel()
+    count, m = povm.family.orbits
+    positions = ((r // count) * np.arange(count)[:, None] + np.arange(m)).ravel()
     return DilatedMeasurement(povm, matrix, positions, "structured")
 
 
@@ -280,7 +281,7 @@ def structured_circuit(povm: Povm) -> Circuit:
     """The factors' gate lists, last factor first: a circuit compiling to the
     adjoint of ``structured_dilation(povm)``, with no r x r matrix built.
     The gates are shared between calls for the same family."""
-    _, l, _, gates = _build(povm.family)
+    l, _, gates = _build(povm.family)
     return Circuit(l, list(gates), povm.family.label())
 
 

@@ -8,9 +8,12 @@ that the elements sum to the identity.  Supported kinds:
 * ``dihedral``   -- two mirrored m-point rings at opposite latitudes,
 * the five platonic solids, whose Bloch points are the solid's vertices.
 
-Vectors are returned as the rows of an (n, 2) complex array, in the fixed
-outcome order used throughout the package: orbit by orbit, phase index
-ascending, with phase factor exp(-2*pi*1j*j/m).
+One orbit rule builds every family: from the family's seed rows
+(a_u, b_u), its m phases w_j and its scale, outcome m u + j is
+scale * (a_u, b_u w_j).  Vectors are returned as the rows of an (n, 2)
+complex array in that order, used throughout the package.  The phases are
+exp(-2*pi*1j*j/m), save the tetrahedron's and the cube's exact roots of
+unity; ``PovmFamily.orbits`` gives the shape without building a vector.
 """
 
 from __future__ import annotations
@@ -39,14 +42,6 @@ DODECAHEDRON = "dodecahedron"
 ICOSAHEDRON = "icosahedron"
 
 PLATONIC_KINDS = (TETRAHEDRON, CUBE, OCTAHEDRON, DODECAHEDRON, ICOSAHEDRON)
-# Vertex count of each solid: its number of outcomes.
-PLATONIC_OUTCOMES = {
-    TETRAHEDRON: 4,
-    CUBE: 8,
-    OCTAHEDRON: 6,
-    DODECAHEDRON: 20,
-    ICOSAHEDRON: 12,
-}
 FAMILY_KINDS = (CYCLIC, DIHEDRAL) + PLATONIC_KINDS
 
 # Bloch points closer than this, in Euclidean distance, are treated as the
@@ -93,8 +88,8 @@ _CONVERSIONS = (("m", functools.partial(_integer, name="m")), ("alpha", _real), 
 class PovmFamily:
     """Identifies one measurement family and its parameters, each converted
     and checked once, here; InvalidParameterError for one missing,
-    ill-typed or ignored, and for a dihedral seed that is not finite and
-    normalized with alpha >= 0."""
+    ill-typed or ignored, for a ring of fewer than two outcomes and for a
+    dihedral seed that is not finite and normalized with alpha >= 0."""
 
     kind: str
     m: Optional[int] = None
@@ -111,6 +106,8 @@ class PovmFamily:
                 raise InvalidParameterError(f"the {self.kind} family {verb} {name}")
             if value is not None:
                 object.__setattr__(self, name, _converted(name, convert, value))
+        if self.m is not None and self.m < 2:
+            raise InvalidParameterError(f"{self.kind} family needs m >= 2")
         if self.kind != DIHEDRAL:
             return
         alpha, beta = self.alpha, self.beta
@@ -152,15 +149,17 @@ class PovmFamily:
         return cls(kind=kind)
 
     @property
+    def orbits(self) -> tuple[int, int]:
+        """(number of orbits, outcomes m per orbit), known without building
+        any vector: outcome m u + j is orbit u's j-th phase."""
+        seeds, phases, _ = _orbit_rule(self)
+        return len(seeds), phases if isinstance(phases, int) else len(phases)
+
+    @property
     def n_outcomes(self) -> int:
         """Number of outcomes, known without building any vector."""
-        if self.kind == CYCLIC:
-            return self.m
-        if self.kind == DIHEDRAL:
-            return 2 * self.m
-        if self.kind in PLATONIC_OUTCOMES:
-            return PLATONIC_OUTCOMES[self.kind]
-        raise InvalidParameterError(f"unknown family kind {self.kind!r}")
+        count, m = self.orbits
+        return count * m
 
     def label(self) -> str:
         if self.kind == CYCLIC:
@@ -268,17 +267,27 @@ def _phases(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(m) / m)
 
 
-def cyclic_povm(m: int) -> Povm:
-    """m equally weighted outcomes on the Bloch equator."""
-    family = PovmFamily.cyclic(m)
-    m = family.m
-    if m < 2:
-        raise InvalidParameterError("cyclic family needs m >= 2")
-    vectors = np.empty((m, 2), dtype=complex)
-    vectors[:, 0] = 1.0
-    vectors[:, 1] = _phases(m)
-    vectors *= np.sqrt(1 / m)
-    return Povm(vectors, family)
+def _orbit_rule(family: PovmFamily) -> tuple:
+    """The family's seed rows (a_u, b_u), its phases w_j, as their number m
+    for ``_phases(m)`` or as exact values, and its scale."""
+    kind = family.kind
+    if kind == CYCLIC:
+        return [(1, 1)], family.m, np.sqrt(1 / family.m)
+    if kind == DIHEDRAL:
+        a, b = family.alpha, family.beta
+        return [(a, b), (b, a)], family.m, np.sqrt(1 / family.m)
+    if kind not in PLATONIC_KINDS:
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
+    c = platonic_constants(kind)
+    a, b = c.alpha, c.beta
+    if kind == TETRAHEDRON:
+        return [(a, b), (b, 1j * a)], (1, -1), c.rescale
+    if kind == CUBE:  # exact fourth roots of unity
+        return [(a, b), (b, -a)], (1, 1j, -1, -1j), c.rescale
+    if kind == OCTAHEDRON:
+        return [(a, b), (b, -a)], 3, c.rescale
+    seeds = [(a, b), (b, -a), (c.gamma, c.delta), (c.delta, -c.gamma)]
+    return seeds, c.omega_order, c.rescale
 
 
 def _ring_separation(m: int, alpha: float, beta: complex) -> float:
@@ -301,63 +310,45 @@ def _ring_separation(m: int, alpha: float, beta: complex) -> float:
     return min(within, math.hypot(2 * z, 2 * rho * math.sin(delta / 2)))
 
 
-def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
-    """Two mirrored rings of m outcomes seeded by the pair (alpha, beta).
+def build_povm(family: PovmFamily) -> Povm:
+    """Resolve a family into its vectors by the orbit rule: outcome m u + j
+    is scale * (a_u, b_u w_j).
 
-    The seed must be normalized (alpha^2 + |beta|^2 = 1) with alpha real
-    and nonnegative.  Seeds that bring two of the 2m Bloch points within
-    DISTINCT_POINT_TOL of each other do not define a usable measurement of
-    this kind and raise DegenerateOrbitError before any vector is built.
+    A dihedral seed that brings two of the 2m Bloch points within
+    DISTINCT_POINT_TOL of each other does not define a usable measurement
+    of this kind and raises DegenerateOrbitError before any vector is built.
     """
-    family = PovmFamily.dihedral(m, alpha, beta)
-    m, alpha, beta = family.m, family.alpha, family.beta
-    if m < 2:
-        raise InvalidParameterError("dihedral family needs m >= 2")
-    if alpha < DISTINCT_POINT_TOL or abs(beta) < DISTINCT_POINT_TOL:
-        raise DegenerateOrbitError("polar seed collapses both rings to the poles")
-    if _ring_separation(m, alpha, beta) < DISTINCT_POINT_TOL:
-        raise DegenerateOrbitError("seed yields fewer than 2m distinct Bloch points")
+    if family.kind == DIHEDRAL:
+        m, alpha, beta = family.m, family.alpha, family.beta
+        if alpha < DISTINCT_POINT_TOL or abs(beta) < DISTINCT_POINT_TOL:
+            raise DegenerateOrbitError("polar seed collapses both rings to the poles")
+        if _ring_separation(m, alpha, beta) < DISTINCT_POINT_TOL:
+            raise DegenerateOrbitError("seed yields fewer than 2m distinct Bloch points")
+    seeds, phases, scale = _orbit_rule(family)
+    if isinstance(phases, int):
+        phases = _phases(phases)
+    tops, bottoms = np.array(seeds, dtype=complex).T
+    vectors = np.empty((len(seeds), len(phases), 2), dtype=complex)
+    vectors[..., 0] = tops[:, None]
+    vectors[..., 1] = bottoms[:, None] * phases
+    vectors *= scale
+    return Povm(vectors.reshape(-1, 2), family)
 
-    phases = _phases(m)
-    vectors = np.empty((2 * m, 2), dtype=complex)
-    vectors[:m, 0] = alpha
-    vectors[:m, 1] = beta * phases
-    vectors[m:, 0] = beta
-    vectors[m:, 1] = alpha * phases
-    vectors *= np.sqrt(1 / m)
-    return Povm(vectors, family)
+
+def cyclic_povm(m: int) -> Povm:
+    """m equally weighted outcomes on the Bloch equator."""
+    return build_povm(PovmFamily.cyclic(m))
+
+
+def dihedral_povm(m: int, alpha: float, beta: complex) -> Povm:
+    """Two mirrored rings of m outcomes seeded by the pair (alpha, beta),
+    normalized (alpha^2 + |beta|^2 = 1) with alpha real and nonnegative."""
+    return build_povm(PovmFamily.dihedral(m, alpha, beta))
 
 
 def platonic_povm(kind: str) -> Povm:
     """The measurement whose Bloch points are the vertices of a solid."""
-    c = platonic_constants(kind)
-    a, b = c.alpha, c.beta
-    if kind == TETRAHEDRON:
-        rows = [(a, b), (a, -b), (b, 1j * a), (b, -1j * a)]
-    elif kind == CUBE:
-        quarter = (1, 1j, -1, -1j)  # exact fourth roots of unity
-        rows = [(a, b * q) for q in quarter] + [(b, -a * q) for q in quarter]
-    elif kind == OCTAHEDRON:
-        phases = _phases(3)
-        rows = [(a, b * w) for w in phases] + [(b, -a * w) for w in phases]
-    else:
-        phases = _phases(c.omega_order)
-        rows = []
-        for top, bottom in ((a, b), (b, -a), (c.gamma, c.delta), (c.delta, -c.gamma)):
-            rows += [(top, bottom * w) for w in phases]
-    vectors = c.rescale * np.array(rows, dtype=complex)
-    return Povm(vectors, PovmFamily.platonic(kind))
-
-
-def build_povm(family: PovmFamily) -> Povm:
-    """Resolve a family description into its vectors."""
-    if family.kind == CYCLIC:
-        return cyclic_povm(family.m)
-    if family.kind == DIHEDRAL:
-        return dihedral_povm(family.m, family.alpha, family.beta)
-    if family.kind in PLATONIC_KINDS:
-        return platonic_povm(family.kind)
-    raise InvalidParameterError(f"unknown family kind {family.kind!r}")
+    return build_povm(PovmFamily.platonic(kind))
 
 
 def rotate_povm(povm: Povm, u: np.ndarray) -> Povm:

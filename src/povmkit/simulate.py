@@ -39,19 +39,13 @@ from .linalg import distance_up_to_global_phase
 
 DEFAULT_SEED = 0x5EED
 
-# verification thresholds
+# verification thresholds; the probability routines raise at the circuit
+# distance and padding bounds where verify_family records a verdict
 COMPLETENESS_TOL = 1e-10
 DILATION_TOL = 1e-10
 CIRCUIT_DISTANCE_TOL = 1e-9
 PROBABILITY_TOL = 1e-9
 PADDING_TOL = 1e-12
-
-# the probability routines raise PaddingLeakError above this; looser than
-# PADDING_TOL, as they raise where verify_family only records a verdict
-LEAK_TOL = 1e-9
-
-# a circuit further than this from the dilation adjoint on columns 0-1 is wrong
-MISMATCH_TOL = 1e-8
 
 # Raw PCG64 words drawn at once by ``sample``, over all its threads; bounds
 # its memory at a few MB.
@@ -91,12 +85,12 @@ def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
 
 def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.ndarray:
     """``_register_probabilities``'s outcome probabilities; PaddingLeakError
-    if the leak exceeds LEAK_TOL anywhere, then InvalidParameterError if the
+    if the leak exceeds PADDING_TOL anywhere, then InvalidParameterError if the
     dilation's vector rows are not its measurement's to DILATION_TOL: a
     structured dilation reads only the family, not a rotation of it."""
     probs, leak = _register_probabilities(dilated, isometry, rho)
     leak = float(np.max(leak))
-    if not leak <= LEAK_TOL:
+    if not leak <= PADDING_TOL:
         raise PaddingLeakError(f"padding basis states carry probability {leak:.3e}")
     residual = dilated.embedding_residual()
     if not residual <= DILATION_TOL:
@@ -106,12 +100,13 @@ def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.nda
 
 def _checked_isometry(dilated: DilatedMeasurement, circuit: Circuit) -> np.ndarray:
     """The circuit's first two columns, or CircuitMismatchError if their
-    phase-aligned distance from the dilation adjoint's exceeds MISMATCH_TOL."""
+    phase-aligned distance from the dilation adjoint's exceeds
+    CIRCUIT_DISTANCE_TOL."""
     isometry = circuit_isometry(circuit)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         distance = distance_up_to_global_phase(isometry, dilated.matrix[:2].conj().T)
-    if not distance <= MISMATCH_TOL:
+    if not distance <= CIRCUIT_DISTANCE_TOL:
         raise CircuitMismatchError(f"circuit is {distance:.3e} from the dilation adjoint")
     return isometry
 

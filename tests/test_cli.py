@@ -269,9 +269,16 @@ def test_output_to_file(tmp_path):
         ["verify", "dihedral", "-m", "3", "--alpha", "1e200", "--beta", "0.5"],
         ["simulate", "dihedral", "-m", "3", "--alpha", "0.5", "--beta", "1e200"],
         ["bloch", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "1e200j"],
-        # --beta text that does not parse as a complex number
+        # flag values that do not parse as their type
         ["verify", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "x"],
         ["bloch", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "0.8+"],
+        ["verify", "dihedral", "-m", "3", "--alpha", "x", "--beta", "0.8"],
+        ["verify", "cyclic", "-m", "x"],
+        ["verify", "cyclic", "-m", "2.5"],
+        ["verify", "dihedral", "-m", "3", "--theta", "x"],
+        ["verify", "--all", "--states", "x"],
+        ["verify", "--all", "--seed", "x"],
+        ["sample", "cube", "--shots", "2.5"],
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
@@ -309,6 +316,13 @@ def test_output_to_file(tmp_path):
         "bloch-imaginary-beta-overflow",
         "beta-not-a-number",
         "beta-half-a-complex",
+        "alpha-not-a-number",
+        "m-not-a-number",
+        "m-not-an-integer",
+        "theta-not-a-number",
+        "states-not-a-number",
+        "seed-not-a-number",
+        "shots-not-an-integer",
         "bloch-out-of-memory",
         "verify-out-of-memory",
         "all-with-family",
@@ -335,6 +349,24 @@ def test_invalid_input_exits_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     # short: a huge value prints in exponent form, not digit by digit
     assert len(err) < 160
+
+
+@pytest.mark.parametrize("command", ["verify", "bloch"])
+def test_a_ring_of_one_outcome_is_refused_by_its_family(command, capsys):
+    assert cli.main([command, "cyclic", "-m", "1"]) == 2
+    assert capsys.readouterr().err == "error: cyclic family needs m >= 2\n"
+
+
+def test_an_unparsable_flag_names_the_flag(capsys):
+    assert cli.main(["verify", "dihedral", "-m", "3", "--alpha", "0.6", "--beta", "x"]) == 2
+    assert capsys.readouterr().err == "error: argument --beta: invalid complex value: 'x'\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theta", ["4", "3.2", "-4", "-3.2", "9"])

@@ -290,6 +290,19 @@ def family_matrix():
     return families
 
 
+@pytest.mark.parametrize(
+    "family",
+    family_matrix() + [PovmFamily.cyclic(255), PovmFamily.dihedral(96, 0.6, 0.8)],
+    ids=lambda f: f.label(),
+)
+def test_outcome_positions_follow_the_orbit_shape(family):
+    # outcome m u + j, the j-th of orbit u, on basis state (r / count) u + j
+    d = structured_dilation(build_povm(family))
+    count, m = family.orbits
+    u, j = np.divmod(np.arange(count * m), m)
+    assert np.array_equal(d.outcome_positions, d.dim // count * u + j)
+
+
 @pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
 def test_structured_dilations_are_exact(family):
     d = structured_dilation(build_povm(family))

@@ -1,11 +1,13 @@
 """Oracle tests for the measurement families and their geometry."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from povmkit.cli import default_verify_matrix
 from povmkit.errors import (
     DegenerateOrbitError,
     InvalidParameterError,
@@ -306,8 +308,62 @@ def test_outcome_count_matches_built_povm(family):
 
 
 def test_outcome_count_of_unknown_kind():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="unknown family kind"):
         PovmFamily(kind="cuboctahedron").n_outcomes
+
+
+ORBIT_SHAPES = [
+    (PovmFamily.cyclic(5), (1, 5)),
+    (PovmFamily.dihedral(7, 0.6, 0.8), (2, 7)),
+    (PovmFamily.platonic(TETRAHEDRON), (2, 2)),
+    (PovmFamily.platonic(CUBE), (2, 4)),
+    (PovmFamily.platonic(OCTAHEDRON), (2, 3)),
+    (PovmFamily.platonic(DODECAHEDRON), (4, 5)),
+    (PovmFamily.platonic(ICOSAHEDRON), (4, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, shape", ORBIT_SHAPES, ids=[f.label() for f, _ in ORBIT_SHAPES]
+)
+def test_orbit_shape(family, shape):
+    count, m = family.orbits
+    assert (count, m) == shape
+    assert family.n_outcomes == count * m == build_povm(family).n
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+@pytest.mark.parametrize(
+    "make",
+    [PovmFamily.cyclic, lambda m: PovmFamily.dihedral(m, 0.6, 0.8), lambda m: PovmFamily(CYCLIC, m)],
+    ids=["cyclic", "dihedral", "constructor"],
+)
+def test_a_ring_of_fewer_than_two_outcomes_is_not_made(make, m):
+    with pytest.raises(InvalidParameterError, match="family needs m >= 2"):
+        make(m)
+
+
+def test_vector_bytes_are_pinned():
+    """SHA-256 over ``build_povm(f).vectors.tobytes()`` for 44 families, in
+    this order: the 17 ``verify --all`` families; cyclic 7, 12, 255, 256,
+    1000, 4095 and 4096; ``dihedral_from_angle(m, theta)`` for m in (2, 3,
+    7, 96, 128, 2048), each at theta in (0.3, 1.0, 2.2); then dihedral
+    (8, 0.6, 0.8j) and (5, 0.6, 0.48+0.64j).  The digest is the one of the
+    per-family builders at commit b86021e, which the orbit rule replaced;
+    recompute it with ``pytest tests/test_families.py -k pinned``."""
+    families = default_verify_matrix()
+    families += [PovmFamily.cyclic(m) for m in (7, 12, 255, 256, 1000, 4095, 4096)]
+    families += [
+        PovmFamily.dihedral_from_angle(m, theta)
+        for m in (2, 3, 7, 96, 128, 2048)
+        for theta in (0.3, 1.0, 2.2)
+    ]
+    families += [PovmFamily.dihedral(8, 0.6, 0.8j), PovmFamily.dihedral(5, 0.6, 0.48 + 0.64j)]
+    assert len(families) == 44
+    digest = hashlib.sha256()
+    for family in families:
+        digest.update(build_povm(family).vectors.tobytes())
+    assert digest.hexdigest() == "af58b8550b72e35e3be411c6b00f6b461c24e8e3bc87cc220348baf3b00f41a3"
 
 
 # ---------------------------------------------------------------- family fields
@@ -543,8 +599,13 @@ def test_build_povm_dispatch():
     assert build_povm(PovmFamily.cyclic(4)).n == 4
     assert build_povm(PovmFamily.dihedral(3, 0.6, 0.8)).n == 6
     assert build_povm(PovmFamily.platonic(ICOSAHEDRON)).n == 12
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="unknown family kind"):
         build_povm(PovmFamily(kind="hexagon"))
+
+
+@pytest.mark.parametrize("family", default_verify_matrix(), ids=lambda f: f.label())
+def test_build_povm_keeps_the_callers_family(family):
+    assert build_povm(family).family is family
 
 
 def test_povm_leaves_the_callers_array_writable():

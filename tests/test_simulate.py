@@ -47,7 +47,6 @@ from povmkit.simulate import (
     CIRCUIT_DISTANCE_TOL,
     DEFAULT_SEED,
     DILATION_TOL,
-    MISMATCH_TOL,
     SampleCounts,
     VerificationReport,
     analytic_probabilities,
@@ -293,7 +292,7 @@ def test_two_column_check_rejects_corruptions(family, corrupt):
         shift = distance_up_to_global_phase(
             circuit_isometry(wrong), circuit_isometry(circuit)
         )
-    assert shift > MISMATCH_TOL
+    assert shift > CIRCUIT_DISTANCE_TOL
     with pytest.raises(CircuitMismatchError):
         circuit_probabilities(d, wrong, MIXED)
     psi = np.array([0.6, 0.8j])
