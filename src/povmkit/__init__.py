@@ -67,14 +67,12 @@ from .families import (
     OCTAHEDRON,
     PLATONIC_KINDS,
     TETRAHEDRON,
-    PlatonicConstants,
     Povm,
     PovmFamily,
     PovmValidation,
     build_povm,
     cyclic_povm,
     dihedral_povm,
-    platonic_constants,
     platonic_povm,
     rotate_povm,
     validate_povm,

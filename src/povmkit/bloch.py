@@ -69,7 +69,7 @@ def bloch_to_state(point) -> np.ndarray:
     with np.errstate(over="ignore"):
         norm = np.ldexp(np.linalg.norm(np.ldexp(p, -shift)), shift)
     if norm > 1.0 + 1e-12:
-        raise OutsideBallError(f"|{tuple(p.tolist())}| = {norm:.6g} > 1")
+        raise OutsideBallError(f"|{tuple(p.tolist())}| = {float(norm)!r} > 1")
     x, y, z = p
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 

@@ -138,12 +138,6 @@ class Gate:
         # copy and pickle rebuild the gate through its checks
         return Gate, (self.kind, self.wires, self.matrix, self.m, self.inverse)
 
-    @property
-    def operator(self):
-        """What ``apply_gates`` applies: ``Fourier(m, inverse)`` for a
-        fourier gate, else the matrix."""
-        return Fourier(self.m, self.inverse) if self.kind == "fourier" else self.matrix
-
     def __repr__(self) -> str:
         return f"<Gate {self.describe()}>"
 

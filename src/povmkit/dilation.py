@@ -48,10 +48,9 @@ from .families import (
     ICOSAHEDRON,
     OCTAHEDRON,
     TETRAHEDRON,
-    PlatonicConstants,
+    _SOLIDS,
     Povm,
     completeness_residual,
-    platonic_constants,
 )
 from .linalg import (
     CNOT_MATRIX,
@@ -161,12 +160,16 @@ def orbit_mixer(kind: str) -> np.ndarray:
     """Unitary that mixes the orbits of a platonic family.
 
     2x2 for the two-orbit solids, the reflection [[a, b], [b, -a]], and
-    4x4 for the four-orbit ones.
+    4x4 for the four-orbit ones, from (a, b), the solid's first seed row,
+    and (g, d), its third.
     """
-    c: PlatonicConstants = platonic_constants(kind)
-    a, b, g, d = c.alpha, c.beta, c.gamma, c.delta
-    if g is None:
+    if kind not in _SOLIDS:
+        raise InvalidParameterError(f"unknown platonic solid {kind!r}")
+    seeds = _SOLIDS[kind][0]
+    a, b = seeds[0]
+    if len(seeds) == 2:
         return np.array([[a, b], [b, -a]], dtype=complex)
+    g, d = seeds[2]
     return np.array(
         [
             [a, b, g, d],
@@ -230,8 +233,6 @@ def _structured_factors(family) -> tuple[int, list]:
     """The register's qubits l and the family's factors in the order they
     apply, Fourier factor first, each as (local matrix or a
     ``linalg.Fourier``, qubits, the gates compiling to its adjoint)."""
-    if family.kind not in _FACTOR_TABLE:
-        raise InvalidParameterError(f"no structured dilation for kind {family.kind!r}")
     conjugate, mixer = _FACTOR_TABLE[family.kind]
     count, m = family.orbits
     t = count.bit_length() - 1  # the orbit qubits

@@ -9,11 +9,11 @@ that the elements sum to the identity.  Supported kinds:
 * the five platonic solids, whose Bloch points are the solid's vertices.
 
 One orbit rule builds every family: from the family's seed rows
-(a_u, b_u), its m phases w_j and its scale, outcome m u + j is
-scale * (a_u, b_u w_j).  Vectors are returned as the rows of an (n, 2)
-complex array in that order, used throughout the package.  The phases are
-exp(-2*pi*1j*j/m), save the tetrahedron's and the cube's exact roots of
-unity; ``PovmFamily.orbits`` gives the shape without building a vector.
+(a_u, b_u), its m phases w_j and its scale, outcome m u + j, row m u + j
+of the (n, 2) complex array used throughout the package, is
+scale * (a_u, b_u w_j).  The phases are exp(-2*pi*1j*j/m), save the
+tetrahedron's and the cube's exact roots of unity.  The five solids' rules
+are one table; ``PovmFamily.orbits`` gives the shape without any vector.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ _CONVERSIONS = (("m", functools.partial(_integer, name="m")), ("alpha", _real), 
 @dataclass(frozen=True)
 class PovmFamily:
     """Identifies one measurement family and its parameters, each converted
-    and checked once, here; InvalidParameterError for one missing,
-    ill-typed or ignored, for a ring of fewer than two outcomes and for a
-    dihedral seed that is not finite and normalized with alpha >= 0."""
+    and checked once, here; InvalidParameterError for an unknown kind, for a
+    parameter missing, ill-typed or ignored, for a ring of fewer than two
+    outcomes and for a dihedral seed not finite and normalized, alpha >= 0."""
 
     kind: str
     m: Optional[int] = None
@@ -98,7 +98,7 @@ class PovmFamily:
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
-            return  # an unknown kind fails where it is used
+            raise InvalidParameterError(f"unknown family kind {self.kind!r}")
         for name, convert in _CONVERSIONS:
             value = getattr(self, name)
             if (name in _PARAMETERS.get(self.kind, ())) != (value is not None):
@@ -179,48 +179,6 @@ class PovmFamily:
         return data
 
 
-@dataclass(frozen=True)
-class PlatonicConstants:
-    """Vector amplitudes (before orbit rescaling) for one platonic solid."""
-
-    alpha: float
-    beta: float
-    gamma: Optional[float]
-    delta: Optional[float]
-    omega_order: int
-    rescale: float
-
-
-@functools.cache
-def platonic_constants(kind: str) -> PlatonicConstants:
-    """Closed-form amplitudes for the requested solid, computed once per
-    kind; an unknown kind raises, and is not cached."""
-    if kind in (TETRAHEDRON, CUBE, OCTAHEDRON):
-        alpha = np.sqrt((3 + np.sqrt(3)) / 6)
-        beta = np.sqrt((3 - np.sqrt(3)) / 6)
-        order = {TETRAHEDRON: 4, CUBE: 4, OCTAHEDRON: 3}[kind]
-        scale = {
-            TETRAHEDRON: np.sqrt(1 / 2),
-            CUBE: 0.5,
-            OCTAHEDRON: np.sqrt(1 / 3),
-        }[kind]
-        return PlatonicConstants(alpha, beta, None, None, order, scale)
-    if kind in (DODECAHEDRON, ICOSAHEDRON):
-        outer = np.sqrt(75 + 30 * np.sqrt(5)) / 30
-        inner = np.sqrt(75 - 30 * np.sqrt(5)) / 30
-        alpha = np.sqrt(0.5 + outer)
-        beta = np.sqrt(0.5 - outer)
-        if kind == DODECAHEDRON:
-            gamma = np.sqrt(0.5 + inner)
-            delta = np.sqrt(0.5 - inner)
-            return PlatonicConstants(alpha, beta, gamma, delta, 5, np.sqrt(1 / 10))
-        # the twelve-point solid flips the sign choice in the inner ring
-        gamma = np.sqrt(0.5 - inner)
-        delta = np.sqrt(0.5 + inner)
-        return PlatonicConstants(alpha, beta, gamma, delta, 3, np.sqrt(1 / 6))
-    raise InvalidParameterError(f"unknown platonic solid {kind!r}")
-
-
 @dataclass(eq=False)
 class Povm:
     """A resolved measurement: vectors plus the family that produced them."""
@@ -267,27 +225,38 @@ def _phases(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(m) / m)
 
 
+def _solid_rules() -> dict:
+    """kind -> each solid's (seed rows, phases, scale), as ``_orbit_rule``
+    returns it: the one place a solid is defined.  a, b = sqrt((3 +- sqrt 3)
+    / 6); alpha, beta = sqrt(1/2 +- outer), gamma, delta = sqrt(1/2 +- inner)."""
+    a, b = np.sqrt((3 + np.sqrt(3)) / 6), np.sqrt((3 - np.sqrt(3)) / 6)
+    outer = np.sqrt(75 + 30 * np.sqrt(5)) / 30
+    inner = np.sqrt(75 - 30 * np.sqrt(5)) / 30
+    alpha, beta = np.sqrt(0.5 + outer), np.sqrt(0.5 - outer)
+    gamma, delta = np.sqrt(0.5 + inner), np.sqrt(0.5 - inner)
+    mirrored, upper = ((a, b), (b, -a)), ((alpha, beta), (beta, -alpha))
+    return {
+        TETRAHEDRON: (((a, b), (b, 1j * a)), (1, -1), np.sqrt(1 / 2)),
+        CUBE: (mirrored, (1, 1j, -1, -1j), 0.5),  # exact fourth roots of unity
+        OCTAHEDRON: (mirrored, 3, np.sqrt(1 / 3)),
+        DODECAHEDRON: (upper + ((gamma, delta), (delta, -gamma)), 5, np.sqrt(1 / 10)),
+        # the twelve-point solid swaps gamma and delta in its lower orbits
+        ICOSAHEDRON: (upper + ((delta, gamma), (gamma, -delta)), 3, np.sqrt(1 / 6)),
+    }
+
+
+_SOLIDS = _solid_rules()
+
+
 def _orbit_rule(family: PovmFamily) -> tuple:
     """The family's seed rows (a_u, b_u), its phases w_j, as their number m
     for ``_phases(m)`` or as exact values, and its scale."""
-    kind = family.kind
-    if kind == CYCLIC:
+    if family.kind == CYCLIC:
         return [(1, 1)], family.m, np.sqrt(1 / family.m)
-    if kind == DIHEDRAL:
+    if family.kind == DIHEDRAL:
         a, b = family.alpha, family.beta
         return [(a, b), (b, a)], family.m, np.sqrt(1 / family.m)
-    if kind not in PLATONIC_KINDS:
-        raise InvalidParameterError(f"unknown family kind {kind!r}")
-    c = platonic_constants(kind)
-    a, b = c.alpha, c.beta
-    if kind == TETRAHEDRON:
-        return [(a, b), (b, 1j * a)], (1, -1), c.rescale
-    if kind == CUBE:  # exact fourth roots of unity
-        return [(a, b), (b, -a)], (1, 1j, -1, -1j), c.rescale
-    if kind == OCTAHEDRON:
-        return [(a, b), (b, -a)], 3, c.rescale
-    seeds = [(a, b), (b, -a), (c.gamma, c.delta), (c.delta, -c.gamma)]
-    return seeds, c.omega_order, c.rescale
+    return _SOLIDS[family.kind]
 
 
 def _ring_separation(m: int, alpha: float, beta: complex) -> float:

@@ -252,8 +252,8 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     probs = np.asarray(probabilities, dtype=float)
     shots = _integer(shots, "shots")
     seed = _seed(seed)
-    if shots < 1:
-        raise InvalidParameterError("shots must be positive")
+    if not 1 <= shots <= 2**63 - 1:  # the int64 counts hold at most 2^63 - 1
+        raise InvalidParameterError("shots must be between 1 and 2^63 - 1")
     if probs.ndim != 1 or probs.size == 0:
         raise InvalidParameterError(
             f"probabilities must be a nonempty 1-D array, got shape {probs.shape}"

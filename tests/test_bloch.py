@@ -83,6 +83,21 @@ def test_outside_ball_rejected():
         bloch_to_state([0.8, 0.8, 0.8])
 
 
+@pytest.mark.parametrize(
+    "point, norm",
+    [
+        ([0, 0, 1.0000001], "1.0000001"),
+        ([0, 0, 1 + 2e-12], "1.000000000002"),
+        ([1e308, 1e308, 0], "1.4142135623730951e+308"),
+    ],
+)
+def test_a_norm_just_outside_the_ball_prints_above_1(point, norm):
+    """The norm prints in its shortest round-trip form, so that one just
+    outside the ball does not read as 1."""
+    with pytest.raises(OutsideBallError, match=re.escape(f"| = {norm} > 1")):
+        bloch_to_state(point)
+
+
 def test_validate_rejects_non_hermitian():
     with pytest.raises(InvalidStateError):
         validate_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))

@@ -279,6 +279,8 @@ def test_output_to_file(tmp_path):
         ["verify", "--all", "--states", "x"],
         ["verify", "--all", "--seed", "x"],
         ["sample", "cube", "--shots", "2.5"],
+        ["sample", "cube", "--shots", "9223372036854775808"],
+        ["simulate", "cube", "--state", "0,0,1.0000001"],
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
@@ -323,6 +325,8 @@ def test_output_to_file(tmp_path):
         "states-not-a-number",
         "seed-not-a-number",
         "shots-not-an-integer",
+        "shots-over-int64",
+        "state-just-outside-the-ball",
         "bloch-out-of-memory",
         "verify-out-of-memory",
         "all-with-family",

@@ -1,5 +1,6 @@
 """Oracle tests for the unitary dilations of the measurement families."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,28 @@ def test_orbit_mixers_are_unitary():
         assert unitarity_residual(orbit_mixer(kind)) < 1e-14
 
 
+# The tetrahedron is left out: its mixer's row 1 is (b, -a), and the
+# controlled phase before it supplies the i of its seed row (b, i a).
+@pytest.mark.parametrize("kind", [CUBE, OCTAHEDRON, DODECAHEDRON, ICOSAHEDRON])
+def test_orbit_mixer_sends_each_orbit_to_its_seed_row(kind):
+    """Rows 0 and 1 of the mixer are sqrt(m) scale (a_u)_u and
+    sqrt(m) scale (b_u)_u, read from the built vectors: row m u is
+    scale (a_u, b_u)."""
+    family = PovmFamily.platonic(kind)
+    _, m = family.orbits
+    seeds = build_povm(family).vectors[::m]
+    assert np.abs(orbit_mixer(kind)[:2] - np.sqrt(m) * seeds.T).max() < 1e-15
+
+
+def test_orbit_mixer_bytes_are_pinned():
+    """SHA-256 over ``orbit_mixer(kind).tobytes()`` for PLATONIC_KINDS in
+    order, the digest of the mixers at commit f5d8dec."""
+    digest = hashlib.sha256()
+    for kind in PLATONIC_KINDS:
+        digest.update(orbit_mixer(kind).tobytes())
+    assert digest.hexdigest() == "77a314ecf10785f8d812f7e7050e71ae2b97162cad365e795bb7b3cf1987553d"
+
+
 def test_tetrahedron_dilation_matrix():
     d = structured_dilation(platonic_povm(TETRAHEDRON))
     a, b = TCO_A, TCO_B
@@ -334,10 +357,10 @@ def test_generic_completion_rejects_incomplete_vectors():
 
 
 def test_structured_dilation_rejects_unknown_kind():
-    p = cyclic_povm(3)
-    odd = Povm(p.vectors, PovmFamily(kind="prism", m=3))
-    with pytest.raises(InvalidParameterError):
-        structured_dilation(odd)
+    """A family of an unknown kind is refused where it is made, so no
+    dilation can be asked for it."""
+    with pytest.raises(InvalidParameterError, match="unknown family kind"):
+        PovmFamily(kind="prism", m=3)
 
 
 def test_dilation_json_export():

@@ -28,10 +28,10 @@ from povmkit.families import (
     build_povm,
     cyclic_povm,
     dihedral_povm,
-    platonic_constants,
     platonic_povm,
     rotate_povm,
     validate_povm,
+    _SOLIDS,
 )
 
 from helpers import closest_pair_distance
@@ -255,40 +255,36 @@ def test_ring_size_must_be_an_integer(make):
 
 def test_shared_tetra_cube_octa_constants():
     for kind in (TETRAHEDRON, CUBE, OCTAHEDRON):
-        c = platonic_constants(kind)
-        assert abs(c.alpha**2 - (3 + np.sqrt(3)) / 6) < 1e-12
-        assert abs(c.beta**2 - (3 - np.sqrt(3)) / 6) < 1e-12
-        assert c.gamma is None and c.delta is None
-    assert platonic_constants(TETRAHEDRON).omega_order == 4
-    assert platonic_constants(CUBE).omega_order == 4
-    assert platonic_constants(OCTAHEDRON).omega_order == 3
+        seeds, _, _ = _SOLIDS[kind]
+        a, b = seeds[0]
+        assert abs(a**2 - (3 + np.sqrt(3)) / 6) < 1e-12
+        assert abs(b**2 - (3 - np.sqrt(3)) / 6) < 1e-12
+        assert len(seeds) == 2
 
 
 def test_rescale_factors():
-    assert abs(platonic_constants(TETRAHEDRON).rescale - np.sqrt(1 / 2)) < 1e-15
-    assert abs(platonic_constants(CUBE).rescale - 0.5) < 1e-15
-    assert abs(platonic_constants(OCTAHEDRON).rescale - np.sqrt(1 / 3)) < 1e-15
-    assert abs(platonic_constants(DODECAHEDRON).rescale - np.sqrt(1 / 10)) < 1e-15
-    assert abs(platonic_constants(ICOSAHEDRON).rescale - np.sqrt(1 / 6)) < 1e-15
+    assert abs(_SOLIDS[TETRAHEDRON][2] - np.sqrt(1 / 2)) < 1e-15
+    assert abs(_SOLIDS[CUBE][2] - 0.5) < 1e-15
+    assert abs(_SOLIDS[OCTAHEDRON][2] - np.sqrt(1 / 3)) < 1e-15
+    assert abs(_SOLIDS[DODECAHEDRON][2] - np.sqrt(1 / 10)) < 1e-15
+    assert abs(_SOLIDS[ICOSAHEDRON][2] - np.sqrt(1 / 6)) < 1e-15
 
 
 def test_dodecahedron_constants():
-    c = platonic_constants(DODECAHEDRON)
-    assert abs(c.alpha - DOD_A) < 1e-15
-    assert abs(c.beta - DOD_B) < 1e-15
-    assert abs(c.gamma - DOD_G) < 1e-15
-    assert abs(c.delta - DOD_D) < 1e-15
-    assert c.omega_order == 5
+    (a, b), _, (g, d), _ = _SOLIDS[DODECAHEDRON][0]
+    assert abs(a - DOD_A) < 1e-15
+    assert abs(b - DOD_B) < 1e-15
+    assert abs(g - DOD_G) < 1e-15
+    assert abs(d - DOD_D) < 1e-15
 
 
 def test_icosahedron_swaps_inner_constants():
-    c = platonic_constants(ICOSAHEDRON)
-    assert abs(c.alpha - DOD_A) < 1e-15
-    assert abs(c.beta - DOD_B) < 1e-15
+    (a, b), _, (g, d), _ = _SOLIDS[ICOSAHEDRON][0]
+    assert abs(a - DOD_A) < 1e-15
+    assert abs(b - DOD_B) < 1e-15
     # the inner-ring radical takes the opposite sign choice
-    assert abs(c.gamma - DOD_D) < 1e-15
-    assert abs(c.delta - DOD_G) < 1e-15
-    assert c.omega_order == 3
+    assert abs(g - DOD_D) < 1e-15
+    assert abs(d - DOD_G) < 1e-15
 
 
 def test_unknown_platonic_kind():
@@ -309,7 +305,7 @@ def test_outcome_count_matches_built_povm(family):
 
 def test_outcome_count_of_unknown_kind():
     with pytest.raises(InvalidParameterError, match="unknown family kind"):
-        PovmFamily(kind="cuboctahedron").n_outcomes
+        PovmFamily(kind="cuboctahedron")
 
 
 ORBIT_SHAPES = [
@@ -600,7 +596,7 @@ def test_build_povm_dispatch():
     assert build_povm(PovmFamily.dihedral(3, 0.6, 0.8)).n == 6
     assert build_povm(PovmFamily.platonic(ICOSAHEDRON)).n == 12
     with pytest.raises(InvalidParameterError, match="unknown family kind"):
-        build_povm(PovmFamily(kind="hexagon"))
+        PovmFamily(kind="hexagon")
 
 
 @pytest.mark.parametrize("family", default_verify_matrix(), ids=lambda f: f.label())
@@ -632,11 +628,3 @@ def test_povm_json_export():
 def test_cyclic_family_json():
     data = cyclic_povm(3).to_dict()
     assert data["family"] == {"kind": CYCLIC, "m": 3}
-
-
-@pytest.mark.parametrize("kind", PLATONIC_KINDS)
-def test_platonic_constants_are_computed_once_per_kind(kind):
-    first = platonic_constants(kind)
-    assert platonic_constants(kind) is first
-    # the same expressions, so the values are those of a fresh evaluation
-    assert platonic_constants.__wrapped__(kind) == first

@@ -518,6 +518,13 @@ def test_sample_rejects_non_integral_shots(shots):
     assert sample([0.5, 0.5], np.int64(10), 1).counts.sum() == 10
 
 
+@pytest.mark.parametrize("shots", [2**63, np.uint64(2**63), 10**30])
+def test_sample_refuses_more_shots_than_its_counts_hold(shots):
+    """Refused before any word is drawn: int64 counts hold at most 2^63 - 1."""
+    with pytest.raises(InvalidParameterError, match=r"2\^63 - 1"):
+        sample([0.5, 0.5], shots, 1)
+
+
 @pytest.mark.parametrize("seed", [2.5, True, None])
 def test_sample_rejects_non_integral_seed(seed):
     with pytest.raises(InvalidParameterError):
