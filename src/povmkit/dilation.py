@@ -246,10 +246,12 @@ def _structured_factors(family) -> tuple[int, list]:
     return l, [(Fourier(m, conjugate), low, gates), *mixer(family, l)]
 
 
-# Families whose structured builds are kept.  ``verify --all`` asks for 17
-# families, the ``large`` benchmark workload for 5 inputs after 3 warm-ups
-# and ``sample-stream`` for 4, so 64 keeps every family of a run; a full
-# cache of the largest builds (12-qubit rings) holds about 0.5 MB.
+# Families whose structured builds are kept, and (family, method) pairs whose
+# checked structures ``simulate.verify_family`` keeps.  ``verify --all`` asks
+# for 17 families, the ``large`` benchmark workload for 5 inputs after 3
+# warm-ups and ``sample-stream`` for 4, so 64 keeps every family of a run.
+# A full cache of the largest entries (12-qubit rings) holds about 0.5 MB of
+# builds and 19 MB of checked structures.
 _BUILDS_KEPT = 64
 
 

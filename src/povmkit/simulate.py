@@ -13,16 +13,18 @@ columns fixes its statistics for every state.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .bloch import validate_density_matrix
 from .circuits import Circuit, circuit_isometry, compile_circuit, synthesize_circuit
 from .dilation import (
+    _BUILDS_KEPT,
     DilatedMeasurement,
     generic_completion,
     register_size,
@@ -71,7 +73,7 @@ def analytic_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ni,...ij,nj->...n", v.conj(), rho, v).real
 
 
-def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
+def _register_probabilities(outcome_positions, padding_positions, isometry, rho):
     """Outcome probabilities and the largest padding probability of the
     diagonal of U (rho + 0) U^dag, from U's first two columns.
 
@@ -79,8 +81,8 @@ def _register_probabilities(dilated: DilatedMeasurement, isometry, rho):
     The leak is never below 0, and a NaN anywhere in the padding shows in it.
     """
     diagonal = np.einsum("ia,...ab,ib->...i", isometry, rho, isometry.conj()).real
-    leak = diagonal[..., dilated.padding_positions].max(axis=-1, initial=0.0)
-    return diagonal[..., dilated.outcome_positions], leak
+    leak = diagonal[..., padding_positions].max(axis=-1, initial=0.0)
+    return diagonal[..., outcome_positions], leak
 
 
 def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.ndarray:
@@ -88,7 +90,9 @@ def _checked_probabilities(dilated: DilatedMeasurement, isometry, rho) -> np.nda
     if the leak exceeds PADDING_TOL anywhere, then InvalidParameterError if the
     dilation's vector rows are not its measurement's to DILATION_TOL: a
     structured dilation reads only the family, not a rotation of it."""
-    probs, leak = _register_probabilities(dilated, isometry, rho)
+    probs, leak = _register_probabilities(
+        dilated.outcome_positions, dilated.padding_positions, isometry, rho
+    )
     leak = float(np.max(leak))
     if not leak <= PADDING_TOL:
         raise PaddingLeakError(f"padding basis states carry probability {leak:.3e}")
@@ -381,6 +385,81 @@ class VerificationReport:
         return data
 
 
+class _Structure(NamedTuple):
+    """What ``verify_family`` finds of one family and method before any
+    state is drawn.  It holds no r x r array: the dilation, the compiled
+    circuit and the adjoint are freed once the r x r checks have read them."""
+
+    povm: Povm
+    outcome_positions: np.ndarray
+    padding_positions: np.ndarray
+    isometry: np.ndarray  # read-only (r, 2): the columns the states run through
+    n_outcomes: int
+    dim: int
+    n_qubits: int
+    gate_count: Optional[int]
+    completeness_residual: float
+    unitarity_residual: float
+    embedding_residual: float
+    circuit_distance: Optional[float]
+    failures: tuple
+
+
+@functools.lru_cache(maxsize=_BUILDS_KEPT)
+def _structure(family: PovmFamily, method: str) -> _Structure:
+    """The vectors, the dilation and (for the structured method) the
+    circuit, and their residuals and verdicts, which no seed changes.
+
+    A degenerate seed raises DegenerateOrbitError, which the cache does not
+    keep, so each call refuses it again.
+    """
+    povm = build_povm(family)
+    failures = []
+    # build_povm already rejected a degenerate dihedral seed
+    completeness = completeness_residual(povm)
+    if not completeness <= COMPLETENESS_TOL:
+        failures.append("completeness")
+
+    build = structured_dilation if method == "structured" else generic_completion
+    dilated = build(povm)
+    unitarity = dilated.unitarity_residual()
+    embedding = dilated.embedding_residual()
+    if not unitarity <= DILATION_TOL:
+        failures.append("unitarity")
+    if not embedding <= DILATION_TOL:
+        failures.append("embedding")
+
+    gate_count = distance = None
+    if method == "structured":
+        circuit = synthesize_circuit(dilated)
+        gate_count = len(circuit.gates)
+        u = compile_circuit(circuit)
+        # the adjoint as one C-ordered copy, which vdot does not copy again
+        adjoint = np.conjugate(dilated.matrix.T, order="C")
+        distance = distance_up_to_global_phase(u, adjoint)
+        if not distance <= CIRCUIT_DISTANCE_TOL:
+            failures.append("circuit")
+    else:
+        u = dilated.matrix[:2].conj().T
+
+    arrays = (dilated.outcome_positions, dilated.padding_positions, u[:, :2].copy())
+    for array in arrays:
+        array.setflags(write=False)
+    return _Structure(
+        povm,
+        *arrays,
+        n_outcomes=povm.n,
+        dim=dilated.dim,
+        n_qubits=dilated.n_qubits,
+        gate_count=gate_count,
+        completeness_residual=completeness,
+        unitarity_residual=unitarity,
+        embedding_residual=embedding,
+        circuit_distance=distance,
+        failures=tuple(failures),
+    )
+
+
 def verify_family(
     family: PovmFamily,
     n_states: int = 20,
@@ -391,58 +470,53 @@ def verify_family(
 
     Builds the vectors, the dilation and (for the structured method) the
     circuit, then compares circuit statistics with the analytic ones on
-    ``n_states`` seeded random density matrices.  A degenerate seed is
-    reported as a failed run with the cause recorded, not an exception.
-    Every verdict is written so that a NaN residual fails it.
+    ``n_states`` seeded random density matrices.  Everything but the
+    states is fixed by the family and method, so it is built and checked
+    once per process and kept, for the ``_BUILDS_KEPT`` pairs used most
+    recently; a later call draws and checks only its states.  A degenerate
+    seed is reported as a failed run with the cause recorded, not an
+    exception.  Every verdict is written so that a NaN residual fails it.
     """
     if method not in ("structured", "generic"):
         raise InvalidParameterError("method must be 'structured' or 'generic'")
     n_states = _integer(n_states, "n_states")
     seed = _seed(seed)
-    if n_states < 1:
-        raise InvalidParameterError("verification needs at least one state")
+    # numpy sizes no array of more than the largest intp bytes, and the
+    # (n, 2, 2) complex states take 64 n
+    limit = np.iinfo(np.intp).max // 64
+    if not 1 <= n_states <= limit:
+        raise InvalidParameterError(
+            "verification needs at least one state"
+            if n_states < 1
+            else f"{n_states:.3g} states are too many for one array"
+        )
     register_size(family.n_outcomes)  # the cap, before any vector is built
     report = VerificationReport(
         label=family.label(), family=family.to_dict(), method=method, seed=seed
     )
     try:
-        povm = build_povm(family)
+        structure = _structure(family, method)
     except DegenerateOrbitError as exc:
         report.error = str(exc)
         return report
-
-    report.n_outcomes = povm.n
-    # build_povm already rejected a degenerate dihedral seed
-    report.completeness_residual = completeness_residual(povm)
-    if not report.completeness_residual <= COMPLETENESS_TOL:
-        report.failures.append("completeness")
-
-    build = structured_dilation if method == "structured" else generic_completion
-    dilated = build(povm)
-    report.dim = dilated.dim
-    report.n_qubits = dilated.n_qubits
-    report.unitarity_residual = dilated.unitarity_residual()
-    report.embedding_residual = dilated.embedding_residual()
-    if not report.unitarity_residual <= DILATION_TOL:
-        report.failures.append("unitarity")
-    if not report.embedding_residual <= DILATION_TOL:
-        report.failures.append("embedding")
-
-    if method == "structured":
-        circuit = synthesize_circuit(dilated)
-        report.gate_count = len(circuit.gates)
-        u = compile_circuit(circuit)
-        # the adjoint as one C-ordered copy, which vdot does not copy again
-        adjoint = np.conjugate(dilated.matrix.T, order="C")
-        report.circuit_distance = distance_up_to_global_phase(u, adjoint)
-        if not report.circuit_distance <= CIRCUIT_DISTANCE_TOL:
-            report.failures.append("circuit")
-    else:
-        u = dilated.matrix[:2].conj().T
+    report = replace(
+        report,
+        n_outcomes=structure.n_outcomes,
+        dim=structure.dim,
+        n_qubits=structure.n_qubits,
+        gate_count=structure.gate_count,
+        completeness_residual=structure.completeness_residual,
+        unitarity_residual=structure.unitarity_residual,
+        embedding_residual=structure.embedding_residual,
+        circuit_distance=structure.circuit_distance,
+        failures=list(structure.failures),
+    )
 
     rhos = random_density_matrices(np.random.Generator(np.random.PCG64(seed)), n_states)
-    expected = analytic_probabilities(povm, rhos)
-    folded, leak = _register_probabilities(dilated, u[:, :2], rhos)
+    expected = analytic_probabilities(structure.povm, rhos)
+    folded, leak = _register_probabilities(
+        structure.outcome_positions, structure.padding_positions, structure.isometry, rhos
+    )
     # np.max keeps a NaN where Python's max would drop it
     worst_prob = float(np.abs(folded - expected).max())
     worst_leak = float(leak.max())

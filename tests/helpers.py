@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from povmkit import dilation
+from povmkit import dilation, simulate
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
 from povmkit.linalg import CNOT_MATRIX, apply_gates, direct_sum
@@ -25,9 +25,11 @@ class RawGate(NamedTuple):
 
 
 def clear_shared_gates() -> None:
-    """Empty the cache of structured builds, so that the next call builds
-    every factor and gate again."""
+    """Empty the cache of structured builds and ``verify_family``'s cache of
+    checked structures, so that the next call builds and checks every
+    factor, gate, dilation and circuit again."""
     dilation._build.cache_clear()
+    simulate._structure.cache_clear()
 
 
 def gate_matrix(gate) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from povmkit import circuits, dilation, linalg
+from povmkit import circuits, dilation, linalg, simulate
 from povmkit.circuits import (
     Circuit,
     CnotGate,
@@ -631,15 +631,21 @@ def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Gate, "__init__", counting)
+    # without verify's checked structures, each call dilates and synthesizes
+    # again, from the kept builds
+    simulate._structure.cache_clear()
     for family in families:
         assert verify_family(family, n_states=2).passed
+    assert simulate._structure.cache_info().misses == len(families)
     assert built == []
     # a family's first build makes its gates, a dihedral ring's three here,
     # and fixes their kernels; the next call builds none
     clear_shared_gates()
     verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
     assert sorted(built) == ["cu", "cu", "fourier"]
+    simulate._structure.cache_clear()
     verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
+    assert simulate._structure.cache_info().misses == 1
     assert sorted(built) == ["cu", "cu", "fourier"]
 
 
@@ -664,9 +670,12 @@ def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
         assert np.abs(compile_circuit(circuit)[:, :3] - apply_circuit(circuit, state)).max() < 1e-15
         circuit_isometry(circuit)
     assert classified == []
-    # a family's dilation factors are classified once, with its gates
+    # a family's dilation factors are classified once, with its gates; without
+    # verify's checked structures each call dilates again from the kept builds
+    simulate._structure.cache_clear()
     for family in families:
         verify_family(family, n_states=2)
+    assert simulate._structure.cache_info().misses == len(families)
     assert classified == []
     # a raw matrix given to apply_gates is classified on every call
     apply_gates([(X, [0])], np.eye(2))

@@ -284,6 +284,9 @@ def test_output_to_file(tmp_path):
         # over 2^47 bytes: refused at once, whatever the overcommit setting
         ["bloch", "cyclic", "-m", "1000000000000000"],
         ["verify", "cyclic", "-m", "4", "--states", "1000000000000000"],
+        # states whose (n, 2, 2) complex stack numpy cannot size
+        ["verify", "cyclic", "-m", "4", "--states", "2305843009213693952"],
+        ["verify", "cyclic", "-m", "4", "--states", "9223372036854775808"],
         # a family argument that would be ignored
         ["verify", "cube", "--all"],
         ["verify", "--all", "-m", "3"],
@@ -329,6 +332,8 @@ def test_output_to_file(tmp_path):
         "state-just-outside-the-ball",
         "bloch-out-of-memory",
         "verify-out-of-memory",
+        "states-past-array-size",
+        "states-past-array-dimension",
         "all-with-family",
         "all-with-m",
         "theta-with-alpha-beta",

@@ -1,7 +1,9 @@
 """Oracle tests for probability computation, sampling and verification."""
 
 import dataclasses
+import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmkit.bloch import validate_density_matrix
-from povmkit import circuits, simulate
+from povmkit import circuits, dilation, simulate
 from povmkit.circuits import (
     Circuit,
     ControlledGate,
@@ -59,7 +61,7 @@ from povmkit.simulate import (
     verify_family,
 )
 
-from helpers import RawGate
+from helpers import RawGate, clear_shared_gates
 
 MIXED = np.eye(2) / 2
 PLUS = np.full((2, 2), 0.5)
@@ -689,7 +691,15 @@ def test_report_dict_shares_no_container_with_the_report():
 
 @pytest.mark.parametrize("n_states", [0, -5])
 def test_verify_rejects_state_count_below_one(n_states):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="needs at least one state$"):
+        verify_family(PovmFamily.cyclic(3), n_states=n_states)
+
+
+@pytest.mark.parametrize("n_states", [2**57, 2**58, 2**63])
+def test_verify_rejects_a_state_count_numpy_cannot_size(n_states):
+    # the (n, 2, 2) complex states take 64 n bytes, past the largest intp;
+    # refused in the check of a count below one, not by numpy's ValueError
+    with pytest.raises(InvalidParameterError, match="states are too many for one array$"):
         verify_family(PovmFamily.cyclic(3), n_states=n_states)
 
 
@@ -735,6 +745,7 @@ def test_verify_runs_no_point_scan_after_building(monkeypatch, family):
 
     monkeypatch.setattr(povmkit.families, "_ring_separation", logged_scan)
     monkeypatch.setattr(povmkit.simulate, "build_povm", logged_build)
+    clear_shared_gates()  # a kept structure would build nothing
     assert verify_family(family, n_states=3).passed
     # the dihedral ring is still checked for degeneracy while it is built
     expected = ["scan"] * (family.kind == "dihedral") + ["built"]
@@ -764,5 +775,95 @@ def test_verify_nan_residuals_fail(monkeypatch):
     monkeypatch.setattr(
         povmkit.simulate, "distance_up_to_global_phase", lambda a, b: np.nan
     )
-    report = verify_family(PovmFamily.cyclic(4), n_states=3)
+    clear_shared_gates()  # a kept structure would run no residual
+    try:
+        report = verify_family(PovmFamily.cyclic(4), n_states=3)
+    finally:
+        clear_shared_gates()  # keep no structure checked by the patched residuals
     assert {"unitarity", "embedding", "circuit"} <= set(report.failures)
+
+
+# ---------------------------------------------------------------- kept structures
+
+
+def _reports_digest(families, methods, seeds, fresh: bool) -> str:
+    digest = hashlib.sha256()
+    for family in families:
+        for method in methods:
+            for seed in seeds:
+                if fresh:
+                    clear_shared_gates()
+                report = verify_family(family, seed=seed, method=method)
+                digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_a_kept_structure_verifies_as_a_fresh_one():
+    from test_golden import golden_families
+
+    families = golden_families()  # up to r = 256, for both methods
+    args = (families, ("structured", "generic"), (1, 7))
+    fresh = _reports_digest(*args, fresh=True)
+    clear_shared_gates()
+    _reports_digest(*args, fresh=False)  # fills the cache
+    misses = simulate._structure.cache_info().misses
+    assert _reports_digest(*args, fresh=False) == fresh
+    assert simulate._structure.cache_info().misses == misses
+
+
+def test_the_kept_structures_stay_within_their_bound():
+    grid = default_verify_matrix()
+    clear_shared_gates()
+    fresh = [verify_family(f, seed=7).to_dict() for f in grid]
+    extra = dilation._BUILDS_KEPT + 8
+    for i in range(extra):  # distinct families, which evict the grid's structures
+        verify_family(PovmFamily.dihedral_from_angle(3 + i % 4, 0.5 + i / extra), n_states=1)
+    assert simulate._structure.cache_info().currsize == dilation._BUILDS_KEPT
+    assert [verify_family(f, seed=7).to_dict() for f in grid] == fresh
+
+
+def test_a_changed_report_does_not_reach_the_next_one():
+    family = PovmFamily.platonic("cube")
+    first = verify_family(family, n_states=2)
+    assert isinstance(simulate._structure(family, "structured").failures, tuple)
+    first.failures.append("circuit")
+    first.family["kind"] = "cyclic"
+    again = verify_family(family, n_states=2)
+    assert again.failures == [] and again.passed
+    assert again.family == family.to_dict()
+
+
+def test_a_degenerate_seed_is_refused_on_every_call_and_never_kept():
+    family = PovmFamily.dihedral_from_angle(4, 1.5707963267948966)
+    clear_shared_gates()
+    reports = [verify_family(family, n_states=1) for _ in range(2)]
+    assert reports[0].error is not None and not reports[0].passed
+    assert reports[1].to_dict() == reports[0].to_dict()
+    assert simulate._structure.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PovmFamily.cyclic(256), PovmFamily.dihedral_from_angle(128, 1.1), PovmFamily.cyclic(200)],
+    ids=lambda f: f.label(),
+)
+@pytest.mark.parametrize("method", ["structured", "generic"])
+def test_a_kept_structure_holds_no_register_sized_square(family, method):
+    # what one 8-qubit structure keeps: the (r, 2) columns, and at most the
+    # vectors and the positions, 72 bytes per basis state in all, and a few
+    # kB of objects; at 12 qubits a full cache holds about 19 MB (README
+    # "Built once")
+    verify_family(family, n_states=1, method=method)
+    dilation._build.cache_clear()
+    simulate._structure.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_family(family, n_states=1, method=method)
+        dilation._build.cache_clear()
+        kept = tracemalloc.get_traced_memory()[0]
+        simulate._structure.cache_clear()
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    r = 256
+    assert 32 * r <= kept <= 72 * r + 4096, kept
