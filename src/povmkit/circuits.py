@@ -26,10 +26,9 @@ inverse QFT, the four-orbit mixer circuit and the dihedral rotations,
 which carry the half swap, are derived apart from the matrices they
 compile to, so the circuit-to-dilation distance checks them.
 
-Each family's structured circuit is built once, when first asked for,
-and its gates are shared through the cache in ``dilation``.  Each call
-still returns a fresh ``Circuit`` with its own gate list, so a caller may
-edit it.
+Each call to ``structured_circuit`` builds a fresh ``Circuit`` with its
+own gates; what ``simulate.verify_family`` checks of a family's circuit is
+kept there, once per process.
 """
 
 from __future__ import annotations
@@ -212,6 +211,7 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self) -> None:
+        self.n_qubits = _integer(self.n_qubits, "a circuit's qubit count")
         if self.n_qubits < 1:
             raise InvalidParameterError("a circuit needs at least one qubit")
         for gate in self.gates:
@@ -281,6 +281,7 @@ def qft_circuit(n_qubits: int) -> Circuit:
 
     Compiles to F_(2^n_qubits) with no global phase slack.
     """
+    n_qubits = _integer(n_qubits, "qft's qubit count")
     if n_qubits < 1:
         raise InvalidParameterError("qft needs at least one qubit")
     gates: list = []

@@ -14,9 +14,9 @@ qubits of its l, then the family's orbit mixer, then for t > 0 the half
 swap CNOT(l - 1 -> t - 1).  ``_FACTOR_TABLE`` holds what differs between
 families from the mixer on, half swap included.
 ``structured_dilation`` applies those factors in turn, and
-``structured_circuit`` joins their gate lists, last first, without U.  The
-family alone decides the factors, so their kernels and gates are built
-once per family, when first asked for, and kept in one bounded cache.
+``structured_circuit`` joins their gate lists, last first, without U.  Each
+call builds the factors, their kernels and gates, afresh; what
+``simulate.verify_family`` checks of a family is kept there, once.
 ``generic_completion`` fills in the rows below the vector rows with an
 orthonormal basis of their complement, which works for any complete set
 of vectors.
@@ -24,7 +24,6 @@ of vectors.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,24 +245,6 @@ def _structured_factors(family) -> tuple[int, list]:
     return l, [(Fourier(m, conjugate), low, gates), *mixer(family, l)]
 
 
-# Families whose structured builds are kept, and (family, method) pairs whose
-# checked structures ``simulate.verify_family`` keeps.  ``verify --all`` asks
-# for 17 families, the ``large`` benchmark workload for 5 inputs after 3
-# warm-ups and ``sample-stream`` for 4, so 64 keeps every family of a run.
-# A full cache of the largest entries (12-qubit rings) holds about 0.5 MB of
-# builds and 19 MB of checked structures.
-_BUILDS_KEPT = 64
-
-
-@functools.lru_cache(maxsize=_BUILDS_KEPT)
-def _build(family) -> tuple:
-    """The register's qubits l, the factors' kernels in the order they apply
-    and the circuit's gates, last factor first."""
-    l, factors = _structured_factors(family)
-    kernels = tuple(_kernel(u, qubits) for u, qubits, _ in factors)
-    return l, kernels, tuple(g for *_, gates in reversed(factors) for g in gates)
-
-
 def structured_dilation(povm: Povm) -> DilatedMeasurement:
     """Dilation built from the family's row of the factor table.
 
@@ -272,9 +253,9 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
     column's orbit blocks, the rest by their forms.  Outcome m u + j, the
     j-th of orbit u, sits on basis state (r / count) u + j.
     """
-    l, kernels, _ = _build(povm.family)
+    l, factors = _structured_factors(povm.family)
     r = 1 << l
-    matrix = _apply_in_place(kernels, np.eye(r, dtype=complex))
+    matrix = _apply_in_place((_kernel(u, q) for u, q, _ in factors), np.eye(r, dtype=complex))
     count, m = povm.family.orbits
     positions = ((r // count) * np.arange(count)[:, None] + np.arange(m)).ravel()
     return DilatedMeasurement(povm, matrix, positions, "structured")
@@ -283,9 +264,10 @@ def structured_dilation(povm: Povm) -> DilatedMeasurement:
 def structured_circuit(povm: Povm) -> Circuit:
     """The factors' gate lists, last factor first: a circuit compiling to the
     adjoint of ``structured_dilation(povm)``, with no r x r matrix built.
-    The gates are shared between calls for the same family."""
-    l, _, gates = _build(povm.family)
-    return Circuit(l, list(gates), povm.family.label())
+    Each call builds its gates afresh."""
+    l, factors = _structured_factors(povm.family)
+    gates = [g for *_, factor_gates in reversed(factors) for g in factor_gates]
+    return Circuit(l, gates, povm.family.label())
 
 
 def generic_completion(povm: Povm) -> DilatedMeasurement:

@@ -24,7 +24,6 @@ import numpy as np
 from .bloch import validate_density_matrix
 from .circuits import Circuit, circuit_isometry, compile_circuit, synthesize_circuit
 from .dilation import (
-    _BUILDS_KEPT,
     DilatedMeasurement,
     generic_completion,
     register_size,
@@ -148,7 +147,7 @@ class SampleCounts:
     def total_variation(self, probabilities) -> float:
         """Half the 1-norm distance of the frequencies from ``probabilities``,
         which must hold one value per outcome."""
-        p = np.asarray(probabilities, dtype=float)
+        p = _real_array(probabilities)
         if p.shape != self.counts.shape:
             raise InvalidParameterError(
                 f"probabilities must have shape {self.counts.shape}, got {p.shape}"
@@ -161,6 +160,16 @@ class SampleCounts:
             "seed": self.seed,
             "counts": [int(c) for c in self.counts],
         }
+
+
+def _real_array(probabilities) -> np.ndarray:
+    """``probabilities`` as a float array; InvalidParameterError unless they
+    are real numbers: a float conversion would drop an imaginary part with
+    only a warning, and parse text."""
+    array = np.asarray(probabilities)
+    if array.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"probabilities must be real numbers, got {array.dtype}")
+    return np.asarray(array, dtype=float)
 
 
 def _seed(value) -> int:
@@ -253,7 +262,7 @@ def sample(probabilities, shots: int, seed: int = DEFAULT_SEED) -> SampleCounts:
     ``shots`` and W.  The counting is integer and the spans' counts add,
     so the counts are the same on every run, for any W and any cut.
     """
-    probs = np.asarray(probabilities, dtype=float)
+    probs = _real_array(probabilities)
     shots = _integer(shots, "shots")
     seed = _seed(seed)
     if not 1 <= shots <= 2**63 - 1:  # the int64 counts hold at most 2^63 - 1
@@ -394,15 +403,15 @@ class _Structure(NamedTuple):
     outcome_positions: np.ndarray
     padding_positions: np.ndarray
     isometry: np.ndarray  # read-only (r, 2): the columns the states run through
-    n_outcomes: int
-    dim: int
-    n_qubits: int
-    gate_count: Optional[int]
-    completeness_residual: float
-    unitarity_residual: float
-    embedding_residual: float
-    circuit_distance: Optional[float]
-    failures: tuple
+    report: VerificationReport  # no family or seed; the failures as a tuple
+
+
+# (family, method) pairs whose checked structures ``verify_family`` keeps,
+# the package's one per-process cache.  ``verify --all`` asks for 17
+# families, the ``large`` benchmark workload for 5 inputs after 3 warm-ups
+# and ``sample-stream`` for 4, so 64 keeps every family of a run.  A full
+# cache of the largest entries (12-qubit rings) holds about 19 MB.
+_BUILDS_KEPT = 64
 
 
 @functools.lru_cache(maxsize=_BUILDS_KEPT)
@@ -445,9 +454,10 @@ def _structure(family: PovmFamily, method: str) -> _Structure:
     arrays = (dilated.outcome_positions, dilated.padding_positions, u[:, :2].copy())
     for array in arrays:
         array.setflags(write=False)
-    return _Structure(
-        povm,
-        *arrays,
+    report = VerificationReport(
+        label=family.label(),
+        family=None,
+        method=method,
         n_outcomes=povm.n,
         dim=dilated.dim,
         n_qubits=dilated.n_qubits,
@@ -458,6 +468,7 @@ def _structure(family: PovmFamily, method: str) -> _Structure:
         circuit_distance=distance,
         failures=tuple(failures),
     )
+    return _Structure(povm, *arrays, report)
 
 
 def verify_family(
@@ -491,25 +502,15 @@ def verify_family(
             else f"{n_states:.3g} states are too many for one array"
         )
     register_size(family.n_outcomes)  # the cap, before any vector is built
-    report = VerificationReport(
-        label=family.label(), family=family.to_dict(), method=method, seed=seed
-    )
     try:
         structure = _structure(family, method)
     except DegenerateOrbitError as exc:
-        report.error = str(exc)
-        return report
+        return VerificationReport(family.label(), family.to_dict(), method, seed, error=str(exc))
     report = replace(
-        report,
-        n_outcomes=structure.n_outcomes,
-        dim=structure.dim,
-        n_qubits=structure.n_qubits,
-        gate_count=structure.gate_count,
-        completeness_residual=structure.completeness_residual,
-        unitarity_residual=structure.unitarity_residual,
-        embedding_residual=structure.embedding_residual,
-        circuit_distance=structure.circuit_distance,
-        failures=list(structure.failures),
+        structure.report,
+        family=family.to_dict(),
+        seed=seed,
+        failures=list(structure.report.failures),
     )
 
     rhos = random_density_matrices(np.random.Generator(np.random.PCG64(seed)), n_states)

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from povmkit import dilation, simulate
+from povmkit import simulate
 from povmkit.dilation import _dihedral_factor
 from povmkit.errors import InvalidDimensionError, PhaseUndefinedWarning
 from povmkit.linalg import CNOT_MATRIX, apply_gates, direct_sum
@@ -24,11 +24,10 @@ class RawGate(NamedTuple):
         return self.matrix
 
 
-def clear_shared_gates() -> None:
-    """Empty the cache of structured builds and ``verify_family``'s cache of
-    checked structures, so that the next call builds and checks every
-    factor, gate, dilation and circuit again."""
-    dilation._build.cache_clear()
+def clear_kept_structures() -> None:
+    """Empty ``verify_family``'s record of checked structures, the package's
+    one cache, so that its next call builds and checks every factor, gate,
+    dilation and circuit again."""
     simulate._structure.cache_clear()
 
 

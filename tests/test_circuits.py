@@ -26,7 +26,6 @@ from povmkit.circuits import (
     qft_circuit,
     synthesize_circuit,
 )
-from povmkit.cli import default_verify_matrix
 from povmkit.dilation import (
     generic_completion,
     orbit_mixer,
@@ -54,7 +53,7 @@ from povmkit.linalg import (
 )
 from povmkit.simulate import analytic_probabilities, circuit_probabilities, verify_family
 
-from helpers import clear_shared_gates, gate_matrix, gate_unitary, one_shot_fourier
+from helpers import clear_kept_structures, gate_matrix, gate_unitary, one_shot_fourier
 from test_golden import golden_families
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -202,6 +201,21 @@ def test_circuit_range_validation():
         Circuit(1, [SingleQubitGate(1, X)])
     with pytest.raises(InvalidParameterError):
         Circuit(0, [])
+
+
+@pytest.mark.parametrize("make", [Circuit, qft_circuit], ids=["circuit", "qft"])
+@pytest.mark.parametrize(
+    "n_qubits", [2.0, True, "2", np.int64(2)], ids=["float", "bool", "text", "numpy-int"]
+)
+def test_a_qubit_count_must_be_an_integer(make, n_qubits):
+    if not isinstance(n_qubits, np.integer):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make(n_qubits)
+        return
+    # stored as a Python int, so the circuit prints as JSON
+    circuit = make(n_qubits)
+    assert type(circuit.n_qubits) is int
+    assert json.loads(json.dumps(circuit.to_dict()))["n_qubits"] == 2
 
 
 # ---------------------------------------------------------------- the fourier kind
@@ -449,7 +463,6 @@ def test_block_budget(family):
 def test_synthesis_checks_no_matrix_wider_than_two_qubits(family, monkeypatch):
     # the Fourier factor is unitary by construction, so no r x r check remains
     d = structured_dilation(build_povm(family))
-    clear_shared_gates()  # so that every gate is built, and checked, again
     widths = []
 
     def spy(a):
@@ -617,10 +630,14 @@ def test_a_returned_circuit_does_not_reach_the_shared_gates(build):
     assert [g.describe() for g in again.gates] == want
 
 
-def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
+def _verify_families():
     families = [PovmFamily.cyclic(m) for m in (5, 16, 256)]
     families += [PovmFamily.dihedral(5, 0.6, 0.8)]
-    families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+    return families + [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+
+
+def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
+    families = _verify_families()
     for family in families:
         verify_family(family, n_states=2)
     built = []
@@ -631,82 +648,68 @@ def test_verify_builds_no_gate_after_a_first_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Gate, "__init__", counting)
-    # without verify's checked structures, each call dilates and synthesizes
-    # again, from the kept builds
-    simulate._structure.cache_clear()
+    # verify's checked structures are kept: a warm call builds nothing
     for family in families:
         assert verify_family(family, n_states=2).passed
-    assert simulate._structure.cache_info().misses == len(families)
     assert built == []
-    # a family's first build makes its gates, a dihedral ring's three here,
-    # and fixes their kernels; the next call builds none
-    clear_shared_gates()
+    # a cold record builds a dihedral ring's three gates for the dilation's
+    # factors, then again for the circuit
+    clear_kept_structures()
     verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
-    assert sorted(built) == ["cu", "cu", "fourier"]
-    simulate._structure.cache_clear()
-    verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
-    assert simulate._structure.cache_info().misses == 1
-    assert sorted(built) == ["cu", "cu", "fourier"]
+    assert built == ["fourier", "cu", "cu"] * 2
 
 
 def test_the_kernel_classifies_no_package_built_gate(monkeypatch):
-    families = [PovmFamily.cyclic(m) for m in (5, 16, 256)]
-    families += [PovmFamily.dihedral(5, 0.6, 0.8)]
-    families += [PovmFamily.platonic(kind) for kind in PLATONIC_KINDS]
+    families = _verify_families()
     circuits_ = [structured_circuit(build_povm(f)) for f in families]
     circuits_ += [qft_circuit(4), inverse_circuit(qft_circuit(3))]
-    for family in families:  # warm the shared structures
+    for family in families:  # warm verify's checked structures
         verify_family(family, n_states=2)
-    classified = []
+    classified = {module: [] for module in (linalg, circuits, dilation)}
 
-    def spy(u, targets):
-        classified.append(type(u).__name__)
-        return _kernel(u, targets)
+    def spy(module):
+        def classify(u, targets):
+            classified[module].append(type(u).__name__)
+            return _kernel(u, targets)
 
-    for module in (linalg, circuits, dilation):
-        monkeypatch.setattr(module, "_kernel", spy)
+        return classify
+
+    for module in classified:
+        monkeypatch.setattr(module, "_kernel", spy(module))
     for circuit in circuits_:
         state = np.eye(2**circuit.n_qubits, 3)
         assert np.abs(compile_circuit(circuit)[:, :3] - apply_circuit(circuit, state)).max() < 1e-15
         circuit_isometry(circuit)
-    assert classified == []
-    # a family's dilation factors are classified once, with its gates; without
-    # verify's checked structures each call dilates again from the kept builds
-    simulate._structure.cache_clear()
+    # a warm verify classifies nothing
     for family in families:
         verify_family(family, n_states=2)
-    assert simulate._structure.cache_info().misses == len(families)
-    assert classified == []
+    assert not any(classified.values())
+    # a cold record classifies a dihedral ring's two dilation factors once,
+    # and its three gates as they are built, for the dilation and the circuit
+    clear_kept_structures()
+    verify_family(PovmFamily.dihedral(5, 0.6, 0.8), n_states=2)
+    assert classified[dilation] == ["Fourier", "ndarray"]
+    assert classified[circuits] == ["Fourier", "ndarray", "ndarray"] * 2
     # a raw matrix given to apply_gates is classified on every call
+    assert classified[linalg] == []
     apply_gates([(X, [0])], np.eye(2))
     apply_gates([(X, [0])], np.eye(2))
-    assert classified == ["ndarray", "ndarray"]
+    assert classified[linalg] == ["ndarray", "ndarray"]
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["plus-zero-first", "minus-zero-first"])
 def test_families_equal_but_for_a_zero_sign_are_one_family(order):
     # the family turns beta's -0.0 imaginary part into +0.0, so the two are
-    # one family, with one build and one printed circuit; the circuits are
-    # compared as text, because == on floats does not see a zero's sign
+    # one family, with one kept structure and one printed circuit; the
+    # circuits are compared as text, because == on floats does not see a
+    # zero's sign
     families = [PovmFamily.dihedral(8, 0.6, 0.8 + 0j), PovmFamily.dihedral(8, 0.6, complex(0.8, -0.0))]
     families = families[::order]
     assert families[0] == families[1] and hash(families[0]) == hash(families[1])
-    povms = [build_povm(f) for f in families]
-    shared = [json.dumps(structured_circuit(p).to_dict()["gates"]) for p in povms]
-    fresh = []
-    for povm in povms:
-        clear_shared_gates()
-        fresh.append(json.dumps(structured_circuit(povm).to_dict()["gates"]))
-    assert shared == fresh
-    assert shared[0] == shared[1]
-
-
-def test_the_cache_of_builds_stays_within_its_bound():
-    grid = default_verify_matrix()
-    clear_shared_gates()
-    fresh = [verify_family(f, seed=7).to_dict() for f in grid]
-    extra = dilation._BUILDS_KEPT + 8
-    for i in range(extra):  # distinct families, which evict the grid's builds
-        verify_family(PovmFamily.dihedral_from_angle(3 + i % 4, 0.5 + i / extra), n_states=1)
-    assert dilation._build.cache_info().currsize == dilation._BUILDS_KEPT
-    assert [verify_family(f, seed=7).to_dict() for f in grid] == fresh
+    printed = [json.dumps(structured_circuit(build_povm(f)).to_dict()["gates"]) for f in families]
+    assert printed[0] == printed[1]
+    clear_kept_structures()
+    reports = [verify_family(f, n_states=2).to_dict() for f in families]
+    info = simulate._structure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert reports[0] == reports[1]

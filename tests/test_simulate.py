@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmkit.bloch import validate_density_matrix
-from povmkit import circuits, dilation, simulate
+from povmkit import circuits, simulate
 from povmkit.circuits import (
     Circuit,
     ControlledGate,
@@ -61,7 +61,7 @@ from povmkit.simulate import (
     verify_family,
 )
 
-from helpers import RawGate, clear_shared_gates
+from helpers import RawGate, clear_kept_structures
 
 MIXED = np.eye(2) / 2
 PLUS = np.full((2, 2), 0.5)
@@ -488,6 +488,26 @@ def test_sample_validation():
         sample([0.5, 0.5], 0)
 
 
+_NOT_REAL = {
+    "complex": [0.5 + 0.3j, 0.5 - 0.3j],
+    "numpy-complex": np.array([0.5, 0.5], dtype=complex),
+    "text": ["0.5", "0.5"],
+    "bytes": [b"0.5", b"0.5"],
+    "object": np.array([0.5, 0.5], dtype=object),
+}
+
+
+@pytest.mark.parametrize("probs", _NOT_REAL.values(), ids=_NOT_REAL)
+def test_sample_and_total_variation_refuse_probabilities_that_are_not_real(probs):
+    # a float conversion would drop the imaginary parts with only a
+    # warning, and parse the text
+    with pytest.raises(InvalidParameterError, match="real numbers"):
+        sample(probs, 10, 1)
+    counts = sample([0.5, 0.5], 10, 1)
+    with pytest.raises(InvalidParameterError, match="real numbers"):
+        counts.total_variation(probs)
+
+
 def test_sample_rejects_negative_seed():
     with pytest.raises(InvalidParameterError):
         sample([0.5, 0.5], 10, seed=-1)
@@ -745,7 +765,7 @@ def test_verify_runs_no_point_scan_after_building(monkeypatch, family):
 
     monkeypatch.setattr(povmkit.families, "_ring_separation", logged_scan)
     monkeypatch.setattr(povmkit.simulate, "build_povm", logged_build)
-    clear_shared_gates()  # a kept structure would build nothing
+    clear_kept_structures()  # a kept structure would build nothing
     assert verify_family(family, n_states=3).passed
     # the dihedral ring is still checked for degeneracy while it is built
     expected = ["scan"] * (family.kind == "dihedral") + ["built"]
@@ -775,11 +795,11 @@ def test_verify_nan_residuals_fail(monkeypatch):
     monkeypatch.setattr(
         povmkit.simulate, "distance_up_to_global_phase", lambda a, b: np.nan
     )
-    clear_shared_gates()  # a kept structure would run no residual
+    clear_kept_structures()  # a kept structure would run no residual
     try:
         report = verify_family(PovmFamily.cyclic(4), n_states=3)
     finally:
-        clear_shared_gates()  # keep no structure checked by the patched residuals
+        clear_kept_structures()  # keep no structure checked by the patched residuals
     assert {"unitarity", "embedding", "circuit"} <= set(report.failures)
 
 
@@ -792,7 +812,7 @@ def _reports_digest(families, methods, seeds, fresh: bool) -> str:
         for method in methods:
             for seed in seeds:
                 if fresh:
-                    clear_shared_gates()
+                    clear_kept_structures()
                 report = verify_family(family, seed=seed, method=method)
                 digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
     return digest.hexdigest()
@@ -804,7 +824,7 @@ def test_a_kept_structure_verifies_as_a_fresh_one():
     families = golden_families()  # up to r = 256, for both methods
     args = (families, ("structured", "generic"), (1, 7))
     fresh = _reports_digest(*args, fresh=True)
-    clear_shared_gates()
+    clear_kept_structures()
     _reports_digest(*args, fresh=False)  # fills the cache
     misses = simulate._structure.cache_info().misses
     assert _reports_digest(*args, fresh=False) == fresh
@@ -813,29 +833,34 @@ def test_a_kept_structure_verifies_as_a_fresh_one():
 
 def test_the_kept_structures_stay_within_their_bound():
     grid = default_verify_matrix()
-    clear_shared_gates()
+    clear_kept_structures()
     fresh = [verify_family(f, seed=7).to_dict() for f in grid]
-    extra = dilation._BUILDS_KEPT + 8
+    extra = simulate._BUILDS_KEPT + 8
     for i in range(extra):  # distinct families, which evict the grid's structures
         verify_family(PovmFamily.dihedral_from_angle(3 + i % 4, 0.5 + i / extra), n_states=1)
-    assert simulate._structure.cache_info().currsize == dilation._BUILDS_KEPT
+    assert simulate._structure.cache_info().currsize == simulate._BUILDS_KEPT
     assert [verify_family(f, seed=7).to_dict() for f in grid] == fresh
 
 
 def test_a_changed_report_does_not_reach_the_next_one():
     family = PovmFamily.platonic("cube")
     first = verify_family(family, n_states=2)
-    assert isinstance(simulate._structure(family, "structured").failures, tuple)
+    assert isinstance(simulate._structure(family, "structured").report.failures, tuple)
+    unitarity = first.unitarity_residual
     first.failures.append("circuit")
     first.family["kind"] = "cyclic"
+    first.unitarity_residual = 1.0
+    first.label = "cyclic(4)"
     again = verify_family(family, n_states=2)
     assert again.failures == [] and again.passed
     assert again.family == family.to_dict()
+    assert again.unitarity_residual == unitarity < 1e-10
+    assert again.label == family.label() == "cube"
 
 
 def test_a_degenerate_seed_is_refused_on_every_call_and_never_kept():
     family = PovmFamily.dihedral_from_angle(4, 1.5707963267948966)
-    clear_shared_gates()
+    clear_kept_structures()
     reports = [verify_family(family, n_states=1) for _ in range(2)]
     assert reports[0].error is not None and not reports[0].passed
     assert reports[1].to_dict() == reports[0].to_dict()
@@ -854,12 +879,10 @@ def test_a_kept_structure_holds_no_register_sized_square(family, method):
     # kB of objects; at 12 qubits a full cache holds about 19 MB (README
     # "Built once")
     verify_family(family, n_states=1, method=method)
-    dilation._build.cache_clear()
     simulate._structure.cache_clear()
     tracemalloc.start()
     try:
         verify_family(family, n_states=1, method=method)
-        dilation._build.cache_clear()
         kept = tracemalloc.get_traced_memory()[0]
         simulate._structure.cache_clear()
         kept -= tracemalloc.get_traced_memory()[0]
