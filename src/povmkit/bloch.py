@@ -24,12 +24,19 @@ STATE_TOL = 1e-10
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check that rho is a qubit density matrix; returns it as complex128.
 
-    Requires a finite 2x2 matrix, Hermitian and of unit trace to within
-    STATE_TOL, with no eigenvalue below -STATE_TOL.  A (..., 2, 2) stack is
-    checked as a whole: every matrix in it must pass, and the first that
-    fails names the error.
+    Requires a finite 2x2 matrix of numbers (bool, integer, real or
+    complex: text and objects are refused, not parsed), Hermitian and of
+    unit trace to within STATE_TOL, with no eigenvalue below -STATE_TOL.
+    A (..., 2, 2) stack is checked as a whole: every matrix in it must
+    pass, and the first that fails names the error.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        array = np.asarray(rho)
+    except (TypeError, ValueError) as exc:  # a ragged nesting
+        raise InvalidStateError(f"density matrix must be an array of numbers: {exc}") from None
+    if array.dtype.kind not in "biufc":
+        raise InvalidStateError(f"density matrix must be an array of numbers, got {array.dtype}")
+    rho = array.astype(complex, copy=False)
     if rho.shape[-2:] != (2, 2):
         raise InvalidStateError(f"density matrix must be 2x2, got {rho.shape}")
     if not np.isfinite(rho).all():
@@ -40,9 +47,18 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     off = np.abs(trace - 1.0) > STATE_TOL
     if off.any():
         raise InvalidStateError(f"trace is {trace[off][0].real}, expected 1")
-    if np.linalg.eigvalsh(rho).min(initial=0.0) < -STATE_TOL:
+    if _lowest_eigenvalue(rho).min(initial=0.0) < -STATE_TOL:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
+
+
+def _lowest_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """The lower eigenvalue of each Hermitian 2x2 in a (..., 2, 2) stack, in
+    closed form: (a + d)/2 - hypot((a - d)/2, |b|), from the real parts a
+    and d of the diagonal and the lower entry b, which are what
+    ``np.linalg.eigvalsh`` reads.  An |b| past the float range reads inf."""
+    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(rho[..., 1, 0]))
 
 
 def state_to_bloch(rho: np.ndarray) -> np.ndarray:

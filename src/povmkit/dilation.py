@@ -49,6 +49,7 @@ from .families import (
     TETRAHEDRON,
     _SOLIDS,
     Povm,
+    _integer,
     completeness_residual,
 )
 from .linalg import (
@@ -75,8 +76,10 @@ def register_size(n_outcomes: int) -> int:
     """Smallest power of two that can hold ``n_outcomes`` basis states.
 
     Raises InvalidParameterError above ``2**MAX_QUBITS`` outcomes, before
-    anything register-sized is allocated.
+    anything register-sized is allocated, and unless ``n_outcomes`` is a
+    Python or numpy integer.
     """
+    n_outcomes = _integer(n_outcomes, "n_outcomes")
     if n_outcomes < 2:
         raise InvalidParameterError("a measurement needs at least two outcomes")
     if n_outcomes > 1 << MAX_QUBITS:

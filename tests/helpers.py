@@ -31,6 +31,12 @@ def clear_kept_structures() -> None:
     simulate._structure.cache_clear()
 
 
+def einsum_born(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<v_j| rho |v_j> for each row of ``vectors``, by the three-operand
+    einsum that ``simulate._born`` replaced: the reference it must match."""
+    return np.einsum("ni,...ij,nj->...n", vectors.conj(), rho, vectors).real
+
+
 def gate_matrix(gate) -> np.ndarray:
     """A gate's dense local matrix.  A fourier gate holds none: its F' =
     F_m (+) I from ``one_shot_fourier``, or conj(F') when ``inverse``."""

@@ -10,12 +10,18 @@ from povmkit.bloch import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    STATE_TOL,
+    _lowest_eigenvalue,
     bloch_to_state,
     povm_element_to_bloch,
     state_to_bloch,
     validate_density_matrix,
 )
 from povmkit.errors import InvalidStateError, OutsideBallError, ZeroOperatorError
+from povmkit.families import cyclic_povm
+from povmkit.simulate import analytic_probabilities
+
+EPS = np.finfo(float).eps
 
 
 def test_pauli_matrices():
@@ -124,6 +130,111 @@ def test_validate_rejects_non_finite_entries(bad):
     rho = np.eye(2, dtype=complex) / 2
     rho[0, 0] = bad
     with pytest.raises(InvalidStateError):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [["0.5", "0"], ["0", "0.5"]],
+        object(),
+        "ab",
+        b"ab",
+        [[0.5, 0.0], [0.5]],
+        np.array([[0.5, 0], [0, 0.5]], dtype=object),
+    ],
+    ids=["text-matrix", "object", "text", "bytes", "ragged", "object-array"],
+)
+def test_validate_refuses_anything_but_numbers(rho):
+    # refused, not parsed as numbers or let through as numpy's TypeError or
+    # ValueError; an object array is refused even when it holds numbers
+    with pytest.raises(InvalidStateError, match="array of numbers"):
+        validate_density_matrix(rho)
+    with pytest.raises(InvalidStateError, match="array of numbers"):
+        analytic_probabilities(cyclic_povm(3), rho)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[1, 0], [0, 0]],
+        np.array([[True, False], [False, False]]),
+        np.diag([1, 0]).astype(np.uint8),
+        np.eye(2, dtype=np.float32) / 2,
+        np.eye(2, dtype=np.complex64) / 2,
+    ],
+    ids=["int", "bool", "uint8", "float32", "complex64"],
+)
+def test_validate_takes_every_numeric_kind(rho):
+    got = validate_density_matrix(rho)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, np.asarray(rho))
+
+
+def _hermitian_stack(entries) -> np.ndarray:
+    """(k, 2, 2) Hermitian matrices from rows (a, d, Re b, Im b)."""
+    a, d, re, im = np.array(entries, dtype=float).reshape(-1, 4).T
+    rho = np.empty((len(a), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = a, d
+    rho[:, 1, 0] = re + 1j * im
+    rho[:, 0, 1] = re - 1j * im
+    return rho
+
+
+ENTRY = st.floats(-1e3, 1e3)
+
+
+@given(st.lists(st.tuples(ENTRY, ENTRY, ENTRY, ENTRY), min_size=1, max_size=8))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_lowest_eigenvalue_matches_eigvalsh(entries):
+    rho = _hermitian_stack(entries)
+    got = _lowest_eigenvalue(rho)
+    want = np.linalg.eigvalsh(rho)[:, 0]
+    scale = np.abs(rho).max(axis=(1, 2))
+    assert np.all(np.abs(got - want) <= 8 * EPS * scale + np.finfo(float).tiny)
+
+
+EDGE_STATE = st.tuples(
+    st.sampled_from([-STATE_TOL, STATE_TOL]),
+    st.floats(1e-13, 1e-12),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0, np.pi),
+    st.floats(0, 2 * np.pi),
+    st.floats(-STATE_TOL / 2, STATE_TOL / 2),
+    st.floats(-STATE_TOL / 2, STATE_TOL / 2),
+)
+
+
+@given(st.lists(EDGE_STATE, min_size=1, max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_validate_decides_an_edge_eigenvalue_as_eigvalsh(states):
+    """States whose lowest eigenvalue lies 1e-13 to 1e-12 from +-STATE_TOL,
+    each with its upper entry moved by less than the Hermitian tolerance:
+    the verdict is eigvalsh's, which reads the lower triangle."""
+    rows, refused = [], False
+    for edge, gap, side, theta, phi, skew_re, skew_im in states:
+        lowest = edge + side * gap
+        radius = 0.5 - lowest
+        b = radius * np.sin(theta) * np.exp(1j * phi)
+        z = radius * np.cos(theta)
+        rows.append(((0.5 + z, 0.5 - z, b.real, b.imag), complex(skew_re, skew_im)))
+        refused |= lowest < -STATE_TOL
+    rho = _hermitian_stack([entries for entries, _ in rows])
+    rho[:, 0, 1] += [skew for _, skew in rows]
+    assert (np.linalg.eigvalsh(rho).min() < -STATE_TOL) == refused
+    assert np.abs(_lowest_eigenvalue(rho) - np.linalg.eigvalsh(rho)[:, 0]).max() <= 4 * EPS
+    if refused:
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            validate_density_matrix(rho)
+    else:
+        validate_density_matrix(rho)
+
+
+def test_validate_refuses_an_off_diagonal_past_the_float_range():
+    # |b| reads inf, so the lowest eigenvalue is -inf, never a NaN that no
+    # comparison with -STATE_TOL refuses
+    rho = np.array([[0.5, 1.5e308 - 1.5e308j], [1.5e308 + 1.5e308j, 0.5]])
+    with pytest.raises(InvalidStateError, match="negative eigenvalue"):
         validate_density_matrix(rho)
 
 

@@ -57,6 +57,17 @@ def test_register_size_needs_two_outcomes():
         register_size(1)
 
 
+@pytest.mark.parametrize(
+    "n, r", [(np.int64(4), 4), (np.uint8(5), 8), (2.0, None), ("4", None), (True, None)], ids=repr
+)
+def test_register_size_takes_only_integers(n, r):
+    if r is None:
+        with pytest.raises(InvalidParameterError, match="n_outcomes must be an integer"):
+            register_size(n)
+    else:
+        assert register_size(n) == r
+
+
 def test_register_size_cap():
     assert register_size(2**MAX_QUBITS) == 2**MAX_QUBITS
     with pytest.raises(InvalidParameterError):

@@ -142,8 +142,8 @@ def test_circuit_compiles_to_the_golden_plain_circuit(golden, k):
 def test_verify_all_reports_match_golden():
     """The seeded states are the same stream, so every report field holds.
 
-    The probability error alone may move in the last place, as a stack of
-    states is contracted in one einsum.
+    The probability error alone may move in the last place, as the
+    Born-rule kernel sums each probability's terms in its own order.
     """
     golden = json.loads(REPORTS.read_text())
     families = default_verify_matrix()

@@ -61,7 +61,7 @@ from povmkit.simulate import (
     verify_family,
 )
 
-from helpers import RawGate, clear_kept_structures
+from helpers import RawGate, clear_kept_structures, einsum_born
 
 MIXED = np.eye(2) / 2
 PLUS = np.full((2, 2), 0.5)
@@ -110,6 +110,43 @@ def test_stacked_analytic_matches_per_state(family):
     assert np.abs(stacked - loop).max() <= 1e-15
     grid = analytic_probabilities(povm, rhos.reshape(4, 5, 2, 2))
     assert np.array_equal(grid.reshape(20, povm.n), stacked)
+
+
+def _born_inputs():
+    """Density matrices as (2, 2), (k, 2, 2) and (a, b, k, 2, 2) stacks,
+    C-ordered, Fortran-ordered and strided."""
+    rhos = random_density_matrices(np.random.default_rng(17), 24)
+    return {
+        "one": rhos[0],
+        "stack": rhos,
+        "grid": rhos.reshape(2, 3, 4, 2, 2),
+        "fortran": np.asfortranarray(rhos),
+        "fortran-one": np.asfortranarray(rhos[1]),
+        "sliced": rhos[::3],
+        "reversed": rhos.reshape(4, 6, 2, 2)[::-1, 1::2],
+        "transposed": rhos.swapaxes(-1, -2).conj(),
+    }
+
+
+@pytest.mark.parametrize("family", family_matrix(), ids=lambda f: f.label())
+def test_born_matches_the_einsum(family):
+    """The real-product kernel gives the einsum's probabilities to a few
+    ulp, whatever the layout of the states or of the vectors."""
+    povm = build_povm(family)
+    matrix = structured_dilation(povm).matrix
+    vector_views = {
+        "vectors": povm.vectors,
+        "fortran": np.asfortranarray(povm.vectors),
+        "reversed": povm.vectors[::-1],
+        "adjoint columns": matrix[:2].conj().T,
+        "columns": matrix.T[:, :2],
+    }
+    for rho in _born_inputs().values():
+        for vectors in vector_views.values():
+            got = simulate._born(vectors, rho)
+            want = einsum_born(vectors, rho)
+            assert got.shape == want.shape == rho.shape[:-2] + (len(vectors),)
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
 
 
 BAD_STATES = {
@@ -345,6 +382,27 @@ def test_probability_paths_never_compile(family, monkeypatch):
     pure = np.outer(psi, psi.conj())
     expected = analytic_probabilities(povm, pure)
     assert np.abs(circuit_probabilities(d, c, pure) - expected).max() < 1e-12
+
+
+def test_probability_paths_call_neither_einsum_nor_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum or np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    clear_kept_structures()  # so that verify_family builds and checks again
+    for family in (PovmFamily.cyclic(5), PovmFamily.dihedral(8, 0.6, 0.8)):
+        for method in ("structured", "generic"):
+            assert verify_family(family, n_states=4, method=method).passed
+        povm = build_povm(family)
+        d = structured_dilation(povm)
+        rhos = random_density_matrices(np.random.default_rng(6), 3)
+        expected = analytic_probabilities(povm, rhos)
+        for got in (
+            dilation_probabilities(d, rhos),
+            circuit_probabilities(d, synthesize_circuit(d), rhos),
+        ):
+            assert np.abs(got - expected).max() < 1e-12
 
 
 def test_distinct_instances_compare_unequal():
@@ -590,6 +648,23 @@ def test_stacked_states_equal_the_per_state_stream(n, seed):
     assert stacked.shape == (n, 2, 2)
     assert np.array_equal(stacked, single)
     assert np.array_equal(stacked, reference)
+
+
+@pytest.mark.parametrize(
+    "n", [2.0, True, "3", None, -1, simulate.MAX_STATES + 1, 2**70], ids=repr
+)
+def test_random_density_matrices_refuse_a_bad_count(n):
+    # past MAX_STATES the count is refused by arithmetic, before any array
+    with pytest.raises(InvalidParameterError):
+        random_density_matrices(np.random.default_rng(0), n)
+
+
+def test_random_density_matrices_take_zero_and_numpy_counts():
+    assert random_density_matrices(np.random.default_rng(0), 0).shape == (0, 2, 2)
+    assert np.array_equal(
+        random_density_matrices(np.random.default_rng(1), np.int64(3)),
+        random_density_matrices(np.random.default_rng(1), 3),
+    )
 
 
 class _StubGenerator:
